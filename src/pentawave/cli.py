@@ -38,7 +38,7 @@ from .extrema import (
 from .identities import suite_residual_breakdown
 from .pentagrid import PentagridSpec, match_report, matching_correspondences, tiles
 from .svgout import SvgCanvas, clip_line_to_box, diverging_color
-from .wavefield import GOLDEN_RATIO, SeriesSpec, p5, s5, series_partial, tail_bound
+from .wavefield import GOLDEN_RATIO, SeriesSpec, p5, s5, series_partial, series_term, tail_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,6 +46,10 @@ EXIT_IO = 3
 EXIT_CONTRACT = 4
 
 _MAX_GRID_SAMPLES = 10 ** 8
+
+# Bytes of the terms x points block of signed series terms that converge holds
+# at once; the disk grid is processed in chunks of points sized to fit it.
+_CONVERGE_BLOCK_BYTES = 1 << 25
 
 _COMMANDS = (
     ("field", "sample s5, the leading product term, and the series on a disk grid"),
@@ -259,10 +263,21 @@ def _write_json(cfg, name, report):
         fh.write("\n")
 
 
-def _write_svg(cfg, name, canvas):
-    if "svg" not in cfg.formats or canvas is None:
+def _write_svg(cfg, name, draw):
+    """Write the canvas draw() returns (None for no drawing); draw runs only if svg was requested."""
+    if "svg" not in cfg.formats:
         return
-    canvas.write(os.path.join(cfg.out_dir, f"{name}.svg"))
+    canvas = draw()
+    if canvas is not None:
+        canvas.write(os.path.join(cfg.out_dir, f"{name}.svg"))
+
+
+def _config_checked(fn, *args):
+    """fn(*args), with a ValueError from the configured values reported as a config error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _echo_config(cfg):
@@ -295,13 +310,13 @@ def _search_config(cfg):
 
 
 def _run_field(cfg):
+    spec = _config_checked(SeriesSpec, cfg.k, cfg.terms)
+    bound = _config_checked(tail_bound, cfg.k, cfg.radius, cfg.terms).scaled_bound
     pts = _disk_grid(cfg.radius, cfg.grid_step)
-    lead_k = cfg.k / (2.0 * GOLDEN_RATIO)
     s5_vals = np.atleast_1d(s5(cfg.k, pts))
-    lead_vals = np.atleast_1d(p5(lead_k, pts))
-    series_vals = np.atleast_1d(series_partial(SeriesSpec(cfg.k, cfg.terms), pts))
+    lead_vals = np.atleast_1d(p5(series_term(cfg.k, 0)[1], pts))
+    series_vals = np.atleast_1d(series_partial(spec, pts))
     deviation = float(np.abs(s5_vals - series_vals).max())
-    bound = tail_bound(cfg.k, cfg.radius, cfg.terms).scaled_bound
     if deviation > bound:
         raise ContractViolation(
             f"series deviation {deviation:g} exceeds the scaled bound {bound:g}"
@@ -315,8 +330,10 @@ def _run_field(cfg):
         "num_terms": cfg.terms,
     }
     _write_json(cfg, "field", report)
-    canvas = None
-    if cfg.radius > 0:
+
+    def draw():
+        if cfg.radius == 0:
+            return None
         canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
         stride = max(1, int(math.ceil(math.sqrt(len(pts) / 20000.0))))
         vmax = float(np.abs(s5_vals).max()) or 1.0
@@ -328,7 +345,9 @@ def _run_field(cfg):
                 stroke="none",
             )
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
-    _write_svg(cfg, "field", canvas)
+        return canvas
+
+    _write_svg(cfg, "field", draw)
     return EXIT_OK
 
 
@@ -337,10 +356,9 @@ def _run_identity(cfg):
     num_points = int(tol.get("identity_num_points", 10000))
     k_lo = float(tol.get("identity_k_min", 0.1))
     k_hi = float(tol.get("identity_k_max", 10.0))
-    try:
-        breakdown = suite_residual_breakdown(num_points, cfg.seed, (k_lo, k_hi), cfg.radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    breakdown = _config_checked(
+        suite_residual_breakdown, num_points, cfg.seed, (k_lo, k_hi), cfg.radius
+    )
     worst = max(breakdown.values())
     allowance = 1e-9 * (1.0 + k_hi * cfg.radius) ** 5
     if worst > allowance:
@@ -366,28 +384,65 @@ def _run_identity(cfg):
     return EXIT_OK
 
 
+def _series_max_errors(spec, pts, s5_vals):
+    """max |s5_vals - series_partial(SeriesSpec(spec.k, N), pts)| for N = 0..spec.num_terms.
+
+    Each series term is evaluated once, through p5, over a chunk of points;
+    the terms are then re-added for every N in series_partial's order (from
+    zero, n = N-1 down to 0), so each maximum equals the one-N-at-a-time result
+    bit for bit.
+    """
+    terms = spec.num_terms
+    params = [series_term(spec.k, n) for n in range(terms)]
+    chunk = max(2, _CONVERGE_BLOCK_BYTES // (8 * max(1, terms)))
+    # No chunk starts at the last point of a larger grid: numpy projects a lone
+    # point with a BLAS matrix-vector call, which can round differently from
+    # the matrix-matrix call series_partial makes on the whole grid.
+    edges = [*range(0, max(len(pts) - 1, 1), chunk), len(pts)]
+    maxima = []
+    for start, stop in zip(edges, edges[1:]):
+        part = pts[start:stop]
+        block = np.empty((terms, len(part)))
+        for n, (coeff, kn) in enumerate(params):
+            # a wavenumber that underflowed to zero makes a zero term
+            block[n] = coeff * p5(kn, part) if kn > 0 else 0.0
+        total = np.empty(len(part))
+        errors = []
+        for num in range(terms + 1):
+            total.fill(0.0)
+            for n in range(num - 1, -1, -1):
+                total += block[n]
+            errors.append(np.abs(s5_vals[start:stop] - 16.0 * total).max())
+        maxima.append(errors)
+    return np.max(maxima, axis=0)
+
+
 def _run_converge(cfg):
+    spec = _config_checked(SeriesSpec, cfg.k, cfg.terms)
+    bounds = [
+        _config_checked(tail_bound, cfg.k, cfg.radius, n).scaled_bound
+        for n in range(cfg.terms + 1)
+    ]
     pts = _disk_grid(cfg.radius, cfg.grid_step)
     s5_vals = np.atleast_1d(s5(cfg.k, pts))
-    rows = []
-    for n in range(cfg.terms + 1):
-        approx = np.atleast_1d(series_partial(SeriesSpec(cfg.k, n), pts))
-        err = float(np.abs(s5_vals - approx).max())
-        bound = tail_bound(cfg.k, cfg.radius, n).scaled_bound
+    errors = _series_max_errors(spec, pts, s5_vals)
+    rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
+    for n, err, bound in rows:
         if err > bound:
             raise ContractViolation(
                 f"max error {err:g} exceeds bound {bound:g} at {n} terms"
             )
-        rows.append((n, err, bound))
     _write_csv(cfg, "converge", ["N", "max_error", "bound"], rows)
     report = {
         "num_samples": len(pts),
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
     }
     _write_json(cfg, "converge", report)
-    canvas = None
-    positive = [v for _, e, b in rows for v in (e, b) if v > 0]
-    if positive:
+
+    def draw():
+        positive = [v for _, e, b in rows for v in (e, b) if v > 0]
+        if not positive:
+            return None
         lo = math.floor(math.log10(min(positive))) - 1
         hi = math.ceil(math.log10(max(positive))) + 1
         canvas = SvgCanvas((-0.5, cfg.terms + 0.5, lo, hi))
@@ -405,7 +460,9 @@ def _run_converge(cfg):
                 )
         canvas.line((0, lo), (cfg.terms, lo), stroke="#222222", width=1.0)
         canvas.text((0.0, hi - 0.5), "log10 max_error (red), log10 bound (blue)")
-    _write_svg(cfg, "converge", canvas)
+        return canvas
+
+    _write_svg(cfg, "converge", draw)
     return EXIT_OK
 
 
@@ -431,11 +488,15 @@ def _run_extrema(cfg):
         counts[cp.kind] += 1
     report = {"num_points": len(points), "counts": counts}
     _write_json(cfg, "extrema", report)
-    canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
-    canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
-    for cp in points:
-        canvas.circle(cp.location, 3.0, fill=_KIND_COLORS[cp.kind])
-    _write_svg(cfg, "extrema", canvas)
+
+    def draw():
+        canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
+        canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
+        for cp in points:
+            canvas.circle(cp.location, 3.0, fill=_KIND_COLORS[cp.kind])
+        return canvas
+
+    _write_svg(cfg, "extrema", draw)
     return EXIT_OK
 
 
@@ -464,8 +525,10 @@ def _run_tiling(cfg):
         "spacing": spec.spacing,
     }
     _write_json(cfg, "tiling", report)
-    canvas = None
-    if patch.tiles:
+
+    def draw():
+        if not patch.tiles:
+            return None
         verts = np.array([v for t in patch.tiles for v in t.vertices])
         pad = 1.0
         canvas = SvgCanvas(
@@ -476,7 +539,9 @@ def _run_tiling(cfg):
         for tile in patch.tiles:
             canvas.polygon(tile.vertices, fill=fills[tile.kind], stroke="#333333",
                            width=0.8, opacity=0.85)
-    _write_svg(cfg, "tiling", canvas)
+        return canvas
+
+    _write_svg(cfg, "tiling", draw)
     return EXIT_OK
 
 
@@ -530,31 +595,34 @@ def _run_match(cfg):
     header = ["x", "y", "kind", "m0", "m1", "m2", "m3", "m4", "dual_x", "dual_y", "residual"]
     _write_csv(cfg, "match", header, rows)
 
-    canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
-    bbox = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
-    basis = np.array([[math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5)] for i in range(5)])
-    for i in range(5):
-        normal = basis[i]
-        tangent = (-normal[1], normal[0])
-        reach = int(math.ceil(cfg.radius * math.sqrt(2.0) / spec.spacing))
-        for m in range(-reach, reach + 1):
-            anchor = (m * spec.spacing * normal[0], m * spec.spacing * normal[1])
-            seg = clip_line_to_box(anchor, tangent, bbox)
-            if seg:
-                canvas.line(seg[0], seg[1], stroke="#cccccc", width=0.6)
-    transform = report_obj.transform
-    patch = tiles(spec, bbox, singular_eps=cfg.tolerances.get("singular_eps"))
-    for tile in patch.tiles:
-        mapped = transform.apply(np.array(tile.vertices))
-        canvas.polygon([tuple(v) for v in mapped], fill="none", stroke="#77aa77", width=0.8)
-    for cp, iv, dv in trips:
-        mapped = transform.apply(np.asarray(dv.position))
-        canvas.line(tuple(mapped), cp.location, stroke="#dd8800", width=1.2)
-    for cp in critical_points:
-        if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM):
-            canvas.circle(cp.location, 2.5, fill=_KIND_COLORS[cp.kind])
-    canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
-    _write_svg(cfg, "match", canvas)
+    def draw():
+        canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
+        bbox = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
+        basis = np.array([[math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5)] for i in range(5)])
+        for i in range(5):
+            normal = basis[i]
+            tangent = (-normal[1], normal[0])
+            reach = int(math.ceil(cfg.radius * math.sqrt(2.0) / spec.spacing))
+            for m in range(-reach, reach + 1):
+                anchor = (m * spec.spacing * normal[0], m * spec.spacing * normal[1])
+                seg = clip_line_to_box(anchor, tangent, bbox)
+                if seg:
+                    canvas.line(seg[0], seg[1], stroke="#cccccc", width=0.6)
+        transform = report_obj.transform
+        patch = tiles(spec, bbox, singular_eps=cfg.tolerances.get("singular_eps"))
+        for tile in patch.tiles:
+            mapped = transform.apply(np.array(tile.vertices))
+            canvas.polygon([tuple(v) for v in mapped], fill="none", stroke="#77aa77", width=0.8)
+        for cp, iv, dv in trips:
+            mapped = transform.apply(np.asarray(dv.position))
+            canvas.line(tuple(mapped), cp.location, stroke="#dd8800", width=1.2)
+        for cp in critical_points:
+            if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM):
+                canvas.circle(cp.location, 2.5, fill=_KIND_COLORS[cp.kind])
+        canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
+        return canvas
+
+    _write_svg(cfg, "match", draw)
     return EXIT_OK
 
 

@@ -38,6 +38,10 @@ _OUTER.setflags(write=False)
 # n = 77 (F_77 < 2**53); the series switches to the closed form before that.
 _FIB_FLOAT_SWITCH = 70
 
+# tau**1474 is the largest power of the golden ratio below the double range,
+# so term n = 1473 is the last whose coefficient tau**(n+1)/sqrt(5) is finite.
+_MAX_SERIES_TERMS = 1474
+
 
 def _as_points(p):
     arr = np.asarray(p, dtype=float)
@@ -163,6 +167,14 @@ class SeriesSpec:
             raise ValueError("num_terms must be an integer")
         if self.num_terms < 0:
             raise ValueError("num_terms must be nonnegative")
+        if self.num_terms > _MAX_SERIES_TERMS:
+            raise ValueError(f"num_terms must be at most {_MAX_SERIES_TERMS}")
+
+
+def series_term(k, n):
+    """Signed coefficient (-1)^n F_n and wavenumber k / (2 tau^(n+1)) of series term n."""
+    coeff = float(fib(n)) if n <= _FIB_FLOAT_SWITCH else fib_closed_form(n)
+    return (-coeff if n % 2 else coeff), k / (2.0 * GOLDEN_RATIO ** (n + 1))
 
 
 def series_partial(spec, p):
@@ -175,10 +187,8 @@ def series_partial(spec, p):
     a = project(p)
     total = np.zeros(a.shape[:-1])
     for n in range(spec.num_terms - 1, -1, -1):
-        coeff = float(fib(n)) if n <= _FIB_FLOAT_SWITCH else fib_closed_form(n)
-        kn = spec.k / (2.0 * GOLDEN_RATIO ** (n + 1))
-        term = coeff * np.prod(np.sin(kn * a), axis=-1)
-        total = total + (term if n % 2 == 0 else -term)
+        coeff, kn = series_term(spec.k, n)
+        total = total + coeff * np.prod(np.sin(kn * a), axis=-1)
     return _maybe_scalar(16.0 * total)
 
 
@@ -211,7 +221,12 @@ def tail_bound(k, radius, num_terms):
         raise ValueError("num_terms must be nonnegative")
     tau = GOLDEN_RATIO
     n = int(num_terms)
-    big_c = (k * radius / 2.0) ** 5 / math.sqrt(5.0)
+    try:
+        big_c = (k * radius / 2.0) ** 5 / math.sqrt(5.0)
+    except OverflowError:
+        big_c = math.inf
+    if not math.isfinite(big_c):
+        raise ValueError("k * radius is too large for a finite truncation bound")
     raw = big_c * (
         tau ** -(4 * n + 4) / (1.0 - tau ** -4)
         + tau ** -(5 * n + 5) / (1.0 - tau ** -5)

@@ -6,9 +6,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pentawave as pw
+from pentawave import cli
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -40,8 +42,6 @@ def test_field_outputs(tmp_path):
     assert len(body) > 0
     pts = [(float(x), float(y)) for x, y, *_ in body]
     # csv cells round-trip exactly through repr of the same batched evaluation
-    import numpy as np
-
     s5_batch = pw.s5(1.0, np.array(pts))
     for (x, y, s5v, p5v, ser), want in zip(body, s5_batch):
         px, py = float(x), float(y)
@@ -97,6 +97,127 @@ def test_converge_outputs(tmp_path):
     assert len(report["rows"]) == 10
     assert [row["N"] for row in report["rows"]] == list(range(10))
     assert report["num_samples"] > 0
+
+
+def _series_errors_one_n_at_a_time(k, pts, terms):
+    """converge's per-N maximum error, computed with series_partial for each N."""
+    s5_vals = pw.s5(k, pts)
+    return [
+        float(np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(k, n), pts)).max())
+        for n in range(terms + 1)
+    ]
+
+
+def _chunk_leaving_one_point(num_points):
+    """A chunk size that splits num_points into at least three chunks plus one point."""
+    return next(c for c in range(num_points // 3, 1, -1) if num_points % c == 1)
+
+
+@pytest.mark.parametrize("k, radius, step, terms, several_chunks", [
+    (1.0, 6.0, 0.25, 10, True),
+    (0.93, 5.0, 0.2, 12, True),
+    (2.5, 3.0, 0.1, 9, False),
+    (5e-324, 0.0, 0.25, 3, False),  # every term wavenumber underflows to zero
+])
+def test_converge_errors_equal_series_partial(tmp_path, monkeypatch, k, radius, step, terms,
+                                              several_chunks):
+    pts = cli._disk_grid(radius, step)
+    if several_chunks:
+        chunk = _chunk_leaving_one_point(len(pts))
+        monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+    out = tmp_path / "conv"
+    code = cli.main([
+        "converge", "--k", repr(k), "--radius", repr(radius), "--grid-step", repr(step),
+        "--terms", str(terms), "--out", str(out),
+    ])
+    assert code == 0
+    want = _series_errors_one_n_at_a_time(k, pts, terms)
+    assert [float(e) for _, e, _ in read_csv(out / "converge.csv")[1:]] == want
+    report = json.loads((out / "converge.json").read_text())["report"]
+    assert [row["max_error"] for row in report["rows"]] == want
+
+
+def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypatch):
+    terms = pw.wavefield._FIB_FLOAT_SWITCH + 10
+    # At this many terms double rounding exceeds the truncation bound at any
+    # point off the origin, so the CLI run samples only the origin, and the
+    # per-N errors off it are checked through the helper converge calls.
+    out = tmp_path / "conv"
+    assert cli.main(["converge", "--radius", "0.1", "--terms", str(terms), "--out", str(out)]) == 0
+    want = _series_errors_one_n_at_a_time(1.0, cli._disk_grid(0.1, 0.25), terms)
+    assert [float(e) for _, e, _ in read_csv(out / "converge.csv")[1:]] == want
+    # Three chunks of 100 points and one more, placed last where it sets the
+    # maximum error: numpy projects a lone point through a different BLAS
+    # call, whose rounding shows unless that point shares a chunk.
+    pts = np.random.default_rng(1).uniform(-3.0, 3.0, (301, 2))
+    s5_vals = pw.s5(1.0, pts)
+    worst = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(1.0, 5), pts)).argmax()
+    pts = np.vstack([np.delete(pts, worst, axis=0), pts[worst]])
+    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 100)
+    got = cli._series_max_errors(pw.SeriesSpec(1.0, terms), pts, pw.s5(1.0, pts))
+    assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, pts, terms)
+
+
+def test_converge_rounding_violation_reported_at_first_failing_n(tmp_path):
+    k, radius, step, terms = 1.0, 10.0, 0.5, 30
+    errors = _series_errors_one_n_at_a_time(k, cli._disk_grid(radius, step), terms)
+    bounds = [pw.tail_bound(k, radius, n).scaled_bound for n in range(terms + 1)]
+    n = next(n for n in range(terms + 1) if errors[n] > bounds[n])
+    proc = run_cli("converge", "--radius", "10", "--grid-step", "0.5", "--terms", "30",
+                   "--out", str(tmp_path / "conv"))
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        f"pentawave: contract violation: max error {errors[n]:g} "
+        f"exceeds bound {bounds[n]:g} at {n} terms\n"
+    )
+
+
+def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
+    terms, radius, step = 9, 4.0, 0.25
+    num_points = len(cli._disk_grid(radius, step))
+    chunk = _chunk_leaving_one_point(num_points)
+    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+    calls = {"p5": 0, "series_partial": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    code = cli.main(["converge", "--radius", repr(radius), "--grid-step", repr(step),
+                     "--terms", str(terms), "--out", str(tmp_path / "conv")])
+    assert code == 0
+    # the last point joins the final full chunk instead of forming its own
+    num_chunks = num_points // chunk
+    assert num_chunks > 1
+    assert calls == {"p5": terms * num_chunks, "series_partial": 0}
+
+
+@pytest.mark.parametrize("args, message", [
+    (("converge", "--k", "1e80"), "k * radius is too large"),
+    (("field", "--terms", "1600", "--radius", "1"), "num_terms must be at most"),
+])
+def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
+    proc = run_cli(*args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("pentawave: config error: ")
+    assert message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["field", "converge", "extrema", "tiling", "match"])
+def test_no_svg_canvas_built_without_svg_format(tmp_path, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVG canvas was built for a run without svg output")
+
+    monkeypatch.setattr(cli, "SvgCanvas", refuse)
+    code = cli.main([command, "--radius", "25", "--grid-step", "1", "--out", str(tmp_path),
+                     "--format", "csv,json"])
+    assert code == 0
 
 
 def test_identity_outputs(tmp_path):

@@ -177,6 +177,10 @@ def test_series_spec_validation():
         pw.SeriesSpec(k=1.0, num_terms=-1)
     with pytest.raises(ValueError):
         pw.SeriesSpec(k=1.0, num_terms=2.5)
+    # past 1474 terms the closed-form coefficient tau**(n+1)/sqrt(5) overflows
+    with pytest.raises(ValueError):
+        pw.SeriesSpec(k=1.0, num_terms=1475)
+    assert math.isfinite(pw.series_partial(pw.SeriesSpec(k=1.0, num_terms=1474), (0.3, 0.2)))
 
 
 def test_series_partial_edge_cases():
@@ -231,6 +235,11 @@ def test_tail_bound_validation():
         pw.tail_bound(1.0, -1.0, 0)
     with pytest.raises(ValueError):
         pw.tail_bound(1.0, 1.0, -1)
+    # (k*radius/2)**5 past the double range
+    with pytest.raises(ValueError):
+        pw.tail_bound(1e80, 10.0, 0)
+    with pytest.raises(ValueError):
+        pw.tail_bound(1e300, 1e10, 0)
 
 
 def test_terms_for_tolerance_minimal():
