@@ -34,17 +34,37 @@ from .extrema import (
     KIND_SADDLE,
     default_search_config,
     find_critical_points,
+    seed_count,
 )
 from .identities import suite_residual_breakdown
-from .pentagrid import PentagridSpec, match_report, matching_correspondences, tiles
+# matching_correspondences is unused here but stays importable as
+# cli.matching_correspondences, a name perfbench/trace_child.py wraps.
+from .pentagrid import (  # noqa: F401
+    PentagridSpec,
+    crossing_count,
+    match_report,
+    matching_correspondences,
+    tiles,
+)
 from .svgout import SvgCanvas, clip_line_to_box, diverging_color
-from .wavefield import GOLDEN_RATIO, SeriesSpec, p5, s5, series_partial, series_term, tail_bound
+from .wavefield import (
+    GOLDEN_RATIO,
+    SeriesSpec,
+    direction_basis,
+    p5,
+    s5,
+    series_partial,
+    series_term,
+    tail_bound,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CONTRACT = 4
 
+# Cap on the sample grid, the extrema seed grid and the tiling crossings, each
+# checked before its arrays are allocated.
 _MAX_GRID_SAMPLES = 10 ** 8
 
 # Bytes of the terms x points block of signed series terms that converge holds
@@ -272,10 +292,10 @@ def _write_svg(cfg, name, draw):
         canvas.write(os.path.join(cfg.out_dir, f"{name}.svg"))
 
 
-def _config_checked(fn, *args):
-    """fn(*args), with a ValueError from the configured values reported as a config error."""
+def _config_checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError from the configured values reported as a config error."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -303,18 +323,40 @@ def _disk_grid(radius, step):
     return pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius ** 2]
 
 
-def _search_config(cfg):
+def _check_count(count, what):
+    """Refuse a run whose count of seeds or crossings exceeds _MAX_GRID_SAMPLES."""
+    if not count <= _MAX_GRID_SAMPLES:
+        raise ConfigError(
+            f"{count:.6g} {what} exceed {_MAX_GRID_SAMPLES}; use a smaller --radius or --k"
+        )
+
+
+def _critical_points(cfg):
     allowed = ("seed_spacing", "grad_tol", "dedupe_radius", "max_newton_steps", "eig_degenerate_tol")
     overrides = {key: cfg.tolerances[key] for key in allowed if key in cfg.tolerances}
-    return default_search_config(cfg.k, cfg.radius, **overrides)
+    search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
+    _check_count(seed_count(search), "extrema seeds")
+    return find_critical_points(cfg.k, search)
+
+
+def _pentagrid_spec(cfg):
+    return _config_checked(PentagridSpec, cfg.k / (2.0 * GOLDEN_RATIO))
+
+
+def _tiles(cfg, spec, window):
+    _check_count(crossing_count(spec, window), "tiling line crossings")
+    return tiles(spec, window, singular_eps=cfg.tolerances.get("singular_eps"))
 
 
 def _run_field(cfg):
     spec = _config_checked(SeriesSpec, cfg.k, cfg.terms)
     bound = _config_checked(tail_bound, cfg.k, cfg.radius, cfg.terms).scaled_bound
+    lead_k = series_term(cfg.k, 0)[1]
+    if not lead_k > 0:
+        raise ConfigError("k is too small: the lead wavenumber k/(2*tau) underflows to zero")
     pts = _disk_grid(cfg.radius, cfg.grid_step)
     s5_vals = np.atleast_1d(s5(cfg.k, pts))
-    lead_vals = np.atleast_1d(p5(series_term(cfg.k, 0)[1], pts))
+    lead_vals = np.atleast_1d(p5(lead_k, pts))
     series_vals = np.atleast_1d(series_partial(spec, pts))
     deviation = float(np.abs(s5_vals - series_vals).max())
     if deviation > bound:
@@ -477,7 +519,7 @@ _KIND_COLORS = {
 def _run_extrema(cfg):
     if cfg.radius <= 0:
         raise ConfigError("extrema requires a positive radius")
-    points = find_critical_points(cfg.k, _search_config(cfg))
+    points = _critical_points(cfg)
     rows = [
         (cp.location[0], cp.location[1], cp.value, cp.kind, cp.eigenvalues[0], cp.eigenvalues[1])
         for cp in points
@@ -503,9 +545,8 @@ def _run_extrema(cfg):
 def _run_tiling(cfg):
     if cfg.radius <= 0:
         raise ConfigError("tiling requires a positive radius")
-    spec = PentagridSpec(c=cfg.k / (2.0 * GOLDEN_RATIO))
-    window = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
-    patch = tiles(spec, window, singular_eps=cfg.tolerances.get("singular_eps"))
+    spec = _pentagrid_spec(cfg)
+    patch = _tiles(cfg, spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
     rows = []
     for tile in patch.tiles:
         flat = [coord for vertex in tile.vertices for coord in vertex]
@@ -548,12 +589,11 @@ def _run_tiling(cfg):
 def _run_match(cfg):
     if cfg.radius <= 0:
         raise ConfigError("match requires a positive radius")
-    spec = PentagridSpec(c=cfg.k / (2.0 * GOLDEN_RATIO))
-    critical_points = find_critical_points(cfg.k, _search_config(cfg))
-    boundary_eps = cfg.tolerances.get("boundary_eps")
+    spec = _pentagrid_spec(cfg)
+    critical_points = _critical_points(cfg)
     try:
         report_obj = match_report(spec, critical_points, disk_radius=cfg.radius,
-                                  boundary_eps=boundary_eps)
+                                  boundary_eps=cfg.tolerances.get("boundary_eps"))
     except ValueError as exc:
         payload = {
             "config": _config_dict(cfg),
@@ -585,37 +625,33 @@ def _run_match(cfg):
     }
     _write_json(cfg, "match", report)
 
-    _, trips, _ = matching_correspondences(spec, critical_points, disk_radius=cfg.radius,
-                                           boundary_eps=boundary_eps)
-    rows = []
-    for (cp, iv, dv), residual in zip(trips, report_obj.residuals):
-        rows.append(
-            (cp.location[0], cp.location[1], cp.kind, *iv, dv.position[0], dv.position[1], residual)
-        )
+    trips = report_obj.correspondences
+    rows = [
+        (cp.location[0], cp.location[1], cp.kind, *iv, dv.position[0], dv.position[1], residual)
+        for (cp, iv, dv), residual in zip(trips, report_obj.residuals)
+    ]
     header = ["x", "y", "kind", "m0", "m1", "m2", "m3", "m4", "dual_x", "dual_y", "residual"]
     _write_csv(cfg, "match", header, rows)
 
     def draw():
-        canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
         bbox = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
-        basis = np.array([[math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5)] for i in range(5)])
-        for i in range(5):
-            normal = basis[i]
+        canvas = SvgCanvas(bbox)
+        reach = int(math.ceil(cfg.radius * math.sqrt(2.0) / spec.spacing))
+        for normal in direction_basis():
             tangent = (-normal[1], normal[0])
-            reach = int(math.ceil(cfg.radius * math.sqrt(2.0) / spec.spacing))
             for m in range(-reach, reach + 1):
                 anchor = (m * spec.spacing * normal[0], m * spec.spacing * normal[1])
                 seg = clip_line_to_box(anchor, tangent, bbox)
                 if seg:
                     canvas.line(seg[0], seg[1], stroke="#cccccc", width=0.6)
         transform = report_obj.transform
-        patch = tiles(spec, bbox, singular_eps=cfg.tolerances.get("singular_eps"))
-        for tile in patch.tiles:
-            mapped = transform.apply(np.array(tile.vertices))
-            canvas.polygon([tuple(v) for v in mapped], fill="none", stroke="#77aa77", width=0.8)
-        for cp, iv, dv in trips:
-            mapped = transform.apply(np.asarray(dv.position))
-            canvas.line(tuple(mapped), cp.location, stroke="#dd8800", width=1.2)
+        patch = _tiles(cfg, spec, bbox)
+        quads = transform.apply(np.array([t.vertices for t in patch.tiles]).reshape(-1, 4, 2))
+        for quad in quads:
+            canvas.polygon(quad.tolist(), fill="none", stroke="#77aa77", width=0.8)
+        duals = transform.apply(np.array([dv.position for _, _, dv in trips]))
+        for (cp, _, _), dual in zip(trips, duals.tolist()):
+            canvas.line(dual, cp.location, stroke="#dd8800", width=1.2)
         for cp in critical_points:
             if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM):
                 canvas.circle(cp.location, 2.5, fill=_KIND_COLORS[cp.kind])

@@ -106,6 +106,20 @@ def default_search_config(k, radius, **overrides):
     return SearchConfig(**base)
 
 
+def seed_count(cfg):
+    """Number of lattice points the seed grid lays out before the disk clip.
+
+    Computed without allocating, as a float (inf when it does not fit a
+    double), so callers can refuse a search too large to hold in memory.
+    """
+    s = cfg.seed_spacing
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.window is not None:
+            xmin, xmax, ymin, ymax = cfg.window
+            return float((np.floor((xmax - xmin) / s) + 1) * (np.floor((ymax - ymin) / s) + 1))
+        return float((2 * np.floor(cfg.radius / s) + 1) ** 2)
+
+
 def _seed_grid(cfg):
     s = cfg.seed_spacing
     if cfg.window is not None:
@@ -144,6 +158,7 @@ def _refine_batch(field, k, seeds, cfg):
     gradient norm.
     """
     pts = np.array(seeds, dtype=float)
+    del seeds
     n = len(pts)
     converged = np.zeros(n, dtype=bool)
     gnorm = np.full(n, np.inf)
@@ -196,54 +211,71 @@ def _refine_batch(field, k, seeds, cfg):
 def _dedupe(pts, gnorm, dedupe_radius):
     """Greedy dedupe keyed on a spatial hash; returns indices of kept rows.
 
-    Candidates are visited by ascending gradient norm (ties by x then y), so
-    each cluster keeps its minimum-gradient-norm representative.
+    Candidates are visited by ascending gradient norm (ties by x then y), and
+    each is kept unless a kept point in its own or an adjacent cell of side h
+    = dedupe_radius lies within h, so each cluster keeps its minimum-gradient-
+    norm representative. Two points in one fine cell of side h/2 are always
+    that close, so a point whose fine cell already holds a kept point is
+    dropped without a scan. Squares are taken with ** on plain floats, which
+    rounds as C pow does (not always as x*x does).
     """
     order = np.lexsort((pts[:, 1], pts[:, 0], gnorm))
-    cells = {}
-    kept = []
+    ordered = pts[order]
     h = dedupe_radius
-    for j in order:
-        x, y = pts[j]
-        cx, cy = int(math.floor(x / h)), int(math.floor(y / h))
-        clash = False
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for i in cells.get((nx, ny), ()):
-                    if (pts[i, 0] - x) ** 2 + (pts[i, 1] - y) ** 2 <= h * h:
-                        clash = True
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        if not clash:
-            cells.setdefault((cx, cy), []).append(j)
-            kept.append(j)
+    # number the fine cells: ids of equal cells agree after sorting by cell
+    fine = np.floor(ordered / (0.5 * h))
+    by_cell = np.lexsort((fine[:, 1], fine[:, 0]))
+    fine = fine[by_cell]
+    cell = np.empty(len(order), dtype=np.intp)
+    cell[by_cell] = np.cumsum(np.r_[False, (fine[1:] != fine[:-1]).any(axis=1)])
+    taken = bytearray(len(order))
+    near = {}
+    kept = []
+    for r, g in enumerate(cell.tolist()):
+        if taken[g]:
+            continue
+        x, y = ordered[r].tolist()
+        cx, cy = math.floor(x / h), math.floor(y / h)
+        if any(
+            (px - x) ** 2 + (py - y) ** 2 <= h * h
+            for nx in (cx - 1, cx, cx + 1)
+            for ny in (cy - 1, cy, cy + 1)
+            for px, py in near.get((nx, ny), ())
+        ):
+            continue
+        near.setdefault((cx, cy), []).append((x, y))
+        taken[g] = 1
+        kept.append(int(order[r]))
     return kept
 
 
+_KINDS = (KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE, KIND_DEGENERATE)
+
+
 def classify(k, location, cfg, field=S5_FIELD):
-    """Hessian eigenvalue classification at a converged critical point.
+    """Hessian eigenvalue classification at converged critical points.
 
     Both eigenvalues below -eig_degenerate_tol is a maximum, both above +tol
     a minimum, straddling signs beyond tol a saddle, anything else degenerate.
-    Returns (kind, (lambda_min, lambda_max)).
+    For one location (x, y) returns (kind, (lambda_min, lambda_max)); for an
+    (n, 2) batch returns (kinds, eigenvalues), a list of n kinds and an (n, 2)
+    array. A batch is evaluated as n stacked single points, so every row
+    rounds exactly as the single-point call does.
     """
-    hess = field.hess(k, np.asarray(location, dtype=float))
-    half_trace = 0.5 * (hess[0, 0] + hess[1, 1])
-    spread = math.hypot(0.5 * (hess[0, 0] - hess[1, 1]), hess[0, 1])
+    pts = np.asarray(location, dtype=float)
+    single = pts.ndim == 1
+    hess = field.hess(k, pts if single else pts[:, None, :]).reshape(-1, 2, 2)
+    a, b, c = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
+    half_trace = 0.5 * (a + b)
+    # math.hypot, not np.hypot: the two round differently
+    spread = np.array(list(map(math.hypot, (0.5 * (a - b)).tolist(), c.tolist())))
     lo, hi = half_trace - spread, half_trace + spread
     tol = cfg.eig_degenerate_tol
-    if hi < -tol:
-        kind = KIND_MAXIMUM
-    elif lo > tol:
-        kind = KIND_MINIMUM
-    elif lo < -tol and hi > tol:
-        kind = KIND_SADDLE
-    else:
-        kind = KIND_DEGENERATE
-    return kind, (float(lo), float(hi))
+    codes = np.select([hi < -tol, lo > tol, (lo < -tol) & (hi > tol)], [0, 1, 2], 3)
+    kinds = [_KINDS[code] for code in codes.tolist()]
+    if single:
+        return kinds[0], (float(lo[0]), float(hi[0]))
+    return kinds, np.column_stack([lo, hi])
 
 
 def newton_refine(k, seed, cfg, field=S5_FIELD):
@@ -265,24 +297,23 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     """
     if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
         raise ValueError("seed_spacing must not exceed pi/(2k)")
-    seeds = _seed_grid(cfg)
-    if len(seeds) == 0:
-        return []
-    pts, converged, gnorm = _refine_batch(field, k, seeds, cfg)
+    # no name holds the seed grid, so _refine_batch can free it once copied
+    pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)
     pts, gnorm = pts[keep], gnorm[keep]
     if len(pts) == 0:
         return []
-    out = []
-    for j in _dedupe(pts, gnorm, cfg.dedupe_radius):
-        location = (float(pts[j, 0]), float(pts[j, 1]))
-        kind, eigenvalues = classify(k, location, cfg, field=field)
-        value = float(field.value(k, np.asarray(location)))
-        out.append(
-            CriticalPoint(location=location, value=value, kind=kind, eigenvalues=eigenvalues)
+    found = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
+    found = found[np.lexsort((found[:, 1], found[:, 0]))]
+    kinds, eigenvalues = classify(k, found, cfg, field=field)
+    # stacked single points, to round as a one-point evaluation does
+    values = field.value(k, found[:, None, :])[:, 0]
+    return [
+        CriticalPoint(location=tuple(loc), value=value, kind=kind, eigenvalues=tuple(eig))
+        for loc, value, kind, eig in zip(
+            found.tolist(), values.tolist(), kinds, eigenvalues.tolist()
         )
-    out.sort(key=lambda cp: cp.location)
-    return out
+    ]
 
 
 def s2_oracle(k, window):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,31 @@ class TilingPatch:
 _QUADRANTS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
+def _line_ranges(spec, window):
+    """First and last line index of each family that meets the window, as floats."""
+    xmin, xmax, ymin, ymax = (float(v) for v in window)
+    if not (xmin < xmax and ymin < ymax) or not all(
+        math.isfinite(v) for v in (xmin, xmax, ymin, ymax)
+    ):
+        raise ValueError("window must be a finite rectangle with positive area")
+    corners = np.array(
+        [[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]]
+    )
+    corner_t = corners @ _E.T / spec.spacing
+    return np.ceil(corner_t.min(axis=0) - 1e-12), np.floor(corner_t.max(axis=0) + 1e-12)
+
+
+def crossing_count(spec, window):
+    """Number of line pairs tiles() intersects for the window, counted before any allocation.
+
+    Returned as a float, which is inf when the count does not fit a double.
+    """
+    line_lo, line_hi = _line_ranges(spec, window)
+    lines = np.maximum(line_hi - line_lo + 1.0, 0.0)
+    with np.errstate(over="ignore"):
+        return float(sum(lines[i] * lines[j] for i, j in itertools.combinations(range(5), 2)))
+
+
 def tiles(spec, window, singular_eps=None):
     """Dualize every transverse pair intersection inside the window.
 
@@ -144,21 +170,14 @@ def tiles(spec, window, singular_eps=None):
     lines meet, as at the origin of this zero-offset grid); they produce no
     tile and are tallied in skipped_singular. Thin tiles come from family
     pairs at cyclic distance 2 or 3, thick tiles from distance 1 or 4.
+    Each family pair is dualized as one batch; vertices are projected as
+    stacked single index vectors, so they round as dual_vertex does.
     """
     if singular_eps is None:
         singular_eps = 1e-9 * spec.spacing
     xmin, xmax, ymin, ymax = (float(v) for v in window)
-    if not (xmin < xmax and ymin < ymax) or not all(
-        math.isfinite(v) for v in (xmin, xmax, ymin, ymax)
-    ):
-        raise ValueError("window must be a finite rectangle with positive area")
     spacing = spec.spacing
-    corners = np.array(
-        [[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]]
-    )
-    corner_t = corners @ _E.T / spacing
-    line_lo = np.ceil(corner_t.min(axis=0) - 1e-12).astype(int)
-    line_hi = np.floor(corner_t.max(axis=0) + 1e-12).astype(int)
+    line_lo, line_hi = (v.astype(int) for v in _line_ranges(spec, window))
 
     out = []
     skipped = 0
@@ -182,29 +201,18 @@ def tiles(spec, window, singular_eps=None):
         dist_other = spacing * np.abs(t_other - np.round(t_other))
         singular = dist_other.min(axis=1) <= singular_eps
         skipped += int(singular.sum())
-        m_other = np.floor(t_other).astype(int)
-        for (x, y), (r, s), mo in zip(
-            pts[~singular], line_ids[~singular], m_other[~singular]
-        ):
-            base = np.zeros(5)
-            base[others] = mo
-            base[i] = round(r) - 1
-            base[j] = round(s) - 1
-            verts = []
-            for ei, ej in _QUADRANTS:
-                m = base.copy()
-                m[i] += ei
-                m[j] += ej
-                pos = m @ _E
-                verts.append((float(pos[0]), float(pos[1])))
-            out.append(
-                RhombusTile(
-                    vertices=tuple(verts),
-                    kind=kind,
-                    families=(i, j),
-                    intersection=(float(x), float(y)),
-                )
-            )
+        pts, line_ids = pts[~singular], line_ids[~singular]
+        base = np.zeros((len(pts), 5))
+        base[:, others] = np.floor(t_other[~singular])
+        base[:, [i, j]] = line_ids - 1.0
+        corners = np.repeat(base[:, None, :], len(_QUADRANTS), axis=1)
+        corners[:, :, [i, j]] += _QUADRANTS
+        verts = (corners[..., None, :] @ _E)[..., 0, :]
+        out.extend(
+            RhombusTile(vertices=tuple(map(tuple, quad)), kind=kind, families=(i, j),
+                        intersection=tuple(cross))
+            for quad, cross in zip(verts.tolist(), pts.tolist())
+        )
     return TilingPatch(tiles=tuple(out), skipped_singular=skipped)
 
 
@@ -272,46 +280,37 @@ def fit_similarity(pairs):
     )
 
 
-def _correspondences_counted(spec, extrema, boundary_eps=None):
+def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None):
+    """Region index and dual vertex of each extremum used for matching.
+
+    Keeps maxima and minima only, trims extrema within one grid spacing of
+    the disk boundary when disk_radius is given (edge regions are truncated
+    and would bias the fit), and drops those within boundary_eps (default
+    1e-9 * spacing) of any grid line, where the region is undefined. Returns
+    (kept_extrema, trips, excluded_near_singular), where trips holds one
+    (extremum, index_vector, DualVertex) per matched extremum. All extrema
+    are indexed and dualized as stacked single points, so each result rounds
+    as index_vector and dual_vertex do.
+    """
     if boundary_eps is None:
         boundary_eps = 1e-9 * spec.spacing
-    trips = []
-    excluded = 0
-    for cp in extrema:
-        m, margin = region_indices(spec, np.asarray(cp.location))
-        if margin <= boundary_eps:
-            excluded += 1
-            continue
-        iv = tuple(int(v) for v in m)
-        trips.append((cp, iv, dual_vertex(iv)))
-    return trips, excluded
-
-
-def correspondences(spec, extrema, boundary_eps=None):
-    """Region index and dual vertex for each extremum.
-
-    Callers pass maxima/minima only. Extrema within boundary_eps of any grid
-    line (hence near a line or a multi-line crossing) are silently dropped;
-    use matching_correspondences to recover the exclusion count.
-    """
-    trips, _ = _correspondences_counted(spec, extrema, boundary_eps)
-    return trips
-
-
-def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None):
-    """Correspondences as used by match_report, plus the exclusion count.
-
-    Filters to maxima and minima, trims extrema within one grid spacing of
-    the disk boundary when disk_radius is given (edge regions are truncated
-    and would bias the fit), then indexes the survivors. Returns
-    (kept_extrema, trips, excluded_near_singular).
-    """
     kept = [cp for cp in extrema if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM)]
     if disk_radius is not None:
         limit = disk_radius - spec.spacing
         kept = [cp for cp in kept if math.hypot(*cp.location) <= limit]
-    trips, excluded = _correspondences_counted(spec, kept, boundary_eps)
-    return kept, trips, excluded
+    locations = np.array([cp.location for cp in kept], dtype=float).reshape(-1, 1, 2)
+    m, margin = region_indices(spec, locations)
+    usable = margin[:, 0] > boundary_eps
+    m = m[usable]
+    positions = (m.astype(float) @ _E)[:, 0]
+    trips = [
+        (cp, iv, DualVertex(index=iv, position=tuple(pos)))
+        for cp, iv, pos in zip(
+            itertools.compress(kept, usable.tolist()), map(tuple, m[:, 0].tolist()),
+            positions.tolist(),
+        )
+    ]
+    return kept, trips, len(kept) - len(trips)
 
 
 @dataclass(frozen=True)
@@ -323,7 +322,9 @@ class MatchReport:
     too close to a grid line. residuals (one per matched extremum, in units
     of the fitted physical tile edge) drive the summary statistics.
     dual_position_collisions counts matched regions whose dual vertex
-    coincides with that of a different matched region.
+    coincides with that of a different matched region. correspondences
+    holds the (extremum, index_vector, DualVertex) trips the fit used, in
+    the order of residuals.
     """
 
     num_extrema: int
@@ -336,6 +337,7 @@ class MatchReport:
     excluded_near_singular: int
     dual_position_collisions: int
     transform: SimilarityTransform
+    correspondences: tuple
 
 
 def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
@@ -350,31 +352,26 @@ def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
     kept, trips, excluded = matching_correspondences(spec, extrema, disk_radius, boundary_eps)
     if len(trips) < 2:
         raise ValueError("insufficient extrema for registration (need at least 2)")
-    occupancy = {}
-    for _, iv, _ in trips:
-        occupancy[iv] = occupancy.get(iv, 0) + 1
-    position_groups = {}
-    for iv in occupancy:
-        pos = dual_vertex(iv).position
-        key = (round(pos[0], 6), round(pos[1], 6))
-        position_groups.setdefault(key, set()).add(iv)
-    collisions = sum(len(g) for g in position_groups.values() if len(g) > 1)
+    indices = np.array([iv for _, iv, _ in trips])
     pairs = [(dv.position, cp.location) for cp, _, dv in trips]
+    sources = np.array([src for src, _ in pairs])
+    _, first, occupancy = np.unique(indices, axis=0, return_index=True, return_counts=True)
+    # Python's round, not np.round: the two can differ in the last place.
+    groups = Counter((round(x, 6), round(y, 6)) for x, y in sources[first].tolist())
     transform = fit_similarity(pairs)
-    mapped = transform.apply(np.array([p[0] for p in pairs]))
-    targets = np.array([p[1] for p in pairs])
-    residuals = tuple(
-        float(v) for v in np.hypot(*(mapped - targets).T) / transform.scale
-    )
+    mapped = transform.apply(sources)
+    targets = np.array([tgt for _, tgt in pairs])
+    residuals = np.hypot(*(mapped - targets).T) / transform.scale
     return MatchReport(
         num_extrema=len(kept),
         num_regions_hit=len(occupancy),
-        regions_with_exactly_one=sum(1 for v in occupancy.values() if v == 1),
-        residuals=residuals,
+        regions_with_exactly_one=int((occupancy == 1).sum()),
+        residuals=tuple(residuals.tolist()),
         mean_residual=float(np.mean(residuals)),
         median_residual=float(np.median(residuals)),
         max_residual=float(np.max(residuals)),
         excluded_near_singular=excluded,
-        dual_position_collisions=collisions,
+        dual_position_collisions=sum(n for n in groups.values() if n > 1),
         transform=transform,
+        correspondences=tuple(trips),
     )

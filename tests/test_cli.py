@@ -209,6 +209,57 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (("field", "--k", "5e-324"), "lead wavenumber k/(2*tau) underflows to zero"),
+    (("extrema", "--k", "5e-324"), "dedupe_radius must be smaller than seed_spacing"),
+    (("tiling", "--k", "5e-324"), "c must be finite and positive"),
+    (("match", "--k", "5e-324"), "c must be finite and positive"),
+    (("tiling", "--radius", "1e6"), "6.15073e+11 tiling line crossings exceed 100000000"),
+    (("tiling", "--radius", "1e9"), "tiling line crossings exceed 100000000"),
+    (("extrema", "--radius", "1e6"), "6.48456e+12 extrema seeds exceed 100000000"),
+    (("extrema", "--radius", "1e9"), "extrema seeds exceed 100000000"),
+    (("match", "--radius", "1e6", "--format", "csv,json,svg"), "extrema seeds exceed"),
+    (("match", "--radius", "1e9"), "extrema seeds exceed"),
+    (("match", "--k", "1e300", "--radius", "1e300"), "inf extrema seeds exceed"),
+])
+def test_underflowing_and_oversized_inputs_are_config_errors(tmp_path, capsys, args, message):
+    assert cli.main([*args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pentawave: config error: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_tiling_crossing_cap_is_checked_before_tiles(tmp_path, monkeypatch):
+    spec = cli.PentagridSpec(1.0 / (2.0 * TAU))
+    allowed = cli.crossing_count(spec, (-300.0, 300.0, -300.0, 300.0))
+    monkeypatch.setattr(cli, "_MAX_GRID_SAMPLES", allowed)
+    monkeypatch.setattr(cli, "tiles", lambda *a, **kw: pytest.fail("tiles ran past the cap"))
+    assert cli.main(["tiling", "--radius", "340", "--out", str(tmp_path)]) == 2
+    assert cli.crossing_count(spec, (-340.0, 340.0, -340.0, 340.0)) > allowed
+
+
+def test_match_csv_and_svg_read_the_report_correspondences(tmp_path, monkeypatch):
+    calls = {"match_report": 0}
+    match_report = cli.match_report
+
+    def counted(*args, **kwargs):
+        calls["match_report"] += 1
+        return match_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "match_report", counted)
+    monkeypatch.setattr(cli, "matching_correspondences",
+                        lambda *a, **kw: pytest.fail("correspondences recomputed"))
+    out = tmp_path / "m"
+    assert cli.main(["match", "--radius", "40", "--out", str(out), "--format", "csv,json,svg"]) == 0
+    assert calls == {"match_report": 1}
+    rows = read_csv(out / "match.csv")[1:]
+    report = json.loads((out / "match.json").read_text())["report"]
+    assert len(rows) == len(report["residuals"]) > 2
+    assert [float(r[-1]) for r in rows] == report["residuals"]
+    assert (out / "match.svg").read_text().count('stroke="#dd8800"') == len(rows)
+
+
 @pytest.mark.parametrize("command", ["field", "converge", "extrema", "tiling", "match"])
 def test_no_svg_canvas_built_without_svg_format(tmp_path, monkeypatch, command):
     def refuse(*args, **kwargs):

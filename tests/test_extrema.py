@@ -229,3 +229,156 @@ def test_default_search_config_values():
     assert cfg.max_newton_steps == 40
     over = pw.default_search_config(2.0, 7.5, grad_tol=1e-8)
     assert over.grad_tol == 1e-8
+
+
+def _greedy_dedupe_reference(pts, gnorm, dedupe_radius):
+    """The original one-point-at-a-time greedy loop, kept verbatim as the oracle."""
+    order = np.lexsort((pts[:, 1], pts[:, 0], gnorm))
+    cells = {}
+    kept = []
+    h = dedupe_radius
+    for j in order:
+        x, y = pts[j]
+        cx, cy = int(math.floor(x / h)), int(math.floor(y / h))
+        clash = False
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for i in cells.get((nx, ny), ()):
+                    if (pts[i, 0] - x) ** 2 + (pts[i, 1] - y) ** 2 <= h * h:
+                        clash = True
+                        break
+                if clash:
+                    break
+            if clash:
+                break
+        if not clash:
+            cells.setdefault((cx, cy), []).append(j)
+            kept.append(j)
+    return kept
+
+
+def _dedupe_cases(rng, h):
+    """Point sets where the greedy order, ties and cell edges decide the result."""
+    centers = rng.uniform(-30 * h, 30 * h, size=(60, 2))
+    sizes = rng.integers(1, 12, size=len(centers))
+    spread = rng.choice([1e-12, 0.05 * h, 0.4 * h, 1.2 * h], size=len(centers))
+    clusters = np.concatenate(
+        [c + s * rng.standard_normal((n, 2)) for c, n, s in zip(centers, sizes, spread)]
+    )
+    yield clusters, rng.random(len(clusters))
+    # chains at about 0.9 h: which links survive depends on the visit order
+    t = np.arange(40)[:, None] * (0.9 * h) * np.array([[1.0, 0.3]]) / math.hypot(1.0, 0.3)
+    chains = np.concatenate([t + (-7.0 * h, -3.0 * h), t[::-1] * (-1.0, 1.0) + (2 * h, 9 * h)])
+    chains += rng.uniform(-0.02 * h, 0.02 * h, size=chains.shape)
+    yield chains, rng.random(len(chains))
+    # gradient-norm ties broken by x then y, on a lattice of cell and half-cell edges
+    edges = h * np.array([(a / 2.0, b / 2.0) for a in range(-6, 7) for b in range(-6, 7)])
+    edges = np.concatenate([edges, edges + (h, 0.0), edges * -1.0])
+    yield edges, rng.choice([0.0, 1e-12, 1e-11], size=len(edges))
+    # exactly h apart along the axes and on a diagonal, on both sides of zero
+    exact = np.array([(0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h), (h, h),
+                      (-0.0, 2 * h), (0.5 * h, 0.5 * h), (-0.5 * h, -0.5 * h)])
+    yield exact, np.zeros(len(exact))
+    # isolated pairs just over h apart on the diagonal, anywhere relative to the cells:
+    # both are kept, so a shortcut over any cell wider than h / sqrt(2) drops some
+    starts = 4 * h * np.array([(a, b) for a in range(-20, 20) for b in range(-20, 20)])
+    starts += rng.uniform(0.0, h, size=starts.shape)
+    pairs = np.concatenate([starts, starts + 1.0001 * h / math.sqrt(2.0)])
+    yield pairs, np.arange(len(pairs), dtype=float)
+
+
+def _pow_straddles_threshold(h):
+    """An offset (dx, dy) that dx**2 + dy**2 puts within h but dx*dx + dy*dy does not, or vice versa.
+
+    ** rounds as C pow, which is not always the correctly rounded x*x.
+    """
+    hh = h * h
+    for n in range(1, 200000):
+        dx = h * n / 200000.0
+        dy = math.sqrt(hh - dx * dx)
+        for _ in range(4):
+            if (dx ** 2 + dy ** 2 <= hh) != (dx * dx + dy * dy <= hh):
+                return dx, dy
+            dy = math.nextafter(dy, math.inf)
+    raise AssertionError("no straddling offset found")
+
+
+def test_dedupe_squares_with_pow_like_the_reference():
+    h = math.pi / 16.0
+    dx, dy = _pow_straddles_threshold(h)
+    pts = np.array([(0.0, 0.0), (dx, dy), (-dx, -dy), (3 * h, 0.0), (3 * h + dx, dy)])
+    gnorm = np.arange(len(pts), dtype=float)
+    assert ex._dedupe(pts, gnorm, h) == _greedy_dedupe_reference(pts, gnorm, h)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("h", [math.pi / 16.0, 0.1, 1.0 / 3.0])
+def test_dedupe_matches_greedy_reference(seed, h):
+    rng = np.random.default_rng(seed)
+    for pts, gnorm in _dedupe_cases(rng, h):
+        assert ex._dedupe(pts, gnorm, h) == _greedy_dedupe_reference(pts, gnorm, h)
+
+
+def test_dedupe_matches_greedy_reference_on_converged_seeds():
+    cfg = ex.default_search_config(1.0, 30.0)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_grid(cfg), cfg)
+    pts, gnorm = pts[converged], gnorm[converged]
+    assert len(pts) > 1000
+    want = _greedy_dedupe_reference(pts, gnorm, cfg.dedupe_radius)
+    assert ex._dedupe(pts, gnorm, cfg.dedupe_radius) == want
+
+
+def _classify_reference(k, location, cfg, field):
+    """The original single-point classify, kept verbatim as the oracle."""
+    hess = field.hess(k, np.asarray(location, dtype=float))
+    half_trace = 0.5 * (hess[0, 0] + hess[1, 1])
+    spread = math.hypot(0.5 * (hess[0, 0] - hess[1, 1]), hess[0, 1])
+    lo, hi = half_trace - spread, half_trace + spread
+    tol = cfg.eig_degenerate_tol
+    if hi < -tol:
+        kind = ex.KIND_MAXIMUM
+    elif lo > tol:
+        kind = ex.KIND_MINIMUM
+    elif lo < -tol and hi > tol:
+        kind = ex.KIND_SADDLE
+    else:
+        kind = ex.KIND_DEGENERATE
+    return kind, (float(lo), float(hi))
+
+
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
+def test_batched_classify_and_value_equal_single_points(field, k):
+    cfg = ex.default_search_config(k, 12.0 / k)
+    found = ex.find_critical_points(k, cfg, field=field)
+    assert len(found) > 20
+    for cp in found:
+        assert _classify_reference(k, cp.location, cfg, field) == (cp.kind, cp.eigenvalues)
+        assert cp.value == float(field.value(k, np.asarray(cp.location)))
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([[cp.location for cp in found], rng.uniform(-60.0, 60.0, (4000, 2))])
+    kinds, eigenvalues = ex.classify(k, pts, cfg, field=field)
+    for p, kind, eig in zip(pts.tolist(), kinds, eigenvalues.tolist()):
+        assert _classify_reference(k, p, cfg, field) == (kind, tuple(eig))
+        assert ex.classify(k, p, cfg, field=field) == (kind, tuple(eig))
+
+
+def test_find_critical_points_classifies_in_one_call(monkeypatch):
+    calls = []
+    single = ex.classify
+
+    def counted(k, location, cfg, field=ex.S5_FIELD):
+        calls.append(np.shape(location))
+        return single(k, location, cfg, field=field)
+
+    monkeypatch.setattr(ex, "classify", counted)
+    found = ex.find_critical_points(1.0, ex.default_search_config(1.0, 15.0))
+    assert calls == [(len(found), 2)]
+
+
+def test_seed_count_is_the_seed_grid_size_before_clipping():
+    for cfg in (ex.default_search_config(1.0, 7.3), _window_config((-1.0, 2.5, 0.3, 4.0))):
+        n = int(math.floor(cfg.radius / cfg.seed_spacing)) if cfg.window is None else None
+        want = (2 * n + 1) ** 2 if n is not None else len(ex._seed_grid(cfg))
+        assert ex.seed_count(cfg) == want
+    assert ex.seed_count(ex.default_search_config(1.0, 1e300)) == math.inf

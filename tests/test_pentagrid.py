@@ -363,7 +363,180 @@ def test_matching_correspondences_filters():
 
 def test_correspondences_basic():
     spec = pg.PentagridSpec(1.0)
-    trips = pg.correspondences(spec, [_fake_extremum((0.5, 0.5))])
+    trips = pg.matching_correspondences(spec, [_fake_extremum((0.5, 0.5))])[1]
     assert len(trips) == 1
     assert trips[0][1] == (0, 0, -1, -1, -1)
-    assert pg.correspondences(spec, []) == []
+    assert pg.matching_correspondences(spec, []) == ([], [], 0)
+
+
+_E = pw.direction_basis()
+
+
+def _tiles_reference(spec, window, singular_eps=None):
+    """The original one-crossing-at-a-time dualization, kept verbatim as the oracle."""
+    import itertools
+
+    if singular_eps is None:
+        singular_eps = 1e-9 * spec.spacing
+    xmin, xmax, ymin, ymax = (float(v) for v in window)
+    spacing = spec.spacing
+    corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
+    corner_t = corners @ _E.T / spacing
+    line_lo = np.ceil(corner_t.min(axis=0) - 1e-12).astype(int)
+    line_hi = np.floor(corner_t.max(axis=0) + 1e-12).astype(int)
+    out = []
+    skipped = 0
+    for i, j in itertools.combinations(range(5), 2):
+        others = [l for l in range(5) if l != i and l != j]
+        inv = np.linalg.inv(np.array([_E[i], _E[j]]))
+        kind = pg.THIN if (j - i) in (2, 3) else pg.THICK
+        r_vals = np.arange(line_lo[i], line_hi[i] + 1)
+        s_vals = np.arange(line_lo[j], line_hi[j] + 1)
+        if len(r_vals) == 0 or len(s_vals) == 0:
+            continue
+        rr, ss = np.meshgrid(r_vals, s_vals, indexing="ij")
+        line_ids = np.column_stack([rr.ravel(), ss.ravel()]).astype(float)
+        pts = (line_ids * spacing) @ inv.T
+        in_window = (
+            (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
+            & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
+        )
+        pts, line_ids = pts[in_window], line_ids[in_window]
+        t_other = spec.c * (pts @ _E[others].T) / math.pi
+        dist_other = spacing * np.abs(t_other - np.round(t_other))
+        singular = dist_other.min(axis=1) <= singular_eps
+        skipped += int(singular.sum())
+        m_other = np.floor(t_other).astype(int)
+        for (x, y), (r, s), mo in zip(pts[~singular], line_ids[~singular], m_other[~singular]):
+            base = np.zeros(5)
+            base[others] = mo
+            base[i] = round(r) - 1
+            base[j] = round(s) - 1
+            verts = []
+            for ei, ej in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                m = base.copy()
+                m[i] += ei
+                m[j] += ej
+                pos = m @ _E
+                verts.append((float(pos[0]), float(pos[1])))
+            out.append(pg.RhombusTile(vertices=tuple(verts), kind=kind, families=(i, j),
+                                      intersection=(float(x), float(y))))
+    return pg.TilingPatch(tiles=tuple(out), skipped_singular=skipped)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.0 / (2.0 * TAU), 0.93 / (2.0 * TAU), 2.3])
+@pytest.mark.parametrize("window", [
+    (-12.0, 12.0, -12.0, 12.0),      # centred: the singular crossing at the origin
+    (0.0, 17.5, -9.0, 0.0),          # corner on the origin
+    (-31.7, 4.2, -0.5, 22.9),
+    (3.0, 3.5, 3.0, 3.5),            # smaller than one spacing
+])
+def test_tiles_match_reference_loop(c, window):
+    spec = pg.PentagridSpec(c)
+    got = pg.tiles(spec, window)
+    want = _tiles_reference(spec, window)
+    assert got == want
+    assert pg.crossing_count(spec, window) >= len(got.tiles) + got.skipped_singular
+
+
+def test_tiles_match_reference_loop_with_wide_singular_eps():
+    spec = pg.PentagridSpec(0.4)
+    window = (-40.0, 40.0, -40.0, 40.0)
+    got = pg.tiles(spec, window, singular_eps=0.05 * spec.spacing)
+    assert got.skipped_singular > 1
+    assert got == _tiles_reference(spec, window, singular_eps=0.05 * spec.spacing)
+
+
+def test_crossing_count_overflows_to_inf_without_allocating():
+    spec = pg.PentagridSpec(1.0 / (2.0 * TAU))
+    assert pg.crossing_count(spec, (-1e6, 1e6, -1e6, 1e6)) > 1e11
+    assert pg.crossing_count(spec, (-1e300, 1e300, -1e300, 1e300)) == math.inf
+
+
+def _matching_reference(spec, extrema, disk_radius=None, boundary_eps=None):
+    """The original per-extremum correspondence loop, kept verbatim as the oracle."""
+    if boundary_eps is None:
+        boundary_eps = 1e-9 * spec.spacing
+    kept = [cp for cp in extrema if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM)]
+    if disk_radius is not None:
+        limit = disk_radius - spec.spacing
+        kept = [cp for cp in kept if math.hypot(*cp.location) <= limit]
+    trips = []
+    excluded = 0
+    for cp in kept:
+        m, margin = pg.region_indices(spec, np.asarray(cp.location))
+        if margin <= boundary_eps:
+            excluded += 1
+            continue
+        iv = tuple(int(v) for v in m)
+        trips.append((cp, iv, pg.dual_vertex(iv)))
+    return kept, trips, excluded
+
+
+def _report_reference(spec, extrema, disk_radius=None, boundary_eps=None):
+    """The original match_report scoring, on the reference correspondences."""
+    kept, trips, excluded = _matching_reference(spec, extrema, disk_radius, boundary_eps)
+    occupancy = {}
+    for _, iv, _ in trips:
+        occupancy[iv] = occupancy.get(iv, 0) + 1
+    position_groups = {}
+    for iv in occupancy:
+        pos = pg.dual_vertex(iv).position
+        position_groups.setdefault((round(pos[0], 6), round(pos[1], 6)), set()).add(iv)
+    pairs = [(dv.position, cp.location) for cp, _, dv in trips]
+    transform = pg.fit_similarity(pairs)
+    mapped = transform.apply(np.array([p[0] for p in pairs]))
+    residuals = tuple(
+        float(v) for v in np.hypot(*(mapped - np.array([p[1] for p in pairs])).T) / transform.scale
+    )
+    return pg.MatchReport(
+        num_extrema=len(kept),
+        num_regions_hit=len(occupancy),
+        regions_with_exactly_one=sum(1 for v in occupancy.values() if v == 1),
+        residuals=residuals,
+        mean_residual=float(np.mean(residuals)),
+        median_residual=float(np.median(residuals)),
+        max_residual=float(np.max(residuals)),
+        excluded_near_singular=excluded,
+        dual_position_collisions=sum(len(g) for g in position_groups.values() if len(g) > 1),
+        transform=transform,
+        correspondences=tuple(trips),
+    )
+
+
+def _registration_extrema(k, radius, spec, rng):
+    """Field extrema plus planted points on, just beside and just off grid lines and the rim."""
+    found = pw.find_critical_points(k, pw.default_search_config(k, radius))
+    planted = []
+    for n in range(40):
+        i = n % 5
+        normal, tangent = _E[i], np.array([-_E[i][1], _E[i][0]])
+        offset = rng.choice([0.0, 0.3e-9, 0.9e-9, 1.1e-9, 1e-6]) * spec.spacing
+        along = rng.uniform(-0.6, 0.6) * radius
+        line = int(rng.integers(-2, 3)) * spec.spacing
+        p = (line + offset) * normal + along * tangent
+        planted.append(_fake_extremum(p, (KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE)[n % 3]))
+    limit = radius - spec.spacing
+    for theta in rng.uniform(0.0, 2.0 * math.pi, 6):
+        rim = (limit * math.cos(theta), limit * math.sin(theta))
+        planted.append(_fake_extremum(rim, KIND_MINIMUM))
+    return found + planted
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93])
+def test_batched_correspondences_and_report_match_reference(k):
+    spec = pg.PentagridSpec(k / (2.0 * TAU))
+    extrema = _registration_extrema(k, 45.0, spec, np.random.default_rng(3))
+    for disk_radius in (None, 45.0):
+        got = pg.matching_correspondences(spec, extrema, disk_radius=disk_radius)
+        want = _matching_reference(spec, extrema, disk_radius=disk_radius)
+        assert got == want
+        assert want[2] >= 5
+        assert pg.match_report(spec, extrema, disk_radius) == _report_reference(
+            spec, extrema, disk_radius
+        )
+    # an extremum exactly boundary_eps from its nearest line is excluded
+    _, margin = pg.region_indices(spec, np.asarray(extrema[0].location))
+    got = pg.matching_correspondences(spec, extrema, boundary_eps=float(margin))
+    assert got == _matching_reference(spec, extrema, boundary_eps=float(margin))
+    assert extrema[0] not in [cp for cp, _, _ in got[1]]
