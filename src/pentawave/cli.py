@@ -32,6 +32,7 @@ from .extrema import (
     KIND_MAXIMUM,
     KIND_MINIMUM,
     KIND_SADDLE,
+    check_seed_spacing,
     default_search_config,
     find_critical_points,
     seed_count,
@@ -251,36 +252,34 @@ def _config_dict(cfg):
     }
 
 
-def _cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # repr of a Python float is the shortest round-trip decimal form
-    return repr(float(value))
+def _cells(column):
+    """CSV cells of one column: floats as repr, the shortest round-trip decimal form."""
+    values = np.asarray(column)
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(cfg, name, header, rows):
+def _write_csv(cfg, name, header, columns):
+    """Write the table given column by column, one column per header name."""
     if "csv" not in cfg.formats:
         return
     path = os.path.join(cfg.out_dir, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(zip(*map(_cells, columns)))
+
+
+def _dump_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_json(cfg, name, report):
     if "json" not in cfg.formats:
         return
     payload = {"config": _config_dict(cfg), "report": report, "version": __version__}
-    path = os.path.join(cfg.out_dir, f"{name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(os.path.join(cfg.out_dir, f"{name}.json"), payload)
 
 
 def _write_svg(cfg, name, draw):
@@ -298,13 +297,6 @@ def _config_checked(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _echo_config(cfg):
-    path = os.path.join(cfg.out_dir, "config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_config_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _disk_grid(radius, step):
@@ -336,6 +328,7 @@ def _critical_points(cfg):
     overrides = {key: cfg.tolerances[key] for key in allowed if key in cfg.tolerances}
     search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
     _check_count(seed_count(search), "extrema seeds")
+    _config_checked(check_seed_spacing, cfg.k, search)
     return find_critical_points(cfg.k, search)
 
 
@@ -363,8 +356,8 @@ def _run_field(cfg):
         raise ContractViolation(
             f"series deviation {deviation:g} exceeds the scaled bound {bound:g}"
         )
-    rows = zip(pts[:, 0], pts[:, 1], s5_vals, lead_vals, series_vals)
-    _write_csv(cfg, "field", ["x", "y", "s5", "p5_lead", "series_N"], rows)
+    columns = [pts[:, 0], pts[:, 1], s5_vals, lead_vals, series_vals]
+    _write_csv(cfg, "field", ["x", "y", "s5", "p5_lead", "series_N"], columns)
     report = {
         "num_samples": len(pts),
         "max_abs_series_deviation": deviation,
@@ -380,12 +373,12 @@ def _run_field(cfg):
         stride = max(1, int(math.ceil(math.sqrt(len(pts) / 20000.0))))
         vmax = float(np.abs(s5_vals).max()) or 1.0
         half = 0.5 * cfg.grid_step * stride
-        for (x, y), value in zip(pts[::stride], s5_vals[::stride]):
-            canvas.polygon(
-                [(x - half, y - half), (x + half, y - half), (x + half, y + half), (x - half, y + half)],
-                fill=diverging_color(value, vmax),
-                stroke="none",
-            )
+        corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]) * half
+        canvas.polygons(
+            pts[::stride, None, :] + corners,
+            fill=[diverging_color(value, vmax) for value in s5_vals[::stride]],
+            stroke="none",
+        )
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
         return canvas
 
@@ -407,11 +400,12 @@ def _run_identity(cfg):
         raise ContractViolation(
             f"identity residual {worst:g} exceeds the allowance {allowance:g}"
         )
+    checks = sorted(breakdown)
     _write_csv(
         cfg,
         "identity",
         ["check", "max_abs_residual"],
-        sorted(breakdown.items()),
+        [checks, [breakdown[name] for name in checks]],
     )
     report = {
         "max_abs_residual": worst,
@@ -474,7 +468,7 @@ def _run_converge(cfg):
             raise ContractViolation(
                 f"max error {err:g} exceeds bound {bound:g} at {n} terms"
             )
-    _write_csv(cfg, "converge", ["N", "max_error", "bound"], rows)
+    _write_csv(cfg, "converge", ["N", "max_error", "bound"], list(zip(*rows)))
     report = {
         "num_samples": len(pts),
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
@@ -520,11 +514,11 @@ def _run_extrema(cfg):
     if cfg.radius <= 0:
         raise ConfigError("extrema requires a positive radius")
     points = _critical_points(cfg)
-    rows = [
-        (cp.location[0], cp.location[1], cp.value, cp.kind, cp.eigenvalues[0], cp.eigenvalues[1])
-        for cp in points
-    ]
-    _write_csv(cfg, "extrema", ["x", "y", "value", "kind", "eig_low", "eig_high"], rows)
+    locations = np.array([cp.location for cp in points]).reshape(-1, 2)
+    eigenvalues = np.array([cp.eigenvalues for cp in points]).reshape(-1, 2)
+    columns = [*locations.T, [cp.value for cp in points], [cp.kind for cp in points],
+               *eigenvalues.T]
+    _write_csv(cfg, "extrema", ["x", "y", "value", "kind", "eig_low", "eig_high"], columns)
     counts = {kind: 0 for kind in _KIND_COLORS}
     for cp in points:
         counts[cp.kind] += 1
@@ -547,15 +541,14 @@ def _run_tiling(cfg):
         raise ConfigError("tiling requires a positive radius")
     spec = _pentagrid_spec(cfg)
     patch = _tiles(cfg, spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
-    rows = []
-    for tile in patch.tiles:
-        flat = [coord for vertex in tile.vertices for coord in vertex]
-        rows.append(
-            (tile.kind, tile.families[0], tile.families[1], tile.intersection[0], tile.intersection[1], *flat)
-        )
+    kinds = [tile.kind for tile in patch.tiles]
+    families = np.array([tile.families for tile in patch.tiles], dtype=int).reshape(-1, 2)
+    crossings = np.array([tile.intersection for tile in patch.tiles]).reshape(-1, 2)
+    quads = np.array([tile.vertices for tile in patch.tiles]).reshape(-1, 4, 2)
     header = ["kind", "family_i", "family_j", "cross_x", "cross_y",
               "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
-    _write_csv(cfg, "tiling", header, rows)
+    columns = [kinds, *families.T, *crossings.T, *quads.reshape(-1, 8).T]
+    _write_csv(cfg, "tiling", header, columns)
     num_thin = sum(1 for t in patch.tiles if t.kind == "thin")
     report = {
         "num_tiles": len(patch.tiles),
@@ -570,16 +563,15 @@ def _run_tiling(cfg):
     def draw():
         if not patch.tiles:
             return None
-        verts = np.array([v for t in patch.tiles for v in t.vertices])
+        verts = quads.reshape(-1, 2)
         pad = 1.0
         canvas = SvgCanvas(
             (verts[:, 0].min() - pad, verts[:, 0].max() + pad,
              verts[:, 1].min() - pad, verts[:, 1].max() + pad)
         )
         fills = {"thin": "#f0d060", "thick": "#6090c0"}
-        for tile in patch.tiles:
-            canvas.polygon(tile.vertices, fill=fills[tile.kind], stroke="#333333",
-                           width=0.8, opacity=0.85)
+        canvas.polygons(quads, fill=[fills[kind] for kind in kinds], stroke="#333333",
+                        width=0.8, opacity=0.85)
         return canvas
 
     _write_svg(cfg, "tiling", draw)
@@ -601,10 +593,7 @@ def _run_match(cfg):
             "report": None,
             "version": __version__,
         }
-        path = os.path.join(cfg.out_dir, "match.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(os.path.join(cfg.out_dir, "match.json"), payload)
         print(f"match: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     report = {
@@ -626,32 +615,32 @@ def _run_match(cfg):
     _write_json(cfg, "match", report)
 
     trips = report_obj.correspondences
-    rows = [
-        (cp.location[0], cp.location[1], cp.kind, *iv, dv.position[0], dv.position[1], residual)
-        for (cp, iv, dv), residual in zip(trips, report_obj.residuals)
-    ]
+    locations = np.array([cp.location for cp, _, _ in trips])
+    indices = np.array([iv for _, iv, _ in trips], dtype=int)
+    positions = np.array([dv.position for _, _, dv in trips])
     header = ["x", "y", "kind", "m0", "m1", "m2", "m3", "m4", "dual_x", "dual_y", "residual"]
-    _write_csv(cfg, "match", header, rows)
+    columns = [*locations.T, [cp.kind for cp, _, _ in trips], *indices.T, *positions.T,
+               report_obj.residuals]
+    _write_csv(cfg, "match", header, columns)
 
     def draw():
         bbox = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
         canvas = SvgCanvas(bbox)
         reach = int(math.ceil(cfg.radius * math.sqrt(2.0) / spec.spacing))
+        segments = []
         for normal in direction_basis():
             tangent = (-normal[1], normal[0])
             for m in range(-reach, reach + 1):
                 anchor = (m * spec.spacing * normal[0], m * spec.spacing * normal[1])
                 seg = clip_line_to_box(anchor, tangent, bbox)
                 if seg:
-                    canvas.line(seg[0], seg[1], stroke="#cccccc", width=0.6)
+                    segments.append(seg)
+        canvas.lines(*zip(*segments), stroke="#cccccc", width=0.6)
         transform = report_obj.transform
         patch = _tiles(cfg, spec, bbox)
         quads = transform.apply(np.array([t.vertices for t in patch.tiles]).reshape(-1, 4, 2))
-        for quad in quads:
-            canvas.polygon(quad.tolist(), fill="none", stroke="#77aa77", width=0.8)
-        duals = transform.apply(np.array([dv.position for _, _, dv in trips]))
-        for (cp, _, _), dual in zip(trips, duals.tolist()):
-            canvas.line(dual, cp.location, stroke="#dd8800", width=1.2)
+        canvas.polygons(quads, fill="none", stroke="#77aa77", width=0.8)
+        canvas.lines(transform.apply(positions), locations, stroke="#dd8800", width=1.2)
         for cp in critical_points:
             if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM):
                 canvas.circle(cp.location, 2.5, fill=_KIND_COLORS[cp.kind])
@@ -682,7 +671,7 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        _echo_config(cfg)
+        _dump_json(os.path.join(cfg.out_dir, "config.json"), _config_dict(cfg))
         return _RUNNERS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"pentawave: config error: {exc}", file=sys.stderr)

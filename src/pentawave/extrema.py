@@ -148,63 +148,77 @@ def _in_domain(pts, cfg):
     return pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2
 
 
+def _newton_step(field, k, cur, g, gn, cfg):
+    """Next point of each row: a Newton step, or where the Hessian determinant
+    falls below eig_degenerate_tol^2 a damped gradient step of length
+    0.1*seed_spacing in whichever of the +-gradient directions reduces the
+    gradient norm. The Newton step is computed for every row, elementwise,
+    and the fallback overwrites the degenerate rows; every row is regular on
+    almost every step. A function of its own, so the Hessian and the step
+    temporaries are freed before the caller compacts its rows.
+    """
+    hess = field.hess(k, cur)
+    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = (hess[:, 1, 1] * g[:, 0] - hess[:, 0, 1] * g[:, 1]) / det
+        dy = (hess[:, 0, 0] * g[:, 1] - hess[:, 1, 0] * g[:, 0]) / det
+    new = cur - np.column_stack([dx, dy])
+    regular = np.abs(det) >= cfg.eig_degenerate_tol ** 2
+    if regular.all():
+        return new
+    flat = ~regular
+    fallback_step = 0.1 * cfg.seed_spacing
+    direction = g[flat] / gn[flat][:, None]
+    lo = cur[flat] - fallback_step * direction
+    hi = cur[flat] + fallback_step * direction
+    glo = field.grad(k, lo)
+    ghi = field.grad(k, hi)
+    take_lo = np.hypot(glo[:, 0], glo[:, 1]) <= np.hypot(ghi[:, 0], ghi[:, 1])
+    new[flat] = np.where(take_lo[:, None], lo, hi)
+    return new
+
+
 def _refine_batch(field, k, seeds, cfg):
     """Newton-iterate every seed; returns (points, converged, gradient_norm).
 
     Convergence is checked before stepping, so a seed already at a critical
-    point is accepted unchanged. Rows whose Hessian determinant falls below
-    eig_degenerate_tol^2 take a damped gradient step of length
-    0.1*seed_spacing in whichever of the +-gradient directions reduces the
-    gradient norm.
+    point is accepted unchanged. The loop keeps a compacted working set of
+    the active rows (idx, cur, g, gn) and writes a row back to the result
+    only when it converges, turns non-finite (it keeps its last finite
+    point) or the steps run out. grad sees exactly the active rows and hess
+    the rows not yet converged, in seed order: numpy rounds a one-row batch
+    differently from a larger one, so the same batches give the same bits.
     """
     pts = np.array(seeds, dtype=float)
     del seeds
     n = len(pts)
     converged = np.zeros(n, dtype=bool)
     gnorm = np.full(n, np.inf)
-    active = np.ones(n, dtype=bool)
-    det_tol = cfg.eig_degenerate_tol ** 2
-    fallback_step = 0.1 * cfg.seed_spacing
+    idx = np.arange(n)
+    cur = pts  # safe to share: a row of pts is only ever set to its current point
     for step in range(cfg.max_newton_steps + 1):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        cur = pts[idx]
         g = field.grad(k, cur)
         gn = np.hypot(g[:, 0], g[:, 1])
         done = gn <= cfg.grad_tol
-        converged[idx[done]] = True
-        gnorm[idx[done]] = gn[done]
-        active[idx[done]] = False
-        if step == cfg.max_newton_steps:
+        if done.any():
+            hit = idx[done]
+            converged[hit] = True
+            gnorm[hit] = gn[done]
+            pts[hit] = cur[done]
+            live = ~done
+            idx, cur, g, gn = idx[live], cur[live], g[live], gn[live]
+        if step == cfg.max_newton_steps or idx.size == 0:
             break
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        cur, g, gn = cur[~done], g[~done], gn[~done]
-        hess = field.hess(k, cur)
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
-        regular = np.abs(det) >= det_tol
-        new = np.empty_like(cur)
-        if regular.any():
-            hr, gr, dr = hess[regular], g[regular], det[regular]
-            dx = (hr[:, 1, 1] * gr[:, 0] - hr[:, 0, 1] * gr[:, 1]) / dr
-            dy = (hr[:, 0, 0] * gr[:, 1] - hr[:, 1, 0] * gr[:, 0]) / dr
-            new[regular] = cur[regular] - np.column_stack([dx, dy])
-        flat = ~regular
-        if flat.any():
-            direction = g[flat] / gn[flat][:, None]
-            lo = cur[flat] - fallback_step * direction
-            hi = cur[flat] + fallback_step * direction
-            glo = field.grad(k, lo)
-            ghi = field.grad(k, hi)
-            take_lo = np.hypot(glo[:, 0], glo[:, 1]) <= np.hypot(ghi[:, 0], ghi[:, 1])
-            new[flat] = np.where(take_lo[:, None], lo, hi)
+        new = _newton_step(field, k, cur, g, gn, cfg)
         bad = ~np.isfinite(new).all(axis=1)
         if bad.any():
-            active[idx[bad]] = False
-            new[bad] = cur[bad]
-        pts[idx] = new
+            pts[idx[bad]] = cur[bad]
+            live = ~bad
+            idx, new = idx[live], new[live]
+        cur = new
+    pts[idx] = cur
     return pts, converged, gnorm
 
 
@@ -278,13 +292,10 @@ def classify(k, location, cfg, field=S5_FIELD):
     return kinds, np.column_stack([lo, hi])
 
 
-def newton_refine(k, seed, cfg, field=S5_FIELD):
-    """Refine a single seed; returns the converged location or None."""
-    seed_arr = np.asarray(seed, dtype=float).reshape(1, 2)
-    pts, converged, _ = _refine_batch(field, k, seed_arr, cfg)
-    if not converged[0]:
-        return None
-    return (float(pts[0, 0]), float(pts[0, 1]))
+def check_seed_spacing(k, cfg):
+    """Refuse a seed grid coarser than pi/(2k), which could skip critical points."""
+    if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
+        raise ValueError("seed_spacing must not exceed pi/(2k)")
 
 
 def find_critical_points(k, cfg, field=S5_FIELD):
@@ -295,8 +306,7 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     keeping the smallest-gradient-norm representative, and returns the
     classified points sorted by (x, y).
     """
-    if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
-        raise ValueError("seed_spacing must not exceed pi/(2k)")
+    check_seed_spacing(k, cfg)
     # no name holds the seed grid, so _refine_batch can free it once copied
     pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)

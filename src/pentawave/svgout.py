@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def diverging_color(value, vmax):
     """Blue-white-red hex color for value in [-vmax, vmax]."""
@@ -47,13 +49,26 @@ class SvgCanvas:
     def scale(self):
         return self._scale
 
+    def _map_points(self, xy):
+        """map_point over the trailing axis of an array of world points, same bits."""
+        return np.stack(self.map_point(xy[..., 0], xy[..., 1]), axis=-1)
+
     def line(self, p0, p1, stroke="#888888", width=1.0, opacity=1.0):
-        x0, y0 = self.map_point(*p0)
-        x1, y1 = self.map_point(*p1)
-        self._elements.append(
-            f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-            f'stroke="{stroke}" stroke-width="{width:g}" stroke-opacity="{opacity:g}" />'
+        self.lines([p0], [p1], stroke=stroke, width=width, opacity=opacity)
+
+    def lines(self, starts, ends, stroke="#888888", width=1.0, opacity=1.0):
+        """One line per row of starts and ends, (n, 2) arrays of world points.
+
+        Formatted with one template, in the bytes line() writes.
+        """
+        xy = np.hstack([np.asarray(starts, dtype=float).reshape(-1, 2),
+                        np.asarray(ends, dtype=float).reshape(-1, 2)])
+        coords = self._map_points(xy.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
+        style = f'stroke="{stroke}" stroke-width="{width:g}" stroke-opacity="{opacity:g}"'
+        template = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" {} />'.format(
+            style.replace("%", "%%")
         )
+        self._elements.extend(template % tuple(c) for c in coords)
 
     def circle(self, center, radius_px, fill="#000000", stroke="none", width=1.0):
         x, y = self.map_point(*center)
@@ -63,13 +78,24 @@ class SvgCanvas:
         )
 
     def polygon(self, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
-        mapped = " ".join(
-            f"{px:.2f},{py:.2f}" for px, py in (self.map_point(x, y) for x, y in points)
-        )
-        self._elements.append(
-            f'<polygon points="{mapped}" fill="{fill}" fill-opacity="{opacity:g}" '
-            f'stroke="{stroke}" stroke-width="{width:g}" />'
-        )
+        self.polygons([points], fill=fill, stroke=stroke, width=width, opacity=opacity)
+
+    def polygons(self, polys, fill="none", stroke="#000000", width=1.0, opacity=1.0):
+        """One polygon per row of polys, an (n, m, 2) array of world vertices.
+
+        fill is one color for all of them or a sequence of n colors. All
+        vertices are mapped in one array pass and each element is formatted
+        with one template, in the bytes polygon() writes.
+        """
+        polys = np.asarray(polys, dtype=float)
+        if len(polys) == 0:
+            return
+        coords = self._map_points(polys).reshape(len(polys), -1).tolist()
+        fills = [fill] * len(coords) if isinstance(fill, str) else fill
+        points = " ".join(["%.2f,%.2f"] * polys.shape[1])
+        style = f'fill-opacity="{opacity:g}" stroke="{stroke}" stroke-width="{width:g}"'
+        template = '<polygon points="{}" fill="%s" {} />'.format(points, style.replace("%", "%%"))
+        self._elements.extend(template % (*xy, color) for xy, color in zip(coords, fills))
 
     def text(self, anchor, label, size_px=12, fill="#333333"):
         x, y = self.map_point(*anchor)

@@ -96,18 +96,21 @@ def s2(k, p):
 
 def grad_s5(k, p):
     """Analytic gradient of s5: sum_i k * cos(k * a_i) * e_i, shape (..., 2)."""
-    kk = _as_wavenumber(k)
-    a = project(p)
-    w = kk[..., None] * np.cos(kk[..., None] * a)
-    return w @ _DIRECTIONS
+    kk = _as_wavenumber(k)[..., None]
+    ka = kk * project(p)
+    np.cos(ka, out=ka)
+    ka *= kk
+    return ka @ _DIRECTIONS
 
 
 def hess_s5(k, p):
     """Analytic Hessian of s5: -k^2 * sum_i sin(k * a_i) e_i e_i^T, shape (..., 2, 2)."""
     kk = _as_wavenumber(k)
-    a = project(p)
-    s = np.sin(kk[..., None] * a)
-    return -((kk ** 2)[..., None, None]) * np.einsum("...i,iab->...ab", s, _OUTER)
+    ka = kk[..., None] * project(p)
+    np.sin(ka, out=ka)
+    out = np.einsum("...i,iab->...ab", ka, _OUTER)
+    out *= -((kk ** 2)[..., None, None])
+    return out
 
 
 def grad_s2(k, p):

@@ -379,6 +379,67 @@ def test_match_insufficient_extrema_contract_error(tmp_path):
     assert "insufficient" in envelope["error"]
 
 
+def test_match_error_file_is_written_by_the_shared_json_writer(tmp_path):
+    # the error envelope is written even when json is not among the formats
+    out = tmp_path / "short"
+    assert cli.main(["match", "--radius", "1", "--out", str(out), "--format", "csv"]) == 4
+    text = (out / "match.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert sorted(payload) == ["config", "error", "report", "version"]
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    config = (out / "config.json").read_text(encoding="utf-8")
+    assert config == json.dumps(payload["config"], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["extrema", "match"])
+def test_seed_spacing_above_quarter_wavelength_is_config_error(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"seed_spacing": 5.0}}))
+    proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == "pentawave: config error: seed_spacing must not exceed pi/(2k)\n"
+
+
+def _cell_reference(value):
+    """The per-cell CSV formatter before column-wise writing, kept verbatim."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    # repr of a Python float is the shortest round-trip decimal form
+    return repr(float(value))
+
+
+def test_column_csv_writer_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([
+        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 0.1, 1.0, -2.5],
+    ])
+    n = len(floats)
+    columns = [
+        floats,
+        floats.tolist(),
+        rng.integers(-10**12, 10**12, n),
+        [int(v) for v in rng.integers(-5, 5, n)],
+        rng.random(n) < 0.5,
+        [("a,b" if v < 0.3 else "x\"y" if v < 0.6 else "maximum") for v in rng.random(n)],
+    ]
+    cfg = cli.RunConfig("field", 1.0, 1.0, 0, 1.0, 0, str(tmp_path), ("csv",), {})
+    header = [f"c{j}" for j in range(len(columns))]
+    cli._write_csv(cfg, "got", header, columns)
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_cell_reference(v) for v in row])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    cli._write_csv(cfg, "empty", ["a", "b"], [[], np.zeros(0, dtype=int)])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"k": 2.0, "radius": 4.0, "grid_step": 0.5}))

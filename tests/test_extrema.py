@@ -1,6 +1,7 @@
 """Tests for critical point search, refinement, and classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,25 +65,31 @@ def test_pipeline_matches_s2_oracle():
         assert np.allclose(f.eigenvalues, o.eigenvalues, atol=1e-8)
 
 
-def test_newton_refine_fixed_at_exact_critical_point():
+def _refine_one(k, seed, cfg, field=ex.S5_FIELD):
+    """Refine a one-row seed array; returns the converged location or None."""
+    pts, converged, _ = ex._refine_batch(field, k, np.array([seed], dtype=float), cfg)
+    return tuple(pts[0].tolist()) if converged[0] else None
+
+
+def test_refine_one_row_fixed_at_exact_critical_point():
     cfg = _window_config((0.0, TWO_PI, 0.0, TWO_PI))
     seed = (math.pi / 2.0, math.pi / 2.0)
-    got = ex.newton_refine(1.0, seed, cfg, field=ex.S2_FIELD)
+    got = _refine_one(1.0, seed, cfg, field=ex.S2_FIELD)
     assert got == seed
 
 
-def test_newton_refine_converges_from_offset_seed():
+def test_refine_one_row_converges_from_offset_seed():
     cfg = _window_config((0.0, TWO_PI, 0.0, TWO_PI))
-    got = ex.newton_refine(1.0, (math.pi / 2 + 0.3, math.pi / 2 - 0.2), cfg, field=ex.S2_FIELD)
+    got = _refine_one(1.0, (math.pi / 2 + 0.3, math.pi / 2 - 0.2), cfg, field=ex.S2_FIELD)
     assert got is not None
     assert math.hypot(got[0] - math.pi / 2, got[1] - math.pi / 2) <= 1e-10
 
 
-def test_newton_refine_origin_seed_degenerate():
+def test_refine_one_row_origin_seed_degenerate():
     # the fivefold field has a degenerate critical point at the origin where
     # the Hessian vanishes; the damped fallback must not produce NaN
     cfg = pw.default_search_config(1.0, 1.0)
-    got = ex.newton_refine(1.0, (0.0, 0.0), cfg)
+    got = _refine_one(1.0, (0.0, 0.0), cfg)
     assert got == (0.0, 0.0)
     kind, _ = ex.classify(1.0, got, cfg)
     assert kind == ex.KIND_DEGENERATE
@@ -382,3 +389,138 @@ def test_seed_count_is_the_seed_grid_size_before_clipping():
         want = (2 * n + 1) ** 2 if n is not None else len(ex._seed_grid(cfg))
         assert ex.seed_count(cfg) == want
     assert ex.seed_count(ex.default_search_config(1.0, 1e300)) == math.inf
+
+
+def _refine_batch_reference(field, k, seeds, cfg):
+    """The Newton loop before the compacted working set, kept verbatim as the oracle."""
+    pts = np.array(seeds, dtype=float)
+    del seeds
+    n = len(pts)
+    converged = np.zeros(n, dtype=bool)
+    gnorm = np.full(n, np.inf)
+    active = np.ones(n, dtype=bool)
+    det_tol = cfg.eig_degenerate_tol ** 2
+    fallback_step = 0.1 * cfg.seed_spacing
+    for step in range(cfg.max_newton_steps + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        cur = pts[idx]
+        g = field.grad(k, cur)
+        gn = np.hypot(g[:, 0], g[:, 1])
+        done = gn <= cfg.grad_tol
+        converged[idx[done]] = True
+        gnorm[idx[done]] = gn[done]
+        active[idx[done]] = False
+        if step == cfg.max_newton_steps:
+            break
+        idx = idx[~done]
+        if idx.size == 0:
+            continue
+        cur, g, gn = cur[~done], g[~done], gn[~done]
+        hess = field.hess(k, cur)
+        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+        regular = np.abs(det) >= det_tol
+        new = np.empty_like(cur)
+        if regular.any():
+            hr, gr, dr = hess[regular], g[regular], det[regular]
+            dx = (hr[:, 1, 1] * gr[:, 0] - hr[:, 0, 1] * gr[:, 1]) / dr
+            dy = (hr[:, 0, 0] * gr[:, 1] - hr[:, 1, 0] * gr[:, 0]) / dr
+            new[regular] = cur[regular] - np.column_stack([dx, dy])
+        flat = ~regular
+        if flat.any():
+            direction = g[flat] / gn[flat][:, None]
+            lo = cur[flat] - fallback_step * direction
+            hi = cur[flat] + fallback_step * direction
+            glo = field.grad(k, lo)
+            ghi = field.grad(k, hi)
+            take_lo = np.hypot(glo[:, 0], glo[:, 1]) <= np.hypot(ghi[:, 0], ghi[:, 1])
+            new[flat] = np.where(take_lo[:, None], lo, hi)
+        bad = ~np.isfinite(new).all(axis=1)
+        if bad.any():
+            active[idx[bad]] = False
+            new[bad] = cur[bad]
+        pts[idx] = new
+    return pts, converged, gnorm
+
+
+def _assert_refine_matches_reference(field, k, seeds, cfg):
+    got = ex._refine_batch(field, k, seeds, cfg)
+    want = _refine_batch_reference(field, k, seeds, cfg)
+    for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
+        assert np.array_equal(a, b), name
+    return got
+
+
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
+def test_refine_batch_matches_reference(field, k):
+    cfg = ex.default_search_config(k, 20.0 / k)
+    seeds = ex._seed_grid(cfg)
+    _, converged, _ = _assert_refine_matches_reference(field, k, seeds, cfg)
+    assert converged.sum() > 0.5 * len(seeds)
+    # few steps leave rows unconverged when the loop ends
+    short = ex.default_search_config(k, 20.0 / k, max_newton_steps=3)
+    _, converged, _ = _assert_refine_matches_reference(field, k, seeds, short)
+    assert 0 < converged.sum() < len(seeds)
+
+
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+def test_refine_batch_matches_reference_on_fallback_steps(field):
+    # a degeneracy threshold this large sends many rows through the damped
+    # gradient branch, next to regular rows in the same step
+    cfg = ex.default_search_config(1.0, 15.0, eig_degenerate_tol=0.5)
+    _assert_refine_matches_reference(field, 1.0, ex._seed_grid(cfg), cfg)
+
+
+def test_refine_batch_matches_reference_on_window_and_critical_seeds():
+    window = (-3.0, 11.5, 0.25, 9.0)
+    cfg = _window_config(window)
+    exact = [cp.location for cp in ex.s2_oracle(1.0, window)]
+    seeds = np.concatenate([exact, ex._seed_grid(cfg), exact[:1]])
+    _, converged, _ = _assert_refine_matches_reference(ex.S2_FIELD, 1.0, seeds, cfg)
+    assert converged[: len(exact)].all()
+    for field in (ex.S5_FIELD, ex.S2_FIELD):
+        _assert_refine_matches_reference(field, 1.0, ex._seed_grid(cfg), cfg)
+
+
+def test_refine_batch_matches_reference_on_small_batches():
+    cfg = ex.default_search_config(1.0, 10.0)
+    grid = ex._seed_grid(cfg)
+    rng = np.random.default_rng(11)
+    for field in (ex.S5_FIELD, ex.S2_FIELD):
+        for seeds in (grid[:0], grid[:1], grid[7:9], grid[[0, -1]], np.zeros((1, 2))):
+            _assert_refine_matches_reference(field, 1.0, seeds, cfg)
+    for _ in range(300):
+        seeds = rng.uniform(-10.0, 10.0, (int(rng.integers(1, 6)), 2))
+        field = (ex.S5_FIELD, ex.S2_FIELD)[int(rng.integers(2))]
+        _assert_refine_matches_reference(field, float(rng.uniform(0.9, 1.1)), seeds, cfg)
+
+
+def test_refine_batch_matches_reference_when_rows_turn_non_finite():
+    # Near a critical point (gradient norm below 1e-3) this Hessian is zero,
+    # and with a zero determinant threshold a row that steps there divides
+    # 0/0 on its next step: it stops at its last finite point, unconverged.
+    def hess(k, p):
+        g = pw.grad_s5(k, p)
+        return pw.hess_s5(k, p) * (np.hypot(g[..., 0], g[..., 1]) >= 1e-3)[..., None, None]
+
+    field = ex.FieldTriple(pw.s5, pw.grad_s5, hess)
+    cfg = _window_config((0.0, 4.0, -2.0, 2.0), spacing=0.2, eig_degenerate_tol=1e-200)
+    seeds = ex._seed_grid(cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts, converged, gnorm = _assert_refine_matches_reference(field, 1.0, seeds, cfg)
+    moved = ~converged & (pts != seeds).any(axis=1)
+    assert moved.sum() > 10 and np.isfinite(pts).all() and np.isinf(gnorm[moved]).all()
+
+
+def test_refine_batch_memory_per_seed():
+    cfg = ex.default_search_config(1.0, 100.0)
+    seeds = ex._seed_grid(cfg)
+    tracemalloc.start()
+    try:
+        ex._refine_batch(ex.S5_FIELD, 1.0, seeds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(seeds) < 250

@@ -323,3 +323,33 @@ def test_grad_batch_shapes():
     assert pw.hess_s5(1.0, pts).shape == (6, 2, 2)
     assert pw.grad_s2(1.0, pts).shape == (6, 2)
     assert pw.hess_s2(1.0, pts).shape == (6, 2, 2)
+
+
+def _grad_s5_reference(k, p):
+    """grad_s5 before its temporaries were reused in place, kept verbatim."""
+    kk = pw.wavefield._as_wavenumber(k)
+    a = pw.project(p)
+    w = kk[..., None] * np.cos(kk[..., None] * a)
+    return w @ pw.wavefield._DIRECTIONS
+
+
+def _hess_s5_reference(k, p):
+    """hess_s5 before its temporaries were reused in place, kept verbatim."""
+    kk = pw.wavefield._as_wavenumber(k)
+    a = pw.project(p)
+    s = np.sin(kk[..., None] * a)
+    return -((kk ** 2)[..., None, None]) * np.einsum("...i,iab->...ab", s, pw.wavefield._OUTER)
+
+
+def test_grad_hess_s5_equal_reference_bit_for_bit():
+    rng = np.random.default_rng(105)
+    pts = _disk_points(rng, 500, 80.0)
+    ks = rng.uniform(0.5, 3.0, 500)
+    cases = [(k, pts) for k in (1.0, 0.93, 2.5)]
+    cases += [(1.0, pts[:, None, :]), (0.93, pts[:1]), (1.0, pts[7]), (2.5, tuple(pts[3]))]
+    cases += [(ks, pts), (ks[:4, None], pts[:6])]
+    for k, p in cases:
+        for got, want in ((pw.grad_s5(k, p), _grad_s5_reference(k, p)),
+                          (pw.hess_s5(k, p), _hess_s5_reference(k, p))):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
