@@ -8,7 +8,8 @@ Run from anywhere; ``--src`` picks the checkout to test (default: the
     python3 bench/golden.py check before.json
 
 Every command runs in-process at two small scales and at k = 1 and k = 0.93,
-each with ``--format csv,json,svg``, inside a temporary directory and with a
+plus one ``identity`` sweep of 50,002 points that spans several blocks of
+the sweep, each with ``--format csv,json,svg``, inside a temporary directory and with a
 fixed relative ``--out`` (config.json and the JSON reports echo it).
 ``record`` writes the sha256 of every output file plus each exit code;
 ``check`` reruns the same invocations and exits 1, listing every difference,
@@ -39,6 +40,11 @@ EXTRA_FLAGS = {
     "identity": ["--seed", "3"],
     "converge": ["--grid-step", "0.1", "--terms", "10"],
 }
+# One more identity run reads this config file: a sweep of several blocks of
+# points whose count is 2 mod 4, so the last block is short and the digests
+# cover the block boundaries.
+IDENTITY_BLOCKS_CONFIG = "identity_blocks.json"
+IDENTITY_BLOCKS_POINTS = 50002
 
 
 def invocations(scale):
@@ -51,6 +57,9 @@ def invocations(scale):
                 runs.append((name, [command, "--k", k, "--radius", repr(r * size * scale),
                                     *EXTRA_FLAGS.get(command, []), "--format", FORMATS,
                                     "--out", f"golden_out/{name}"]))
+    runs.append(("identity-blocks", ["identity", "--radius", repr(10 * scale), "--seed", "5",
+                                     "--config", IDENTITY_BLOCKS_CONFIG, "--format", FORMATS,
+                                     "--out", "golden_out/identity-blocks"]))
     return runs
 
 
@@ -63,6 +72,8 @@ def digests(scale, src):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
+        config = {"tolerances": {"identity_num_points": IDENTITY_BLOCKS_POINTS}}
+        Path(IDENTITY_BLOCKS_CONFIG).write_text(json.dumps(config), encoding="utf-8")
         try:
             for name, argv in invocations(scale):
                 with contextlib.redirect_stderr(io.StringIO()):

@@ -51,8 +51,12 @@ from .svgout import SvgCanvas, clip_line_to_box, diverging_color
 from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
+    _block_edges,
+    _sin_prod,
+    _sin_sum,
     direction_basis,
     p5,
+    project,
     s5,
     series_partial,
     series_term,
@@ -70,7 +74,7 @@ _MAX_GRID_SAMPLES = 10 ** 8
 
 # Bytes of the terms x points block of signed series terms that converge holds
 # at once; the disk grid is processed in chunks of points sized to fit it.
-_CONVERGE_BLOCK_BYTES = 1 << 25
+_CONVERGE_BLOCK_BYTES = 1 << 22
 
 _COMMANDS = (
     ("field", "sample s5, the leading product term, and the series on a disk grid"),
@@ -217,13 +221,18 @@ def resolve_config(args):
     unknown = set(tolerances) - set(_TOLERANCE_KEYS)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(unknown))}")
+    resolved = {}
     for key, value in tolerances.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"tolerance {key} must be numeric")
-        if key in ("max_newton_steps", "identity_num_points"):
-            tolerances[key] = int(value)
-        else:
-            tolerances[key] = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"tolerance {key} is out of range") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"tolerance {key} must be finite")
+        integral = key in ("max_newton_steps", "identity_num_points")
+        resolved[key] = int(value) if integral else value
 
     return RunConfig(
         command=args.command,
@@ -234,7 +243,7 @@ def resolve_config(args):
         seed=seed,
         out_dir=out_dir,
         formats=formats,
-        tolerances=dict(tolerances),
+        tolerances=resolved,
     )
 
 
@@ -315,12 +324,10 @@ def _disk_grid(radius, step):
     return pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius ** 2]
 
 
-def _check_count(count, what):
-    """Refuse a run whose count of seeds or crossings exceeds _MAX_GRID_SAMPLES."""
+def _check_count(count, what, remedy="a smaller --radius or --k"):
+    """Refuse a run whose count of seeds, crossings or samples exceeds _MAX_GRID_SAMPLES."""
     if not count <= _MAX_GRID_SAMPLES:
-        raise ConfigError(
-            f"{count:.6g} {what} exceed {_MAX_GRID_SAMPLES}; use a smaller --radius or --k"
-        )
+        raise ConfigError(f"{count:.6g} {what} exceed {_MAX_GRID_SAMPLES}; use {remedy}")
 
 
 def _critical_points(cfg):
@@ -391,11 +398,19 @@ def _run_identity(cfg):
     num_points = int(tol.get("identity_num_points", 10000))
     k_lo = float(tol.get("identity_k_min", 0.1))
     k_hi = float(tol.get("identity_k_max", 10.0))
+    _check_count(num_points, "identity sample points", "a smaller identity_num_points")
+    try:
+        allowance = 1e-9 * (1.0 + k_hi * cfg.radius) ** 5
+    except OverflowError:
+        allowance = math.inf
+    if not math.isfinite(allowance):
+        raise ConfigError(
+            "the residual allowance 1e-9 * (1 + identity_k_max * radius)**5 is not finite"
+        )
     breakdown = _config_checked(
         suite_residual_breakdown, num_points, cfg.seed, (k_lo, k_hi), cfg.radius
     )
     worst = max(breakdown.values())
-    allowance = 1e-9 * (1.0 + k_hi * cfg.radius) ** 5
     if worst > allowance:
         raise ContractViolation(
             f"identity residual {worst:g} exceeds the allowance {allowance:g}"
@@ -420,35 +435,32 @@ def _run_identity(cfg):
     return EXIT_OK
 
 
-def _series_max_errors(spec, pts, s5_vals):
-    """max |s5_vals - series_partial(SeriesSpec(spec.k, N), pts)| for N = 0..spec.num_terms.
+def _series_max_errors(spec, pts):
+    """max |s5 - series_partial(SeriesSpec(spec.k, N), pts)| for N = 0..spec.num_terms.
 
-    Each series term is evaluated once, through p5, over a chunk of points;
-    the terms are then re-added for every N in series_partial's order (from
-    zero, n = N-1 down to 0), so each maximum equals the one-N-at-a-time result
-    bit for bit.
+    Each chunk of points is projected once; s5 and every series term are
+    evaluated from that projection, each term once. The terms are then
+    re-added for every N in series_partial's order (from zero, n = N-1 down
+    to 0), so each maximum equals the one-N-at-a-time result bit for bit.
     """
     terms = spec.num_terms
     params = [series_term(spec.k, n) for n in range(terms)]
     chunk = max(2, _CONVERGE_BLOCK_BYTES // (8 * max(1, terms)))
-    # No chunk starts at the last point of a larger grid: numpy projects a lone
-    # point with a BLAS matrix-vector call, which can round differently from
-    # the matrix-matrix call series_partial makes on the whole grid.
-    edges = [*range(0, max(len(pts) - 1, 1), chunk), len(pts)]
+    edges = _block_edges(len(pts), chunk)
     maxima = []
     for start, stop in zip(edges, edges[1:]):
-        part = pts[start:stop]
-        block = np.empty((terms, len(part)))
+        a = project(pts[start:stop])
+        s5_vals = _sin_sum(spec.k, a)
+        block = np.empty((terms, len(a)))
         for n, (coeff, kn) in enumerate(params):
-            # a wavenumber that underflowed to zero makes a zero term
-            block[n] = coeff * p5(kn, part) if kn > 0 else 0.0
-        total = np.empty(len(part))
+            block[n] = coeff * _sin_prod(kn, a)
+        total = np.empty(len(a))
         errors = []
         for num in range(terms + 1):
             total.fill(0.0)
             for n in range(num - 1, -1, -1):
                 total += block[n]
-            errors.append(np.abs(s5_vals[start:stop] - 16.0 * total).max())
+            errors.append(np.abs(s5_vals - 16.0 * total).max())
         maxima.append(errors)
     return np.max(maxima, axis=0)
 
@@ -460,8 +472,7 @@ def _run_converge(cfg):
         for n in range(cfg.terms + 1)
     ]
     pts = _disk_grid(cfg.radius, cfg.grid_step)
-    s5_vals = np.atleast_1d(s5(cfg.k, pts))
-    errors = _series_max_errors(spec, pts, s5_vals)
+    errors = _series_max_errors(spec, pts)
     rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
     for n, err, bound in rows:
         if err > bound:

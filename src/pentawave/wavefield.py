@@ -63,6 +63,15 @@ def _maybe_scalar(arr):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _block_edges(num_points, size):
+    """Edges of consecutive blocks of size points; a lone last point joins the block before.
+
+    numpy projects a lone point with a BLAS matrix-vector call, which can round
+    differently from the matrix-matrix call a batch of two or more points gets.
+    """
+    return [*range(0, max(num_points - 1, 1), size), num_points]
+
+
 def direction_basis():
     """The five unit direction vectors e_i = (cos(2*pi*i/5), sin(2*pi*i/5))."""
     return _DIRECTIONS.copy()
@@ -73,18 +82,33 @@ def project(p):
     return _as_points(p) @ _DIRECTIONS.T
 
 
+def _sin_sum(kk, a):
+    """sum_i sin(kk * a_i) over projections a of shape (..., 5)."""
+    return np.sin(np.expand_dims(kk, -1) * a).sum(axis=-1)
+
+
+def _sin_prod(kk, a):
+    """prod_i sin(kk * a_i) over projections a of shape (..., 5).
+
+    Multiplies columns 0..4 left to right, the order (and so the bits) of
+    np.prod over the last axis, without its reduction overhead.
+    """
+    ka = np.expand_dims(kk, -1) * a
+    np.sin(ka, out=ka)
+    out = ka[..., 0] * ka[..., 1]
+    for i in range(2, 5):
+        out *= ka[..., i]
+    return out
+
+
 def s5(k, p):
     """Sum of the five standing waves: sum_i sin(k * a_i)."""
-    kk = _as_wavenumber(k)
-    a = project(p)
-    return _maybe_scalar(np.sin(kk[..., None] * a).sum(axis=-1))
+    return _maybe_scalar(_sin_sum(_as_wavenumber(k), project(p)))
 
 
 def p5(k, p):
     """Product of the five standing waves: prod_i sin(k * a_i)."""
-    kk = _as_wavenumber(k)
-    a = project(p)
-    return _maybe_scalar(np.prod(np.sin(kk[..., None] * a), axis=-1))
+    return _maybe_scalar(_sin_prod(_as_wavenumber(k), project(p)))
 
 
 def s2(k, p):
@@ -191,7 +215,7 @@ def series_partial(spec, p):
     total = np.zeros(a.shape[:-1])
     for n in range(spec.num_terms - 1, -1, -1):
         coeff, kn = series_term(spec.k, n)
-        total = total + coeff * np.prod(np.sin(kn * a), axis=-1)
+        total = total + coeff * _sin_prod(kn, a)
     return _maybe_scalar(16.0 * total)
 
 

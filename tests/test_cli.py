@@ -154,7 +154,7 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
     worst = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(1.0, 5), pts)).argmax()
     pts = np.vstack([np.delete(pts, worst, axis=0), pts[worst]])
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 100)
-    got = cli._series_max_errors(pw.SeriesSpec(1.0, terms), pts, pw.s5(1.0, pts))
+    got = cli._series_max_errors(pw.SeriesSpec(1.0, terms), pts)
     assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, pts, terms)
 
 
@@ -177,7 +177,7 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     num_points = len(cli._disk_grid(radius, step))
     chunk = _chunk_leaving_one_point(num_points)
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
-    calls = {"p5": 0, "series_partial": 0}
+    calls = {"project": 0, "_sin_sum": 0, "_sin_prod": 0, "s5": 0, "p5": 0, "series_partial": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -193,7 +193,8 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     # the last point joins the final full chunk instead of forming its own
     num_chunks = num_points // chunk
     assert num_chunks > 1
-    assert calls == {"p5": terms * num_chunks, "series_partial": 0}
+    assert calls == {"project": num_chunks, "_sin_sum": num_chunks,
+                     "_sin_prod": terms * num_chunks, "s5": 0, "p5": 0, "series_partial": 0}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -221,6 +222,7 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
     (("match", "--radius", "1e6", "--format", "csv,json,svg"), "extrema seeds exceed"),
     (("match", "--radius", "1e9"), "extrema seeds exceed"),
     (("match", "--k", "1e300", "--radius", "1e300"), "inf extrema seeds exceed"),
+    (("identity", "--radius", "1e300"), "residual allowance"),
 ])
 def test_underflowing_and_oversized_inputs_are_config_errors(tmp_path, capsys, args, message):
     assert cli.main([*args, "--out", str(tmp_path / "o")]) == 2
@@ -460,6 +462,47 @@ def test_config_file_tolerance_keys(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "identity.json").read_text())
     assert report["report"]["num_points"] == 500
+
+
+def test_identity_sample_cap_is_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {"identity_num_points": 1000000000}}))
+    monkeypatch.setattr(cli, "suite_residual_breakdown",
+                        lambda *a, **kw: pytest.fail("the sweep ran past the cap"))
+    assert cli.main(["identity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "pentawave: config error: 1e+09 identity sample points exceed 100000000; "
+        "use a smaller identity_num_points\n"
+    )
+
+
+def test_resolve_config_leaves_the_loaded_tolerances_unchanged(monkeypatch):
+    loaded = {"radius": 3, "tolerances": {"grad_tol": 1, "max_newton_steps": 30.0}}
+    text = json.dumps(loaded)
+    monkeypatch.setattr(cli, "_load_config_file", lambda path: loaded)
+    args = cli.build_parser().parse_args(["extrema", "--config", "unused.json"])
+    cfg = cli.resolve_config(args)
+    assert json.dumps(loaded) == text
+    assert cfg.tolerances == {"grad_tol": 1.0, "max_newton_steps": 30}
+    assert type(cfg.tolerances["grad_tol"]) is float
+    assert type(cfg.tolerances["max_newton_steps"]) is int
+
+
+@pytest.mark.parametrize("command, tolerance", [
+    ("extrema", '"max_newton_steps": Infinity'),
+    ("tiling", '"singular_eps": NaN'),
+    ("match", '"boundary_eps": NaN'),
+    ("identity", '"identity_k_max": 1e400'),  # parsed as inf
+    ("identity", '"identity_num_points": 1%s' % ("0" * 400)),  # an int beyond the doubles
+], ids=["inf-steps", "nan-singular", "nan-boundary", "inf-k-max", "huge-points"])
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, tolerance):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text('{"tolerances": {%s}}' % tolerance)
+    assert cli.main([command, "--radius", "40", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pentawave: config error: tolerance ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_tolerance_key_rejected(tmp_path):

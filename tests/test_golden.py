@@ -15,7 +15,8 @@ def test_golden_record_then_check(tmp_path, capsys):
     assert golden.main(["record", str(digest_file)], scale=0.1) == 0
     recorded = json.loads(digest_file.read_text())
     runs = {name for name, _ in golden.invocations(0.1)}
-    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS)
+    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1
+    assert "identity-blocks/identity.json" in recorded
     assert {key.split("/")[0] for key in recorded} == runs
     assert all(f"{run}/config.json" in recorded for run in runs)
     assert golden.main(["check", str(digest_file)], scale=0.1) == 0

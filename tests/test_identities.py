@@ -1,6 +1,7 @@
 """Tests for the exact algebraic identities linking s5, p5, and s2."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,3 +160,100 @@ def test_identity_suite_validation():
         pw.run_identity_suite(num_points=10, seed=0, k_range=(0.0, 1.0), radius=1.0)
     with pytest.raises(ValueError):
         pw.run_identity_suite(num_points=10, seed=0, k_range=(1.0, 2.0), radius=-1.0)
+
+
+def _old_s5(k, p):
+    kk = pw.wavefield._as_wavenumber(k)
+    return np.sin(kk[..., None] * pw.project(p)).sum(axis=-1)
+
+
+def _old_p5(k, p):
+    kk = pw.wavefield._as_wavenumber(k)
+    return np.prod(np.sin(kk[..., None] * pw.project(p)), axis=-1)
+
+
+def _old_expansion_lhs(k, p):
+    kk = pw.wavefield._as_wavenumber(k)
+    phases = pw.project(p) @ ident._EXP_SIGNS.T
+    return np.sin(kk[..., None] * phases) @ ident._EXP_COEFFS
+
+
+def _old_functional_residual(k, p):
+    kk = pw.wavefield._as_wavenumber(k)
+    return (_old_s5(2.0 * kk, p) + _old_s5(2.0 * TAU * kk, p) - _old_s5(2.0 * kk / TAU, p)
+            - 16.0 * _old_p5(kk, p))
+
+
+def _old_direction_sum_residuals(p):
+    a = pw.project(p)
+    i = np.arange(5)
+    total = a.sum(axis=-1, keepdims=True)
+    adjacent = a + a[..., (i + 1) % 5] + TAU * a[..., (i + 3) % 5]
+    skipping = a + a[..., (i + 2) % 5] - a[..., (i + 1) % 5] / TAU
+    return np.concatenate([total, adjacent, skipping], axis=-1)
+
+
+def _old_suite_residual_breakdown(num_points, seed, k_range, radius):
+    """The sweep as one full batch, before it ran block by block, kept verbatim."""
+    pts, ks = ident._sample_sweep(num_points, seed, k_range, radius)
+    return {
+        "expansion": float(np.abs(_old_expansion_lhs(ks, pts) - 16.0 * _old_p5(ks, pts)).max()),
+        "functional": float(np.abs(_old_functional_residual(ks, pts)).max()),
+        "direction_sums": float(np.abs(_old_direction_sum_residuals(pts)).max()),
+        "two_wave": float(np.abs(pw.two_wave_residual(ks, pts)).max()),
+    }
+
+
+@pytest.mark.parametrize("block, sizes", [
+    # 1 and 2 points; every residue mod 4; a lone last point after full blocks
+    (4, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 18, 19, 37, 1001, 1002, 1003)),
+    (8, (7, 9, 17, 18, 19, 20, 1025, 1026, 1027)),
+    (1024, (1, 2, 1023, 1025, 4096, 4097, 4098, 4099, 5002)),
+    (None, (ident._SWEEP_BLOCK + 2, 2 * ident._SWEEP_BLOCK + 1)),
+])
+def test_blocked_sweep_equals_full_batch_bit_for_bit(monkeypatch, block, sizes):
+    # Blocks of a multiple of 4 points leave the rows the BLAS matrix-vector
+    # call rounds as a tail (rows mod 4 of 2 or 3) on the same points as one
+    # call over the whole sweep; a block size of 2 mod 4 breaks this.
+    if block is None:
+        assert ident._SWEEP_BLOCK % 4 == 0
+    else:
+        monkeypatch.setattr(ident, "_SWEEP_BLOCK", block)
+    for num_points in sizes:
+        for seed in range(8):
+            args = (num_points, seed, (0.1, 10.0), 10.0)
+            assert ident.suite_residual_breakdown(*args) == _old_suite_residual_breakdown(*args)
+
+
+def test_identity_functions_equal_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    pts = _disk_points(rng, 1003, 15.0)
+    ks = rng.uniform(0.1, 10.0, 1003)
+    for k, p in ((ks, pts), (1.7, pts), (0.93, pts[5]), (ks[:3, None], pts[:7])):
+        for got, want in ((pw.expansion_lhs(k, p), _old_expansion_lhs(k, p)),
+                          (pw.functional_residual(k, p), _old_functional_residual(k, p)),
+                          (pw.p5(k, p), _old_p5(k, p)), (pw.s5(k, p), _old_s5(k, p))):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+    assert np.array_equal(pw.direction_sum_residuals(pts), _old_direction_sum_residuals(pts))
+
+
+def test_identity_sweep_memory_does_not_grow_with_points(monkeypatch):
+    # Beyond the sample arrays themselves, the sweep holds one block at a time.
+    monkeypatch.setattr(ident, "_SWEEP_BLOCK", 256)
+
+    def peak(fn, num_points):
+        tracemalloc.start()
+        try:
+            fn(num_points, 1, (0.1, 10.0), 10.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def overhead(num_points):
+        return (peak(ident.suite_residual_breakdown, num_points)
+                - peak(ident._sample_sweep, num_points))
+
+    small, large = 4096, 32768
+    # the full-batch sweep grew by about 400 B per point
+    assert overhead(large) - overhead(small) < 8 * (large - small)

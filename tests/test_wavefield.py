@@ -353,3 +353,16 @@ def test_grad_hess_s5_equal_reference_bit_for_bit():
                           (pw.hess_s5(k, p), _hess_s5_reference(k, p))):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def test_sin_prod_equals_np_prod_bit_for_bit():
+    rng = np.random.default_rng(106)
+    a = pw.project(_disk_points(rng, 2000, 80.0))
+    ks = rng.uniform(0.1, 10.0, 2000)
+    cases = [(np.asarray(1.0), a), (np.asarray(0.93), a[17]), (np.asarray(2.5), a[:, None, :]),
+             (ks, a), (ks[:, None], a[:, None, :]), (0.37, a[:1])]
+    for kk, proj in cases:
+        got = pw.wavefield._sin_prod(kk, proj)
+        want = np.prod(np.sin(np.asarray(kk)[..., None] * proj), axis=-1)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
