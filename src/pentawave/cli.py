@@ -308,20 +308,38 @@ def _config_checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _disk_grid(radius, step):
-    """Deterministic square lattice clipped to the disk, rows ordered by (x, y)."""
-    n = int(math.floor(radius / step))
-    total = (2 * n + 1) ** 2
-    if total > _MAX_GRID_SAMPLES:
-        suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
-        raise ConfigError(
-            f"grid of {total} samples exceeds {_MAX_GRID_SAMPLES}; "
-            f"use --grid-step of at least {suggestion:.6g}"
-        )
+def _disk_blocks(radius, step, size):
+    """Yield the square lattice step * (-n..n)^2 clipped to the disk, rows ordered by (x, y).
+
+    The blocks are the ones _block_edges(total, size) cuts from the whole grid:
+    size rows each, with a lone last row joining the block before it. Whole
+    x-columns are generated band by band, so only about one block is held.
+    """
+    # counted in floats, so an overflowing grid is refused instead of raising
+    half = float(np.floor(radius / step))
+    side = 2.0 * half + 1.0
+    suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
+    _check_count(side * side, "disk grid samples", f"--grid-step of at least {suggestion:.6g}")
+    n = int(half)
     vals = step * np.arange(-n, n + 1)
-    gx, gy = np.meshgrid(vals, vals, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius ** 2]
+    cols = max(1, size // len(vals))
+    pending = np.empty((0, 2))
+    for first in range(0, len(vals), cols):
+        xs = vals[first:first + cols, None]
+        keep = xs ** 2 + vals ** 2 <= radius ** 2
+        band = np.column_stack([np.broadcast_to(xs, keep.shape)[keep],
+                                np.broadcast_to(vals, keep.shape)[keep]])
+        pending = np.concatenate([pending, band])
+        # emit a full block only while two rows stay behind for the last one
+        while len(pending) >= size + 2:
+            yield pending[:size]
+            pending = pending[size:]
+    yield pending
+
+
+def _disk_grid(radius, step):
+    """The whole disk grid of _disk_blocks as one array; the block size leaves its rows unchanged."""
+    return np.concatenate(list(_disk_blocks(radius, step, 1 << 16)))
 
 
 def _check_count(count, what, remedy="a smaller --radius or --k"):
@@ -435,21 +453,28 @@ def _run_identity(cfg):
     return EXIT_OK
 
 
-def _series_max_errors(spec, pts):
-    """max |s5 - series_partial(SeriesSpec(spec.k, N), pts)| for N = 0..spec.num_terms.
+def _converge_chunk(terms):
+    """Points per block of converge, sized so terms x points doubles fit _CONVERGE_BLOCK_BYTES."""
+    return max(2, _CONVERGE_BLOCK_BYTES // (8 * max(1, terms)))
 
-    Each chunk of points is projected once; s5 and every series term are
-    evaluated from that projection, each term once. The terms are then
-    re-added for every N in series_partial's order (from zero, n = N-1 down
-    to 0), so each maximum equals the one-N-at-a-time result bit for bit.
+
+def _blocked_max_errors(spec, blocks):
+    """(max |s5 - series_partial(SeriesSpec(spec.k, N))| for N = 0..spec.num_terms, points).
+
+    The maxima run over every point of an iterable of point blocks, and the
+    second item counts those points. Each block is projected once; s5 and
+    every series term are evaluated from that projection, each term once. The
+    terms are then re-added for every N in series_partial's order (from zero,
+    n = N-1 down to 0), so each maximum equals the one-N-at-a-time result bit
+    for bit.
     """
     terms = spec.num_terms
     params = [series_term(spec.k, n) for n in range(terms)]
-    chunk = max(2, _CONVERGE_BLOCK_BYTES // (8 * max(1, terms)))
-    edges = _block_edges(len(pts), chunk)
-    maxima = []
-    for start, stop in zip(edges, edges[1:]):
-        a = project(pts[start:stop])
+    worst = np.zeros(terms + 1)  # every error is an absolute value
+    num_points = 0
+    for pts in blocks:
+        num_points += len(pts)
+        a = project(pts)
         s5_vals = _sin_sum(spec.k, a)
         block = np.empty((terms, len(a)))
         for n, (coeff, kn) in enumerate(params):
@@ -461,8 +486,15 @@ def _series_max_errors(spec, pts):
             for n in range(num - 1, -1, -1):
                 total += block[n]
             errors.append(np.abs(s5_vals - 16.0 * total).max())
-        maxima.append(errors)
-    return np.max(maxima, axis=0)
+        worst = np.maximum(worst, errors)
+    return worst, num_points
+
+
+def _series_max_errors(spec, pts):
+    """The per-N maxima of _blocked_max_errors over the converge chunks of an array of points."""
+    edges = _block_edges(len(pts), _converge_chunk(spec.num_terms))
+    blocks = (pts[start:stop] for start, stop in zip(edges, edges[1:]))
+    return _blocked_max_errors(spec, blocks)[0]
 
 
 def _run_converge(cfg):
@@ -471,8 +503,8 @@ def _run_converge(cfg):
         _config_checked(tail_bound, cfg.k, cfg.radius, n).scaled_bound
         for n in range(cfg.terms + 1)
     ]
-    pts = _disk_grid(cfg.radius, cfg.grid_step)
-    errors = _series_max_errors(spec, pts)
+    blocks = _disk_blocks(cfg.radius, cfg.grid_step, _converge_chunk(cfg.terms))
+    errors, num_samples = _blocked_max_errors(spec, blocks)
     rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
     for n, err, bound in rows:
         if err > bound:
@@ -481,7 +513,7 @@ def _run_converge(cfg):
             )
     _write_csv(cfg, "converge", ["N", "max_error", "bound"], list(zip(*rows)))
     report = {
-        "num_samples": len(pts),
+        "num_samples": num_samples,
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
     }
     _write_json(cfg, "converge", report)

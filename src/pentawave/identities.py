@@ -147,7 +147,8 @@ class ResidualReport:
     rng_seed: int
 
 
-def _sample_sweep(num_points, seed, k_range, radius):
+def _sweep_range(num_points, k_range, radius):
+    """The validated (lo, hi) wavenumber range of a sweep."""
     if num_points < 1:
         raise ValueError("num_points must be at least 1")
     lo, hi = float(k_range[0]), float(k_range[1])
@@ -155,35 +156,63 @@ def _sample_sweep(num_points, seed, k_range, radius):
         raise ValueError("k_range must be a nonempty positive interval")
     if not (radius >= 0):
         raise ValueError("radius must be nonnegative")
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.random(num_points))
-    theta = 2.0 * np.pi * rng.random(num_points)
+    return lo, hi
+
+
+def _draw_sweep(r_rng, theta_rng, k_rng, count, lo, hi, radius):
+    """count disk points and wavenumbers: radii, then angles, then wavenumbers."""
+    r = radius * np.sqrt(r_rng.random(count))
+    theta = 2.0 * np.pi * theta_rng.random(count)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    ks = rng.uniform(lo, hi, num_points)
+    ks = k_rng.uniform(lo, hi, count)
     return pts, ks
+
+
+def _sample_sweep(num_points, seed, k_range, radius):
+    """The whole sweep, drawn in one pass from one generator."""
+    lo, hi = _sweep_range(num_points, k_range, radius)
+    rng = np.random.default_rng(seed)
+    return _draw_sweep(rng, rng, rng, num_points, lo, hi, radius)
+
+
+def _sweep_blocks(num_points, seed, k_range, radius):
+    """Yield the (points, wavenumbers) of each _SWEEP_BLOCK slice of _sample_sweep.
+
+    Each double of random() and uniform() takes one 64-bit draw, so the radii,
+    angles and wavenumbers of the full draw start at draws 0, n and 2n of the
+    generator stream. Three copies of the generator, advanced to those draws,
+    yield every slice in turn without drawing the sweep as a whole.
+    """
+    lo, hi = _sweep_range(num_points, k_range, radius)
+    streams = []
+    for offset in (0, num_points, 2 * num_points):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(offset)
+        streams.append(rng)
+    edges = _block_edges(num_points, _SWEEP_BLOCK)
+    for start, stop in zip(edges, edges[1:]):
+        yield _draw_sweep(*streams, stop - start, lo, hi, radius)
 
 
 def suite_residual_breakdown(num_points, seed, k_range, radius):
     """Per-identity worst absolute residuals over one seeded sweep.
 
-    The sweep runs block by block; each block is projected once, and its
-    16*p5 serves both the expansion and the functional check.
+    The sweep is drawn and checked block by block; each block is projected
+    once, and its 16*p5 serves both the expansion and the functional check.
     """
-    pts, ks = _sample_sweep(num_points, seed, k_range, radius)
-    edges = _block_edges(len(pts), _SWEEP_BLOCK)
-    maxima = []
-    for start, stop in zip(edges, edges[1:]):
-        p, kk = pts[start:stop], _as_wavenumber(ks[start:stop])
+    worst = np.zeros(4)  # every residual is an absolute value
+    for p, ks in _sweep_blocks(num_points, seed, k_range, radius):
+        kk = _as_wavenumber(ks)
         a = project(p)
         p16 = 16.0 * _sin_prod(kk, a)
-        maxima.append([
+        worst = np.maximum(worst, [
             np.abs(_expansion(kk, a) - p16).max(),
             np.abs(_functional(kk, a, p16)).max(),
             np.abs(_direction_sums(a)).max(),
             np.abs(two_wave_residual(kk, p)).max(),
         ])
-    worst = map(float, np.max(maxima, axis=0))
-    return dict(zip(("expansion", "functional", "direction_sums", "two_wave"), worst))
+    names = ("expansion", "functional", "direction_sums", "two_wave")
+    return dict(zip(names, map(float, worst)))
 
 
 def run_identity_suite(num_points, seed, k_range, radius):

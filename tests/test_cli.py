@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,84 @@ def test_field_grid_too_fine_is_config_error(tmp_path):
     proc = run_cli("field", "--radius", "10", "--grid-step", "1e-6", "--out", str(out))
     assert proc.returncode == 2
     assert "grid" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("args, remedy", [
+    (("converge", "--radius", "1", "--grid-step", "5e-324"), "0.00020002"),
+    (("field", "--radius", "1e60", "--grid-step", "1e-300"), "2.0002e+56"),
+    (("field", "--radius", "1", "--grid-step", "1e-300"), "0.00020002"),
+])
+def test_grid_count_overflow_is_config_error(tmp_path, args, remedy):
+    proc = run_cli(*args, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "pentawave: config error: inf disk grid samples exceed 100000000; "
+        f"use --grid-step of at least {remedy}\n"
+    )
+
+
+def _old_disk_grid(radius, step):
+    """The disk grid as one array, before it was generated block by block, kept verbatim."""
+    n = int(math.floor(radius / step))
+    total = (2 * n + 1) ** 2
+    if total > cli._MAX_GRID_SAMPLES:
+        suggestion = radius / (0.5 * (math.sqrt(cli._MAX_GRID_SAMPLES) - 1.0))
+        raise cli.ConfigError(
+            f"grid of {total} samples exceeds {cli._MAX_GRID_SAMPLES}; "
+            f"use --grid-step of at least {suggestion:.6g}"
+        )
+    vals = step * np.arange(-n, n + 1)
+    gx, gy = np.meshgrid(vals, vals, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius ** 2]
+
+
+@pytest.mark.parametrize("radius, step", [
+    (0.0, 0.25),  # radius 0: the origin alone
+    (0.3, 0.5),  # step > radius: the origin alone
+    (2.0, 0.5),  # the edge columns x = -2 and x = 2 hold one point each
+    (3.0, 0.1),
+    (20 / 0.93, 0.05 / 0.93),  # a k-scaled radius and pitch
+])
+def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
+    want = _old_disk_grid(radius, step)
+    total = len(want)
+    sizes = {1, 2, 3, 5, 64, total, total + 1, cli._converge_chunk(14), 1 << 16}
+    if total > 2:
+        sizes.add(total - 1)  # a lone last point
+    if total > 6:
+        sizes.add(_chunk_leaving_one_point(total))
+    for size in sorted(sizes):
+        if total // size > 5000:
+            continue  # keep the block count small on the large grid
+        edges = pw.wavefield._block_edges(total, size)
+        blocks = list(cli._disk_blocks(radius, step, size))
+        assert [len(block) for block in blocks] == np.diff(edges).tolist()
+        for block, start, stop in zip(blocks, edges, edges[1:]):
+            assert block.tobytes() == want[start:stop].tobytes()
+    assert cli._disk_grid(radius, step).tobytes() == want.tobytes()
+
+
+def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
+    # converge holds one block of the disk grid at a time.
+    terms, step = 8, 0.05
+    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 1024)
+
+    def peak(radius):
+        tracemalloc.start()
+        try:
+            code = cli.main(["converge", "--radius", repr(radius), "--grid-step", repr(step),
+                             "--terms", str(terms), "--out", str(tmp_path / "conv")])
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return traced
+
+    small, large = (len(cli._disk_grid(radius, step)) for radius in (5.0, 10.0))
+    peak(5.0)  # the first run fills import and allocation caches
+    # building the whole grid grew by about 66 B per point
+    assert peak(10.0) - peak(5.0) < large - small
 
 
 def test_converge_outputs(tmp_path):

@@ -238,22 +238,47 @@ def test_identity_functions_equal_reference_bit_for_bit():
     assert np.array_equal(pw.direction_sum_residuals(pts), _old_direction_sum_residuals(pts))
 
 
+def _old_sample_sweep(num_points, seed, k_range, radius):
+    """The sweep drawn whole from one generator, before it was drawn block by block, kept verbatim."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.random(num_points))
+    theta = 2.0 * np.pi * rng.random(num_points)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    ks = rng.uniform(float(k_range[0]), float(k_range[1]), num_points)
+    return pts, ks
+
+
+@pytest.mark.parametrize("num_points", [
+    1, 2, 3, ident._SWEEP_BLOCK - 1, ident._SWEEP_BLOCK + 1, 2 * ident._SWEEP_BLOCK + 1, 50002,
+])
+@pytest.mark.parametrize("k_range", [(0.1, 10.0), (2.5, 2.5)])
+def test_streamed_sweep_blocks_equal_the_full_draw_bit_for_bit(num_points, k_range):
+    edges = ident._block_edges(num_points, ident._SWEEP_BLOCK)
+    for seed in (0, 1, 7, 2 ** 40):
+        pts, ks = _old_sample_sweep(num_points, seed, k_range, 10.0)
+        full_pts, full_ks = ident._sample_sweep(num_points, seed, k_range, 10.0)
+        assert full_pts.tobytes() == pts.tobytes() and full_ks.tobytes() == ks.tobytes()
+        blocks = list(ident._sweep_blocks(num_points, seed, k_range, 10.0))
+        assert [len(p) for p, _ in blocks] == np.diff(edges).tolist()
+        for (p, k), start, stop in zip(blocks, edges, edges[1:]):
+            assert p.tobytes() == pts[start:stop].tobytes()
+            assert k.tobytes() == ks[start:stop].tobytes()
+
+
 def test_identity_sweep_memory_does_not_grow_with_points(monkeypatch):
-    # Beyond the sample arrays themselves, the sweep holds one block at a time.
+    # The sweep draws and checks one block at a time.
     monkeypatch.setattr(ident, "_SWEEP_BLOCK", 256)
 
-    def peak(fn, num_points):
+    def peak(num_points):
         tracemalloc.start()
         try:
-            fn(num_points, 1, (0.1, 10.0), 10.0)
+            ident.suite_residual_breakdown(num_points, 1, (0.1, 10.0), 10.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def overhead(num_points):
-        return (peak(ident.suite_residual_breakdown, num_points)
-                - peak(ident._sample_sweep, num_points))
-
     small, large = 4096, 32768
-    # the full-batch sweep grew by about 400 B per point
-    assert overhead(large) - overhead(small) < 8 * (large - small)
+    for _ in range(3):  # the first runs fill numpy's allocation caches
+        peak(small), peak(large)
+    # drawing the whole sweep before checking it grew by 48 B per point
+    assert peak(large) - peak(small) < large - small
