@@ -17,7 +17,7 @@ contract violation (a computed result broke a guaranteed bound).
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -47,11 +47,12 @@ from .pentagrid import (  # noqa: F401
     matching_correspondences,
     tiles,
 )
-from .svgout import SvgCanvas, clip_line_to_box, diverging_color
+from .svgout import SvgCanvas, clip_line_to_box, diverging_colors
 from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
     _block_edges,
+    _map_blocks,
     _sin_prod,
     _sin_sum,
     direction_basis,
@@ -72,9 +73,10 @@ EXIT_CONTRACT = 4
 # checked before its arrays are allocated.
 _MAX_GRID_SAMPLES = 10 ** 8
 
-# Bytes of the terms x points block of signed series terms that converge holds
-# at once; the disk grid is processed in chunks of points sized to fit it.
-_CONVERGE_BLOCK_BYTES = 1 << 22
+# Bytes of the terms x points block of signed series terms that each worker of
+# the block pool holds at once; the disk grid is processed in chunks of points
+# sized to fit it.
+_CONVERGE_BLOCK_BYTES = 1 << 21
 
 _COMMANDS = (
     ("field", "sample s5, the leading product term, and the series on a disk grid"),
@@ -231,8 +233,11 @@ def resolve_config(args):
             raise ConfigError(f"tolerance {key} is out of range") from exc
         if not math.isfinite(value):
             raise ConfigError(f"tolerance {key} must be finite")
-        integral = key in ("max_newton_steps", "identity_num_points")
-        resolved[key] = int(value) if integral else value
+        if key in ("max_newton_steps", "identity_num_points"):
+            if not value.is_integer():
+                raise ConfigError(f"tolerance {key} must be a whole number, not {value!r}")
+            value = int(value)
+        resolved[key] = value
 
     return RunConfig(
         command=args.command,
@@ -268,14 +273,23 @@ def _cells(column):
 
 
 def _write_csv(cfg, name, header, columns):
-    """Write the table given column by column, one column per header name."""
+    """Write the table given column by column, one column per header name.
+
+    Cells are joined by commas and never quoted: every cell is a float repr,
+    an int or a fixed name, none of which holds a comma, a quote or a line
+    break. Rows are checked for that a chunk at a time, by counting.
+    """
     if "csv" not in cfg.formats:
         return
+    rows = itertools.chain([header], zip(*map(_cells, columns)))
     path = os.path.join(cfg.out_dir, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        while lines := [",".join(row) for row in itertools.islice(rows, 1 << 12)]:
+            text = "\n".join(lines) + "\n"
+            assert text.count(",") == len(lines) * (len(header) - 1), "a CSV cell holds a comma"
+            assert text.count("\n") == len(lines), "a CSV cell holds a line break"
+            assert '"' not in text and "\r" not in text, "a CSV cell holds a quote or a return"
+            fh.write(text)
 
 
 def _dump_json(path, payload):
@@ -401,7 +415,7 @@ def _run_field(cfg):
         corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]) * half
         canvas.polygons(
             pts[::stride, None, :] + corners,
-            fill=[diverging_color(value, vmax) for value in s5_vals[::stride]],
+            fill=diverging_colors(s5_vals[::stride], vmax),
             stroke="none",
         )
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
@@ -424,6 +438,10 @@ def _run_identity(cfg):
     if not math.isfinite(allowance):
         raise ConfigError(
             "the residual allowance 1e-9 * (1 + identity_k_max * radius)**5 is not finite"
+        )
+    if not math.isfinite(2.0 * GOLDEN_RATIO * k_hi):
+        raise ConfigError(
+            "the functional check's wavenumber 2 * tau * identity_k_max is not finite"
         )
     breakdown = _config_checked(
         suite_residual_breakdown, num_points, cfg.seed, (k_lo, k_hi), cfg.radius
@@ -462,18 +480,16 @@ def _blocked_max_errors(spec, blocks):
     """(max |s5 - series_partial(SeriesSpec(spec.k, N))| for N = 0..spec.num_terms, points).
 
     The maxima run over every point of an iterable of point blocks, and the
-    second item counts those points. Each block is projected once; s5 and
-    every series term are evaluated from that projection, each term once. The
-    terms are then re-added for every N in series_partial's order (from zero,
-    n = N-1 down to 0), so each maximum equals the one-N-at-a-time result bit
-    for bit.
+    second item counts those points. The blocks run on the block pool
+    (_map_blocks). Each block is projected once; s5 and every series term are
+    evaluated from that projection, each term once. The terms are then
+    re-added for every N in series_partial's order (from zero, n = N-1 down
+    to 0), so each maximum equals the one-N-at-a-time result bit for bit.
     """
     terms = spec.num_terms
     params = [series_term(spec.k, n) for n in range(terms)]
-    worst = np.zeros(terms + 1)  # every error is an absolute value
-    num_points = 0
-    for pts in blocks:
-        num_points += len(pts)
+
+    def block_errors(pts):
         a = project(pts)
         s5_vals = _sin_sum(spec.k, a)
         block = np.empty((terms, len(a)))
@@ -486,6 +502,12 @@ def _blocked_max_errors(spec, blocks):
             for n in range(num - 1, -1, -1):
                 total += block[n]
             errors.append(np.abs(s5_vals - 16.0 * total).max())
+        return errors, len(pts)
+
+    worst = np.zeros(terms + 1)  # every error is an absolute value
+    num_points = 0
+    for errors, size in _map_blocks(block_errors, blocks):
+        num_points += size
         worst = np.maximum(worst, errors)
     return worst, num_points
 

@@ -20,6 +20,7 @@ from .wavefield import (
     _as_points,
     _as_wavenumber,
     _block_edges,
+    _map_blocks,
     _maybe_scalar,
     _sin_prod,
     _sin_sum,
@@ -56,7 +57,7 @@ _EXP_SIGNS = np.array([s for _, s in _EXPANSION_TERMS], dtype=float)
 # (rows mod 4) rows of a batch differently when that remainder is 2 or 3,
 # and blocks starting at multiples of 4 leave those rows on the same points
 # as one call over the whole sweep would.
-_SWEEP_BLOCK = 1 << 14
+_SWEEP_BLOCK = 1 << 13
 
 
 def expansion_terms():
@@ -194,23 +195,34 @@ def _sweep_blocks(num_points, seed, k_range, radius):
         yield _draw_sweep(*streams, stop - start, lo, hi, radius)
 
 
+def _block_residuals(block):
+    """Worst absolute residual of each identity over one (points, wavenumbers) block.
+
+    The block is projected once, and its 16*p5 serves both the expansion and
+    the functional check.
+    """
+    p, ks = block
+    kk = _as_wavenumber(ks)
+    a = project(p)
+    p16 = 16.0 * _sin_prod(kk, a)
+    return [
+        np.abs(_expansion(kk, a) - p16).max(),
+        np.abs(_functional(kk, a, p16)).max(),
+        np.abs(_direction_sums(a)).max(),
+        np.abs(two_wave_residual(kk, p)).max(),
+    ]
+
+
 def suite_residual_breakdown(num_points, seed, k_range, radius):
     """Per-identity worst absolute residuals over one seeded sweep.
 
-    The sweep is drawn and checked block by block; each block is projected
-    once, and its 16*p5 serves both the expansion and the functional check.
+    The sweep is drawn block by block in the calling thread, and the blocks
+    are checked on the block pool (_map_blocks).
     """
     worst = np.zeros(4)  # every residual is an absolute value
-    for p, ks in _sweep_blocks(num_points, seed, k_range, radius):
-        kk = _as_wavenumber(ks)
-        a = project(p)
-        p16 = 16.0 * _sin_prod(kk, a)
-        worst = np.maximum(worst, [
-            np.abs(_expansion(kk, a) - p16).max(),
-            np.abs(_functional(kk, a, p16)).max(),
-            np.abs(_direction_sums(a)).max(),
-            np.abs(two_wave_residual(kk, p)).max(),
-        ])
+    blocks = _sweep_blocks(num_points, seed, k_range, radius)
+    for residuals in _map_blocks(_block_residuals, blocks):
+        worst = np.maximum(worst, residuals)
     names = ("expansion", "functional", "direction_sums", "two_wave")
     return dict(zip(names, map(float, worst)))
 

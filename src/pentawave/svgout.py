@@ -14,16 +14,27 @@ import math
 import numpy as np
 
 
-def diverging_color(value, vmax):
-    """Blue-white-red hex color for value in [-vmax, vmax]."""
+def diverging_colors(values, vmax):
+    """Blue-white-red hex colors for values in [-vmax, vmax], one per value, in one array pass.
+
+    t = value / vmax clipped to [-1, 1] (NaN reads as 1); t >= 0 fades green
+    and blue to round(255 * (1 - t)), t < 0 fades red and green to
+    round(255 * (1 + t)); rounding is half to even.
+    """
+    values = np.asarray(values, dtype=float).ravel()
     if vmax <= 0:
-        return "#ffffff"
-    t = max(-1.0, min(1.0, value / vmax))
-    if t >= 0:
-        r, g, b = 255, round(255 * (1 - t)), round(255 * (1 - t))
-    else:
-        r, g, b = round(255 * (1 + t)), round(255 * (1 + t)), 255
-    return f"#{r:02x}{g:02x}{b:02x}"
+        return ["#ffffff"] * len(values)
+    t = np.fmax(-1.0, np.fmin(1.0, values / vmax))
+    # 1 - |t| equals 1 + t exactly for t < 0
+    fade = np.rint(255 * (1 - np.abs(t))).astype(np.int64)
+    warm = t >= 0
+    rgb = np.where(warm, 255, fade) << 16 | fade << 8 | np.where(warm, fade, 255)
+    return ["#%06x" % code for code in rgb.tolist()]
+
+
+def diverging_color(value, vmax):
+    """Blue-white-red hex color for value in [-vmax, vmax]; see diverging_colors."""
+    return diverging_colors([value], vmax)[0]
 
 
 class SvgCanvas:

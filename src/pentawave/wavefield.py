@@ -22,6 +22,8 @@ the batch shape. Scalar inputs produce plain Python floats.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,36 @@ def _block_edges(num_points, size):
     differently from the matrix-matrix call a batch of two or more points gets.
     """
     return [*range(0, max(num_points - 1, 1), size), num_points]
+
+
+def _pool_workers():
+    """Threads of the block pool: two, or one where only one core is usable."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _map_blocks(fn, blocks):
+    """Yield fn(block) for each block of an iterable, in order, from a thread pool.
+
+    numpy releases the GIL inside its ufuncs and BLAS calls, so independent
+    blocks run concurrently while each block's arithmetic stays unchanged.
+    Blocks are drawn in the calling thread, each only once fewer than
+    _pool_workers() blocks are in flight. An exception raised by fn reaches
+    the caller once the other blocks in flight have finished.
+    """
+    # imported here, not at the top: it adds about 8 ms to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _pool_workers()
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.submit(fn, block))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def direction_basis():

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -257,10 +258,12 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     chunk = _chunk_leaving_one_point(num_points)
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
     calls = {"project": 0, "_sin_sum": 0, "_sin_prod": 0, "s5": 0, "p5": 0, "series_partial": 0}
+    lock = threading.Lock()  # the blocks run on the block pool's threads
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -274,6 +277,34 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     assert num_chunks > 1
     assert calls == {"project": num_chunks, "_sin_sum": num_chunks,
                      "_sin_prod": terms * num_chunks, "s5": 0, "p5": 0, "series_partial": 0}
+
+
+def test_outputs_do_not_depend_on_the_block_pool_size(tmp_path, monkeypatch):
+    # converge: several chunks and a lone last point; identity: 50,002 points,
+    # several sweep blocks and a short last one
+    radius, step, terms = 4.0, 0.25, 9
+    pts = cli._disk_grid(radius, step)
+    chunk = _chunk_leaving_one_point(len(pts))
+    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {"identity_num_points": 50002}}))
+    runs = {
+        "converge": ["--radius", repr(radius), "--grid-step", repr(step), "--terms", str(terms)],
+        "identity": ["--radius", "10", "--seed", "5", "--config", str(cfg)],
+    }
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: workers)
+        for command, flags in runs.items():
+            out = tmp_path / f"{command}-{workers}"
+            assert cli.main([command, *flags, "--out", str(out), "--format", "csv,json"]) == 0
+            report = json.loads((out / f"{command}.json").read_text())["report"]
+            outputs.setdefault(command, []).append(
+                ((out / f"{command}.csv").read_bytes(), json.dumps(report)))
+    for command, got in outputs.items():
+        assert got[1:] == got[:1] * 2, command
+    errors = [float(row[1]) for row in read_csv(tmp_path / "converge-2" / "converge.csv")[1:]]
+    assert errors == _series_errors_one_n_at_a_time(1.0, pts, terms)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -496,7 +527,7 @@ def _cell_reference(value):
 def test_column_csv_writer_matches_per_cell_formatting(tmp_path):
     rng = np.random.default_rng(3)
     floats = np.concatenate([
-        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+        rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000),  # several chunks
         [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 0.1, 1.0, -2.5],
     ])
     n = len(floats)
@@ -506,7 +537,7 @@ def test_column_csv_writer_matches_per_cell_formatting(tmp_path):
         rng.integers(-10**12, 10**12, n),
         [int(v) for v in rng.integers(-5, 5, n)],
         rng.random(n) < 0.5,
-        [("a,b" if v < 0.3 else "x\"y" if v < 0.6 else "maximum") for v in rng.random(n)],
+        [("thin" if v < 0.3 else "saddle" if v < 0.6 else "maximum") for v in rng.random(n)],
     ]
     cfg = cli.RunConfig("field", 1.0, 1.0, 0, 1.0, 0, str(tmp_path), ("csv",), {})
     header = [f"c{j}" for j in range(len(columns))]
@@ -519,6 +550,43 @@ def test_column_csv_writer_matches_per_cell_formatting(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     cli._write_csv(cfg, "empty", ["a", "b"], [[], np.zeros(0, dtype=int)])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    # cells are never quoted, so a cell that would need quoting is refused
+    for cell in ("a,b", 'x"y', "a\nb", "a\rb"):
+        with pytest.raises(AssertionError):
+            cli._write_csv(cfg, "bad", ["a", "b"], [[1.0] * 5000, ["ok"] * 4999 + [cell]])
+
+
+_CSV_RUNS = {
+    "field": ["--radius", "4", "--grid-step", "0.05", "--terms", "8"],  # several chunks of rows
+    "identity": [],
+    "converge": ["--radius", "3", "--grid-step", "0.1", "--terms", "10"],
+    "extrema": ["--radius", "20"],
+    "tiling": ["--radius", "30"],
+    "match": ["--radius", "40"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_RUNS))
+def test_csv_writer_equals_the_csv_module_on_every_command(tmp_path, monkeypatch, command):
+    tables = []
+    write_csv = cli._write_csv
+
+    def recorded(cfg, name, header, columns):
+        tables.append((name, header, columns))
+        write_csv(cfg, name, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    out = tmp_path / "out"
+    assert cli.main([command, *_CSV_RUNS[command], "--out", str(out), "--format", "csv"]) == 0
+    [(name, header, columns)] = tables
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_cell_reference(v) for v in row])
+    got = (out / f"{name}.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\n") > 2
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -582,6 +650,31 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, toleran
     err = capsys.readouterr().err
     assert err.startswith("pentawave: config error: tolerance ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("identity", "identity_num_points"),
+    ("extrema", "max_newton_steps"),
+])
+def test_fractional_integral_tolerance_is_config_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {key: 2.5}}))
+    assert cli.main([command, "--radius", "5", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"pentawave: config error: tolerance {key} must be a whole number, not 2.5\n"
+    )
+
+
+def test_identity_non_finite_derived_wavenumber_is_config_error(tmp_path):
+    # 1e308 is finite, but the functional check also evaluates s5 at 2 * tau * k
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {"identity_k_min": 1.0, "identity_k_max": 1e308}}))
+    proc = run_cli("identity", "--radius", "0", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("pentawave: config error: the functional check's wavenumber "
+                           "2 * tau * identity_k_max is not finite\n")
 
 
 def test_unknown_tolerance_key_rejected(tmp_path):

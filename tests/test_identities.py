@@ -249,7 +249,8 @@ def _old_sample_sweep(num_points, seed, k_range, radius):
 
 
 @pytest.mark.parametrize("num_points", [
-    1, 2, 3, ident._SWEEP_BLOCK - 1, ident._SWEEP_BLOCK + 1, 2 * ident._SWEEP_BLOCK + 1, 50002,
+    1, 2, 3, ident._SWEEP_BLOCK - 1, ident._SWEEP_BLOCK + 1,
+    2 * ident._SWEEP_BLOCK - 1, 2 * ident._SWEEP_BLOCK + 1, 4 * ident._SWEEP_BLOCK + 1, 50002,
 ])
 @pytest.mark.parametrize("k_range", [(0.1, 10.0), (2.5, 2.5)])
 def test_streamed_sweep_blocks_equal_the_full_draw_bit_for_bit(num_points, k_range):

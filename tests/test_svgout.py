@@ -1,8 +1,10 @@
 """Tests for the batched SVG element writers."""
 
+import math
+
 import numpy as np
 
-from pentawave.svgout import SvgCanvas
+from pentawave.svgout import SvgCanvas, diverging_color, diverging_colors
 
 
 def _polygon_reference(canvas, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
@@ -55,3 +57,51 @@ def test_polygons_and_lines_equal_per_element_bytes():
                  _line_reference(canvas, tuple(starts[0]), tuple(ends[0]))]
         assert canvas._elements == want
         assert "-0.00," in canvas.to_string()
+
+
+def _diverging_color_reference(value, vmax):
+    """diverging_color before the batch form, kept verbatim as the oracle."""
+    if vmax <= 0:
+        return "#ffffff"
+    t = max(-1.0, min(1.0, value / vmax))
+    if t >= 0:
+        r, g, b = 255, round(255 * (1 - t)), round(255 * (1 - t))
+    else:
+        r, g, b = round(255 * (1 + t)), round(255 * (1 + t)), 255
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _half_way_ratios():
+    """Ratios t in (0, 1) whose 255 * (1 - t) is exactly m + 0.5, for every m that has one."""
+    found = []
+    for m in range(255):
+        t = 1.0 - (m + 0.5) / 255.0
+        for _ in range(8):
+            if 255 * (1 - t) == m + 0.5:
+                found.append(t)
+                break
+            t = math.nextafter(t, 0.0 if 255 * (1 - t) < m + 0.5 else 1.0)
+    return found
+
+
+def test_diverging_colors_equal_the_scalar_formula_bit_for_bit():
+    half = np.array(_half_way_ratios())
+    assert len(half) > 100
+    # round half to even goes up from odd m + 0.5 and down from even m + 0.5
+    assert {round(255 * (1 - t)) > 255 * (1 - t) for t in half} == {True, False}
+    rng = np.random.default_rng(8)
+    for vmax in (1.0, 2.5, 3.7e-3, 1e300, 1e-300):
+        values = np.concatenate([
+            [vmax, -vmax, 0.0, -0.0, 2 * vmax, -2 * vmax, math.inf, -math.inf, math.nan],
+            half, -half,  # half-way cases at vmax = 1
+            rng.uniform(-1.5, 1.5, 500) * vmax,
+        ])
+        want = [_diverging_color_reference(float(v), vmax) for v in values]
+        assert diverging_colors(values, vmax) == want
+        assert [diverging_color(float(v), vmax) for v in values] == want
+    for vmax in (0.0, -1.0):
+        assert diverging_colors([0.3, -2.0], vmax) == ["#ffffff", "#ffffff"]
+        assert diverging_color(0.3, vmax) == "#ffffff"
+    assert diverging_colors(np.zeros(0), 1.0) == []
+    assert diverging_colors(np.array([1.0, -1.0, 0.0, -0.0]), 1.0) == [
+        "#ff0000", "#0000ff", "#ffffff", "#ffffff"]

@@ -1,6 +1,8 @@
 """Tests for the field evaluators, Fibonacci helpers, series, and tail bound."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -366,3 +368,47 @@ def test_sin_prod_equals_np_prod_bit_for_bit():
         want = np.prod(np.sin(np.asarray(kk)[..., None] * proj), axis=-1)
         assert np.shape(got) == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_yields_in_order_and_draws_at_most_workers_ahead(monkeypatch, workers):
+    monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: workers)
+    consumed = 0
+    ahead = []
+
+    def blocks():
+        for i in range(12):
+            ahead.append(i + 1 - consumed)  # drawn and not yet consumed, this one included
+            yield i
+
+    def slow_square(i):
+        time.sleep(0.002 * (i % 3))  # later blocks may finish first
+        return i * i
+
+    for got in pw.wavefield._map_blocks(slow_square, blocks()):
+        assert got == consumed * consumed
+        consumed += 1
+    assert consumed == 12
+    assert max(ahead) == workers
+
+
+def test_map_blocks_passes_a_block_error_to_the_caller():
+    def fail_at_three(i):
+        if i == 3:
+            raise ValueError("block 3")
+        return i
+
+    seen, raised = [], []
+
+    def consume():
+        try:
+            seen.extend(pw.wavefield._map_blocks(fail_at_three, range(100)))
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=consume, daemon=True)
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()  # no hang
+    assert raised == ["block 3"]
+    assert seen == [0, 1, 2]
