@@ -52,6 +52,7 @@ from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
     _block_edges,
+    _disk_lattice_blocks,
     _map_blocks,
     _sin_prod,
     _sin_sum,
@@ -323,32 +324,12 @@ def _config_checked(fn, *args, **kwargs):
 
 
 def _disk_blocks(radius, step, size):
-    """Yield the square lattice step * (-n..n)^2 clipped to the disk, rows ordered by (x, y).
-
-    The blocks are the ones _block_edges(total, size) cuts from the whole grid:
-    size rows each, with a lone last row joining the block before it. Whole
-    x-columns are generated band by band, so only about one block is held.
-    """
+    """The blocks of wavefield._disk_lattice_blocks, once the grid size is within the cap."""
     # counted in floats, so an overflowing grid is refused instead of raising
-    half = float(np.floor(radius / step))
-    side = 2.0 * half + 1.0
+    side = 2.0 * float(np.floor(radius / step)) + 1.0
     suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
     _check_count(side * side, "disk grid samples", f"--grid-step of at least {suggestion:.6g}")
-    n = int(half)
-    vals = step * np.arange(-n, n + 1)
-    cols = max(1, size // len(vals))
-    pending = np.empty((0, 2))
-    for first in range(0, len(vals), cols):
-        xs = vals[first:first + cols, None]
-        keep = xs ** 2 + vals ** 2 <= radius ** 2
-        band = np.column_stack([np.broadcast_to(xs, keep.shape)[keep],
-                                np.broadcast_to(vals, keep.shape)[keep]])
-        pending = np.concatenate([pending, band])
-        # emit a full block only while two rows stay behind for the last one
-        while len(pending) >= size + 2:
-            yield pending[:size]
-            pending = pending[size:]
-    yield pending
+    yield from _disk_lattice_blocks(radius, step, size)
 
 
 def _disk_grid(radius, step):

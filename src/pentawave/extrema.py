@@ -15,12 +15,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .wavefield import grad_s2, grad_s5, hess_s2, hess_s5, s2, s5
+from .wavefield import (
+    _block_edges,
+    _disk_lattice_blocks,
+    grad_s2,
+    grad_s5,
+    hess_s2,
+    hess_s5,
+    s2,
+    s5,
+)
 
 KIND_MAXIMUM = "maximum"
 KIND_MINIMUM = "minimum"
 KIND_SADDLE = "saddle"
 KIND_DEGENERATE = "degenerate"
+
+# Rows per block of a Newton step's field work.
+_NEWTON_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,12 +140,7 @@ def _seed_grid(cfg):
         ys = ymin + s * np.arange(int(math.floor((ymax - ymin) / s)) + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
-    n = int(math.floor(cfg.radius / s))
-    vals = s * np.arange(-n, n + 1)
-    gx, gy = np.meshgrid(vals, vals, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2
-    return pts[inside]
+    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, s, 1 << 16)))
 
 
 def _in_domain(pts, cfg):
@@ -148,22 +155,34 @@ def _in_domain(pts, cfg):
     return pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2
 
 
+def _row_blocks(num_rows):
+    """Slices of _block_edges(num_rows, _NEWTON_BLOCK). No block is a lone row
+    unless num_rows is 1, so each block rounds as the same rows of one batch do.
+    """
+    edges = _block_edges(num_rows, _NEWTON_BLOCK)
+    return map(slice, edges[:-1], edges[1:])
+
+
 def _newton_step(field, k, cur, g, gn, cfg):
     """Next point of each row: a Newton step, or where the Hessian determinant
     falls below eig_degenerate_tol^2 a damped gradient step of length
     0.1*seed_spacing in whichever of the +-gradient directions reduces the
-    gradient norm. The Newton step is computed for every row, elementwise,
-    and the fallback overwrites the degenerate rows; every row is regular on
-    almost every step. A function of its own, so the Hessian and the step
-    temporaries are freed before the caller compacts its rows.
+    gradient norm. The Newton step is computed block by block for every row,
+    elementwise, and the fallback, one batch, overwrites the degenerate rows;
+    every row is regular on almost every step. A function of its own, so the
+    step's arrays are freed before the caller compacts its rows.
     """
-    hess = field.hess(k, cur)
-    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = (hess[:, 1, 1] * g[:, 0] - hess[:, 0, 1] * g[:, 1]) / det
-        dy = (hess[:, 0, 0] * g[:, 1] - hess[:, 1, 0] * g[:, 0]) / det
-    new = cur - np.column_stack([dx, dy])
-    regular = np.abs(det) >= cfg.eig_degenerate_tol ** 2
+    new = np.empty_like(cur)
+    regular = np.empty(len(cur), dtype=bool)
+    for rows in _row_blocks(len(cur)):
+        hess = field.hess(k, cur[rows])
+        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+        gb = g[rows]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx = (hess[:, 1, 1] * gb[:, 0] - hess[:, 0, 1] * gb[:, 1]) / det
+            dy = (hess[:, 0, 0] * gb[:, 1] - hess[:, 1, 0] * gb[:, 0]) / det
+        new[rows] = cur[rows] - np.column_stack([dx, dy])
+        regular[rows] = np.abs(det) >= cfg.eig_degenerate_tol ** 2
     if regular.all():
         return new
     flat = ~regular
@@ -185,9 +204,11 @@ def _refine_batch(field, k, seeds, cfg):
     point is accepted unchanged. The loop keeps a compacted working set of
     the active rows (idx, cur, g, gn) and writes a row back to the result
     only when it converges, turns non-finite (it keeps its last finite
-    point) or the steps run out. grad sees exactly the active rows and hess
-    the rows not yet converged, in seed order: numpy rounds a one-row batch
-    differently from a larger one, so the same batches give the same bits.
+    point) or the steps run out. grad sees the active rows and hess the rows
+    not yet converged, in seed order, cut into the blocks of _row_blocks:
+    numpy rounds a one-row batch differently from a larger one, but any two
+    or more rows round as the same rows of one larger batch do, so the bits
+    do not depend on the blocks.
     """
     pts = np.array(seeds, dtype=float)
     del seeds
@@ -199,8 +220,11 @@ def _refine_batch(field, k, seeds, cfg):
     for step in range(cfg.max_newton_steps + 1):
         if idx.size == 0:
             break
-        g = field.grad(k, cur)
-        gn = np.hypot(g[:, 0], g[:, 1])
+        g = np.empty_like(cur)
+        gn = np.empty(len(cur))
+        for rows in _row_blocks(len(cur)):
+            g[rows] = field.grad(k, cur[rows])
+            gn[rows] = np.hypot(g[rows, 0], g[rows, 1])
         done = gn <= cfg.grad_tol
         if done.any():
             hit = idx[done]
@@ -208,16 +232,22 @@ def _refine_batch(field, k, seeds, cfg):
             gnorm[hit] = gn[done]
             pts[hit] = cur[done]
             live = ~done
-            idx, cur, g, gn = idx[live], cur[live], g[live], gn[live]
+            # one at a time, so each old array is freed before the next copy
+            idx = idx[live]
+            cur = cur[live]
+            g = g[live]
+            gn = gn[live]
         if step == cfg.max_newton_steps or idx.size == 0:
             break
         new = _newton_step(field, k, cur, g, gn, cfg)
+        del g, gn
         bad = ~np.isfinite(new).all(axis=1)
         if bad.any():
             pts[idx[bad]] = cur[bad]
             live = ~bad
             idx, new = idx[live], new[live]
         cur = new
+        del new  # else the next compaction keeps the old rows alive
     pts[idx] = cur
     return pts, converged, gnorm
 
@@ -301,10 +331,11 @@ def check_seed_spacing(k, cfg):
 def find_critical_points(k, cfg, field=S5_FIELD):
     """Locate, deduplicate, and classify all critical points in the domain.
 
-    Seeds a regular grid, Newton-refines every seed in one batch, keeps
-    converged points inside the domain, deduplicates within dedupe_radius
-    keeping the smallest-gradient-norm representative, and returns the
-    classified points sorted by (x, y).
+    Seeds a regular grid, Newton-refines all seeds in lockstep (each step's
+    field work cut into row blocks), keeps converged points inside the
+    domain, deduplicates within dedupe_radius keeping the
+    smallest-gradient-norm representative, and returns the classified
+    points sorted by (x, y).
     """
     check_seed_spacing(k, cfg)
     # no name holds the seed grid, so _refine_batch can free it once copied

@@ -74,6 +74,28 @@ def _block_edges(num_points, size):
     return [*range(0, max(num_points - 1, 1), size), num_points]
 
 
+def _disk_lattice_blocks(radius, step, size):
+    """Yield the lattice step * (-n..n)^2 clipped to the disk, rows ordered by (x, y), in
+    the blocks _block_edges(total, size) cuts from the whole grid. Whole x-columns are
+    generated band by band, so only about one block is held.
+    """
+    n = int(np.floor(radius / step))
+    vals = step * np.arange(-n, n + 1)
+    cols = max(1, size // len(vals))
+    pending = np.empty((0, 2))
+    for first in range(0, len(vals), cols):
+        xs = vals[first:first + cols, None]
+        keep = xs ** 2 + vals ** 2 <= radius ** 2
+        band = np.column_stack([np.broadcast_to(xs, keep.shape)[keep],
+                                np.broadcast_to(vals, keep.shape)[keep]])
+        pending = np.concatenate([pending, band])
+        # emit a full block only while two rows stay behind for the last one
+        while len(pending) >= size + 2:
+            yield pending[:size]
+            pending = pending[size:]
+    yield pending
+
+
 def _pool_workers():
     """Threads of the block pool: two, or one where only one core is usable."""
     if hasattr(os, "sched_getaffinity"):

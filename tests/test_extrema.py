@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -497,21 +498,115 @@ def test_refine_batch_matches_reference_on_small_batches():
         _assert_refine_matches_reference(field, float(rng.uniform(0.9, 1.1)), seeds, cfg)
 
 
-def test_refine_batch_matches_reference_when_rows_turn_non_finite():
-    # Near a critical point (gradient norm below 1e-3) this Hessian is zero,
-    # and with a zero determinant threshold a row that steps there divides
-    # 0/0 on its next step: it stops at its last finite point, unconverged.
-    def hess(k, p):
-        g = pw.grad_s5(k, p)
-        return pw.hess_s5(k, p) * (np.hypot(g[..., 0], g[..., 1]) >= 1e-3)[..., None, None]
+def _non_finite_field(field=ex.S5_FIELD):
+    """field with its Hessian zeroed near critical points (gradient norm below 1e-3).
 
-    field = ex.FieldTriple(pw.s5, pw.grad_s5, hess)
+    With a zero determinant threshold a row that steps there divides 0/0 on
+    its next step: it stops at its last finite point, unconverged.
+    """
+    def hess(k, p):
+        g = field.grad(k, p)
+        return field.hess(k, p) * (np.hypot(g[..., 0], g[..., 1]) >= 1e-3)[..., None, None]
+
+    return ex.FieldTriple(field.value, field.grad, hess)
+
+
+def test_refine_batch_matches_reference_when_rows_turn_non_finite():
+    field = _non_finite_field()
     cfg = _window_config((0.0, 4.0, -2.0, 2.0), spacing=0.2, eig_degenerate_tol=1e-200)
     seeds = ex._seed_grid(cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         pts, converged, gnorm = _assert_refine_matches_reference(field, 1.0, seeds, cfg)
     moved = ~converged & (pts != seeds).any(axis=1)
     assert moved.sum() > 10 and np.isfinite(pts).all() and np.isinf(gnorm[moved]).all()
+
+
+def _recording(fn, rows):
+    """fn, appending the row count of every batch it is called with to rows."""
+    def recorded(k, p):
+        rows.append(len(p))
+        return fn(k, p)
+
+    return recorded
+
+
+@pytest.mark.parametrize("block", [2, 3, 5, 64])
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+def test_refine_batch_matches_reference_across_blocks(monkeypatch, field, block):
+    monkeypatch.setattr(ex, "_NEWTON_BLOCK", block)
+    grads, hessians = [], []
+    traced = ex.FieldTriple(field.value, _recording(field.grad, grads),
+                            _recording(field.hess, hessians))
+    # random seeds converge after different step counts, so the working set
+    # runs through every size down to one row; 61 and 961 are 1 more than a
+    # multiple of the block size, so the first step ends in a lone row
+    seeds = np.random.default_rng(4).uniform(-8.0, 8.0, (961, 2))[: 961 if block == 64 else 61]
+    # a degeneracy threshold this large sends rows through the fallback on the
+    # first step already
+    hess = field.hess(1.0, seeds)
+    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    assert (np.abs(det) < 0.5 ** 2).any()
+    for cfg in (
+        ex.default_search_config(1.0, 8.0),
+        ex.default_search_config(1.0, 8.0, eig_degenerate_tol=0.5),
+        ex.default_search_config(1.0, 8.0, max_newton_steps=3),
+    ):
+        want = _refine_batch_reference(field, 1.0, seeds, cfg)
+        got = ex._refine_batch(traced, 1.0, seeds, cfg)
+        for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
+            assert np.array_equal(a, b), name
+    # several full blocks, a lone last row joined to the block before, and
+    # one-row steps, which stay a single one-row block
+    assert grads.count(block) > 2 and hessians.count(block) > 2
+    assert block + 1 in grads and block + 1 in hessians
+    assert 1 in grads and 1 in hessians
+    cfg = _window_config((0.0, 4.0, -2.0, 2.0), spacing=0.4, eig_degenerate_tol=1e-200)
+    seeds = ex._seed_grid(cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts, converged, gnorm = _assert_refine_matches_reference(
+            _non_finite_field(field), 1.0, seeds, cfg)
+    moved = ~converged & (pts != seeds).any(axis=1)
+    assert moved.sum() > 10 and np.isinf(gnorm[moved]).all()
+
+
+def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
+    # s2's Hessian is singular where sin(k x) or sin(k y) is 0, as on the seed
+    # rows through the origin, so the Newton step divides by zero in several
+    # blocks
+    monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
+    cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
+    seeds = ex._seed_grid(cfg)
+    hess = pw.hess_s2(1.0, seeds)
+    assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, converged, _ = ex._refine_batch(ex.S2_FIELD, 1.0, seeds, cfg)
+    assert converged.any()
+
+
+def _seed_grid_reference(cfg):
+    """The disk branch of _seed_grid before the disk lattice blocks, kept verbatim."""
+    s = cfg.seed_spacing
+    n = int(math.floor(cfg.radius / s))
+    vals = s * np.arange(-n, n + 1)
+    gx, gy = np.meshgrid(vals, vals, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2
+    return pts[inside]
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
+@pytest.mark.parametrize("radius", [0.2, 1.0, 7.3, 40.0, 200.0])
+def test_disk_seed_grid_matches_the_meshgrid_reference(k, radius):
+    configs = [ex.default_search_config(k, radius / k)]
+    s = configs[0].seed_spacing
+    # a radius on the lattice puts points exactly on the rim
+    configs.append(ex.default_search_config(k, 12 * s))
+    configs += [ex.SearchConfig(radius=radius, seed_spacing=h) for h in (0.25, 0.37, 1.0)]
+    for cfg in configs:
+        got, want = ex._seed_grid(cfg), _seed_grid_reference(cfg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_refine_batch_memory_per_seed():
@@ -523,4 +618,5 @@ def test_refine_batch_memory_per_seed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(seeds) < 250
+    # measured 137 B per seed
+    assert peak / len(seeds) < 150
