@@ -28,11 +28,10 @@ import numpy as np
 
 from . import __version__
 from .extrema import (
-    KIND_DEGENERATE,
     KIND_MAXIMUM,
     KIND_MINIMUM,
-    KIND_SADDLE,
-    check_seed_spacing,
+    KINDS,
+    check_search_grid,
     default_search_config,
     find_critical_points,
     seed_count,
@@ -348,7 +347,7 @@ def _critical_points(cfg):
     overrides = {key: cfg.tolerances[key] for key in allowed if key in cfg.tolerances}
     search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
     _check_count(seed_count(search), "extrema seeds")
-    _config_checked(check_seed_spacing, cfg.k, search)
+    _config_checked(check_search_grid, cfg.k, search)
     return find_critical_points(cfg.k, search)
 
 
@@ -532,14 +531,9 @@ def _run_converge(cfg):
         def chart_y(value):
             return math.log10(value) if value > 0 else lo
 
-        for series, color in ((1, "#cc3333"), (2, "#3355cc")):
-            for (n0, *v0), (n1, *v1) in zip(rows, rows[1:]):
-                canvas.line(
-                    (n0, chart_y(v0[series - 1])),
-                    (n1, chart_y(v1[series - 1])),
-                    stroke=color,
-                    width=2.0,
-                )
+        for column, color in ((1, "#cc3333"), (2, "#3355cc")):
+            chart = [(row[0], chart_y(row[column])) for row in rows]
+            canvas.lines(chart[:-1], chart[1:], stroke=color, width=2.0)
         canvas.line((0, lo), (cfg.terms, lo), stroke="#222222", width=1.0)
         canvas.text((0.0, hi - 0.5), "log10 max_error (red), log10 bound (blue)")
         return canvas
@@ -548,34 +542,25 @@ def _run_converge(cfg):
     return EXIT_OK
 
 
-_KIND_COLORS = {
-    KIND_MAXIMUM: "#cc3333",
-    KIND_MINIMUM: "#3355cc",
-    KIND_SADDLE: "#999999",
-    KIND_DEGENERATE: "#dd8800",
-}
+# Marker colors of KINDS, indexed by a CriticalSet's kind codes.
+_KIND_COLORS = np.array(["#cc3333", "#3355cc", "#999999", "#dd8800"])
 
 
 def _run_extrema(cfg):
     if cfg.radius <= 0:
         raise ConfigError("extrema requires a positive radius")
     points = _critical_points(cfg)
-    locations = np.array([cp.location for cp in points]).reshape(-1, 2)
-    eigenvalues = np.array([cp.eigenvalues for cp in points]).reshape(-1, 2)
-    columns = [*locations.T, [cp.value for cp in points], [cp.kind for cp in points],
-               *eigenvalues.T]
+    columns = [*points.location.T, points.value, np.array(KINDS)[points.kind],
+               *points.eigenvalues.T]
     _write_csv(cfg, "extrema", ["x", "y", "value", "kind", "eig_low", "eig_high"], columns)
-    counts = {kind: 0 for kind in _KIND_COLORS}
-    for cp in points:
-        counts[cp.kind] += 1
-    report = {"num_points": len(points), "counts": counts}
+    counts = np.bincount(points.kind, minlength=len(KINDS)).tolist()
+    report = {"num_points": len(points), "counts": dict(zip(KINDS, counts))}
     _write_json(cfg, "extrema", report)
 
     def draw():
         canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
-        for cp in points:
-            canvas.circle(cp.location, 3.0, fill=_KIND_COLORS[cp.kind])
+        canvas.circles(points.location, 3.0, fill=_KIND_COLORS[points.kind].tolist())
         return canvas
 
     _write_svg(cfg, "extrema", draw)
@@ -587,15 +572,12 @@ def _run_tiling(cfg):
         raise ConfigError("tiling requires a positive radius")
     spec = _pentagrid_spec(cfg)
     patch = _tiles(cfg, spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
-    kinds = [tile.kind for tile in patch.tiles]
-    families = np.array([tile.families for tile in patch.tiles], dtype=int).reshape(-1, 2)
-    crossings = np.array([tile.intersection for tile in patch.tiles]).reshape(-1, 2)
-    quads = np.array([tile.vertices for tile in patch.tiles]).reshape(-1, 4, 2)
     header = ["kind", "family_i", "family_j", "cross_x", "cross_y",
               "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
-    columns = [kinds, *families.T, *crossings.T, *quads.reshape(-1, 8).T]
+    columns = [np.where(patch.thin, "thin", "thick"), *patch.families.T,
+               *patch.intersection.T, *patch.vertices.reshape(-1, 8).T]
     _write_csv(cfg, "tiling", header, columns)
-    num_thin = sum(1 for t in patch.tiles if t.kind == "thin")
+    num_thin = int(patch.thin.sum())
     report = {
         "num_tiles": len(patch.tiles),
         "num_thin": num_thin,
@@ -609,15 +591,14 @@ def _run_tiling(cfg):
     def draw():
         if not patch.tiles:
             return None
-        verts = quads.reshape(-1, 2)
+        verts = patch.vertices.reshape(-1, 2)
         pad = 1.0
         canvas = SvgCanvas(
             (verts[:, 0].min() - pad, verts[:, 0].max() + pad,
              verts[:, 1].min() - pad, verts[:, 1].max() + pad)
         )
-        fills = {"thin": "#f0d060", "thick": "#6090c0"}
-        canvas.polygons(quads, fill=[fills[kind] for kind in kinds], stroke="#333333",
-                        width=0.8, opacity=0.85)
+        canvas.polygons(patch.vertices, fill=np.where(patch.thin, "#f0d060", "#6090c0").tolist(),
+                        stroke="#333333", width=0.8, opacity=0.85)
         return canvas
 
     _write_svg(cfg, "tiling", draw)
@@ -642,31 +623,15 @@ def _run_match(cfg):
         _dump_json(os.path.join(cfg.out_dir, "match.json"), payload)
         print(f"match: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    report = {
-        "num_extrema": report_obj.num_extrema,
-        "num_regions_hit": report_obj.num_regions_hit,
-        "regions_with_exactly_one": report_obj.regions_with_exactly_one,
-        "residuals": list(report_obj.residuals),
-        "mean_residual": report_obj.mean_residual,
-        "median_residual": report_obj.median_residual,
-        "max_residual": report_obj.max_residual,
-        "excluded_near_singular": report_obj.excluded_near_singular,
-        "dual_position_collisions": report_obj.dual_position_collisions,
-        "transform": {
-            "scale": report_obj.transform.scale,
-            "rotation": report_obj.transform.rotation,
-            "translation": list(report_obj.transform.translation),
-        },
-    }
+    report = dict(vars(report_obj), transform=vars(report_obj.transform))
+    del report["correspondences"]
     _write_json(cfg, "match", report)
 
-    trips = report_obj.correspondences
-    locations = np.array([cp.location for cp, _, _ in trips])
-    indices = np.array([iv for _, iv, _ in trips], dtype=int)
-    positions = np.array([dv.position for _, _, dv in trips])
+    matched = report_obj.correspondences
+    locations = critical_points.location[matched.rows]
     header = ["x", "y", "kind", "m0", "m1", "m2", "m3", "m4", "dual_x", "dual_y", "residual"]
-    columns = [*locations.T, [cp.kind for cp, _, _ in trips], *indices.T, *positions.T,
-               report_obj.residuals]
+    columns = [*locations.T, np.array(KINDS)[critical_points.kind[matched.rows]],
+               *matched.index.T, *matched.position.T, report_obj.residuals]
     _write_csv(cfg, "match", header, columns)
 
     def draw():
@@ -683,13 +648,12 @@ def _run_match(cfg):
                     segments.append(seg)
         canvas.lines(*zip(*segments), stroke="#cccccc", width=0.6)
         transform = report_obj.transform
-        patch = _tiles(cfg, spec, bbox)
-        quads = transform.apply(np.array([t.vertices for t in patch.tiles]).reshape(-1, 4, 2))
+        quads = transform.apply(_tiles(cfg, spec, bbox).vertices)
         canvas.polygons(quads, fill="none", stroke="#77aa77", width=0.8)
-        canvas.lines(transform.apply(positions), locations, stroke="#dd8800", width=1.2)
-        for cp in critical_points:
-            if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM):
-                canvas.circle(cp.location, 2.5, fill=_KIND_COLORS[cp.kind])
+        canvas.lines(transform.apply(matched.position), locations, stroke="#dd8800", width=1.2)
+        extrema = critical_points.of_kind(KIND_MAXIMUM, KIND_MINIMUM)
+        canvas.circles(critical_points.location[extrema], 2.5,
+                       fill=_KIND_COLORS[critical_points.kind[extrema]].tolist())
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
         return canvas
 

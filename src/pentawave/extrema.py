@@ -10,7 +10,8 @@ and serves as a closed-form oracle for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +31,8 @@ KIND_MAXIMUM = "maximum"
 KIND_MINIMUM = "minimum"
 KIND_SADDLE = "saddle"
 KIND_DEGENERATE = "degenerate"
+# A CriticalSet's kind column holds codes into this tuple.
+KINDS = (KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE, KIND_DEGENERATE)
 
 # Rows per block of a Newton step's field work.
 _NEWTON_BLOCK = 1 << 14
@@ -60,6 +63,58 @@ class CriticalPoint:
     value: float
     kind: str
     eigenvalues: tuple[float, float]
+
+
+class _ItemView(Sequence):
+    """Read-only sequence of size items; item i is built by item(i), only on access."""
+
+    def __init__(self, size, item):
+        self._size, self._item = size, item
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        rows = range(self._size)[i]
+        return [self._item(r) for r in rows] if isinstance(rows, range) else self._item(rows)
+
+
+def _same_columns(a, b):
+    """Dataclass equality for records of arrays: every field equal by np.array_equal."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class CriticalSet(Sequence):
+    """Critical points as columns, one row per point, sorted by (x, y).
+
+    location (n, 2), value (n,), kind (n,) codes into KINDS and eigenvalues
+    (n, 2), the Hessian spectrum in ascending order. As a sequence it holds
+    one CriticalPoint per row, built on access.
+    """
+
+    location: np.ndarray
+    value: np.ndarray
+    kind: np.ndarray
+    eigenvalues: np.ndarray
+
+    __eq__ = _same_columns
+
+    def __len__(self):
+        return len(self.value)
+
+    def __getitem__(self, i):
+        return _ItemView(len(self), self._point)[i]
+
+    def of_kind(self, *kinds):
+        """Boolean mask of the rows whose kind is one of the given kind names."""
+        return np.isin(self.kind, [KINDS.index(kind) for kind in kinds])
+
+    def _point(self, i):
+        return CriticalPoint(tuple(self.location[i].tolist()), float(self.value[i]),
+                             KINDS[self.kind[i]], tuple(self.eigenvalues[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -94,6 +149,8 @@ class SearchConfig:
                 raise ValueError("window must satisfy xmin < xmax and ymin < ymax")
         if not (self.dedupe_radius < self.seed_spacing):
             raise ValueError("dedupe_radius must be smaller than seed_spacing")
+        if not (self.dedupe_radius > 0):
+            raise ValueError("dedupe_radius must be positive")
         if not (self.grad_tol > 0 and self.eig_degenerate_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_newton_steps < 1:
@@ -163,15 +220,20 @@ def _row_blocks(num_rows):
     return map(slice, edges[:-1], edges[1:])
 
 
-def _newton_step(field, k, cur, g, gn, cfg):
+def _newton_step(field, k, cur, g, cfg):
     """Next point of each row: a Newton step, or where the Hessian determinant
     falls below eig_degenerate_tol^2 a damped gradient step of length
     0.1*seed_spacing in whichever of the +-gradient directions reduces the
     gradient norm. The Newton step is computed block by block for every row,
-    elementwise, and the fallback, one batch, overwrites the degenerate rows;
+    elementwise, and the fallback, one batch with its own gradient norms,
+    overwrites the degenerate rows;
     every row is regular on almost every step. A function of its own, so the
     step's arrays are freed before the caller compacts its rows.
     """
+    try:
+        det_tol = cfg.eig_degenerate_tol ** 2
+    except OverflowError:  # above every finite determinant
+        det_tol = math.inf
     new = np.empty_like(cur)
     regular = np.empty(len(cur), dtype=bool)
     for rows in _row_blocks(len(cur)):
@@ -182,12 +244,12 @@ def _newton_step(field, k, cur, g, gn, cfg):
             dx = (hess[:, 1, 1] * gb[:, 0] - hess[:, 0, 1] * gb[:, 1]) / det
             dy = (hess[:, 0, 0] * gb[:, 1] - hess[:, 1, 0] * gb[:, 0]) / det
         new[rows] = cur[rows] - np.column_stack([dx, dy])
-        regular[rows] = np.abs(det) >= cfg.eig_degenerate_tol ** 2
+        regular[rows] = np.abs(det) >= det_tol
     if regular.all():
         return new
     flat = ~regular
     fallback_step = 0.1 * cfg.seed_spacing
-    direction = g[flat] / gn[flat][:, None]
+    direction = g[flat] / np.hypot(g[flat, 0], g[flat, 1])[:, None]
     lo = cur[flat] - fallback_step * direction
     hi = cur[flat] + fallback_step * direction
     glo = field.grad(k, lo)
@@ -202,13 +264,14 @@ def _refine_batch(field, k, seeds, cfg):
 
     Convergence is checked before stepping, so a seed already at a critical
     point is accepted unchanged. The loop keeps a compacted working set of
-    the active rows (idx, cur, g, gn) and writes a row back to the result
-    only when it converges, turns non-finite (it keeps its last finite
-    point) or the steps run out. grad sees the active rows and hess the rows
-    not yet converged, in seed order, cut into the blocks of _row_blocks:
-    numpy rounds a one-row batch differently from a larger one, but any two
-    or more rows round as the same rows of one larger batch do, so the bits
-    do not depend on the blocks.
+    the active rows (idx, cur, g) and writes a row back to the result only
+    when it converges, turns non-finite (it keeps its last finite point) or
+    the steps run out. The gradient norm is taken only on rows whose larger
+    gradient component is within grad_tol. grad sees the active rows and
+    hess the rows not yet converged, in seed order, cut into the blocks of
+    _row_blocks: numpy rounds a one-row batch differently from a larger one,
+    but any two or more rows round as the same rows of one larger batch do,
+    so the bits do not depend on the blocks.
     """
     pts = np.array(seeds, dtype=float)
     del seeds
@@ -221,27 +284,29 @@ def _refine_batch(field, k, seeds, cfg):
         if idx.size == 0:
             break
         g = np.empty_like(cur)
-        gn = np.empty(len(cur))
         for rows in _row_blocks(len(cur)):
             g[rows] = field.grad(k, cur[rows])
-            gn[rows] = np.hypot(g[rows, 0], g[rows, 1])
-        done = gn <= cfg.grad_tol
-        if done.any():
+        # hypot is never below either component, so only these rows can converge
+        within = np.abs(g) <= cfg.grad_tol
+        done = within[:, 0] & within[:, 1]
+        gn = np.hypot(g[done, 0], g[done, 1])
+        small = gn <= cfg.grad_tol
+        done[done] = small
+        if small.any():
             hit = idx[done]
             converged[hit] = True
-            gnorm[hit] = gn[done]
+            gnorm[hit] = gn[small]
             pts[hit] = cur[done]
             live = ~done
             # one at a time, so each old array is freed before the next copy
             idx = idx[live]
             cur = cur[live]
             g = g[live]
-            gn = gn[live]
         if step == cfg.max_newton_steps or idx.size == 0:
             break
-        new = _newton_step(field, k, cur, g, gn, cfg)
-        del g, gn
-        bad = ~np.isfinite(new).all(axis=1)
+        new = _newton_step(field, k, cur, g, cfg)
+        del g
+        bad = ~(np.isfinite(new[:, 0]) & np.isfinite(new[:, 1]))
         if bad.any():
             pts[idx[bad]] = cur[bad]
             live = ~bad
@@ -293,17 +358,14 @@ def _dedupe(pts, gnorm, dedupe_radius):
     return kept
 
 
-_KINDS = (KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE, KIND_DEGENERATE)
-
-
 def classify(k, location, cfg, field=S5_FIELD):
     """Hessian eigenvalue classification at converged critical points.
 
     Both eigenvalues below -eig_degenerate_tol is a maximum, both above +tol
     a minimum, straddling signs beyond tol a saddle, anything else degenerate.
     For one location (x, y) returns (kind, (lambda_min, lambda_max)); for an
-    (n, 2) batch returns (kinds, eigenvalues), a list of n kinds and an (n, 2)
-    array. A batch is evaluated as n stacked single points, so every row
+    (n, 2) batch returns (kinds, eigenvalues), n int8 codes into KINDS and an
+    (n, 2) array. A batch is evaluated as n stacked single points, so every row
     rounds exactly as the single-point call does.
     """
     pts = np.asarray(location, dtype=float)
@@ -316,16 +378,21 @@ def classify(k, location, cfg, field=S5_FIELD):
     lo, hi = half_trace - spread, half_trace + spread
     tol = cfg.eig_degenerate_tol
     codes = np.select([hi < -tol, lo > tol, (lo < -tol) & (hi > tol)], [0, 1, 2], 3)
-    kinds = [_KINDS[code] for code in codes.tolist()]
     if single:
-        return kinds[0], (float(lo[0]), float(hi[0]))
-    return kinds, np.column_stack([lo, hi])
+        return KINDS[codes[0]], (float(lo[0]), float(hi[0]))
+    return codes.astype(np.int8), np.column_stack([lo, hi])
 
 
-def check_seed_spacing(k, cfg):
-    """Refuse a seed grid coarser than pi/(2k), which could skip critical points."""
+def check_search_grid(k, cfg):
+    """Refuse a seed grid coarser than pi/(2k), which could skip critical points, and a
+    dedupe radius so small that the domain spans more cells than a double can count.
+    """
     if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
         raise ValueError("seed_spacing must not exceed pi/(2k)")
+    # the dedupe divides coordinates by dedupe_radius / 2
+    extent = cfg.radius if cfg.window is None else max(map(abs, cfg.window))
+    if not math.isfinite(2.0 * extent / cfg.dedupe_radius):
+        raise ValueError("dedupe_radius must cut the domain into finitely many cells")
 
 
 def find_critical_points(k, cfg, field=S5_FIELD):
@@ -335,30 +402,24 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     field work cut into row blocks), keeps converged points inside the
     domain, deduplicates within dedupe_radius keeping the
     smallest-gradient-norm representative, and returns the classified
-    points sorted by (x, y).
+    points sorted by (x, y) as one CriticalSet.
     """
-    check_seed_spacing(k, cfg)
+    check_search_grid(k, cfg)
     # no name holds the seed grid, so _refine_batch can free it once copied
     pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)
     pts, gnorm = pts[keep], gnorm[keep]
-    if len(pts) == 0:
-        return []
-    found = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
-    found = found[np.lexsort((found[:, 1], found[:, 0]))]
-    kinds, eigenvalues = classify(k, found, cfg, field=field)
+    if len(pts):
+        pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    kinds, eigenvalues = classify(k, pts, cfg, field=field)
     # stacked single points, to round as a one-point evaluation does
-    values = field.value(k, found[:, None, :])[:, 0]
-    return [
-        CriticalPoint(location=tuple(loc), value=value, kind=kind, eigenvalues=tuple(eig))
-        for loc, value, kind, eig in zip(
-            found.tolist(), values.tolist(), kinds, eigenvalues.tolist()
-        )
-    ]
+    values = field.value(k, pts[:, None, :])[:, 0]
+    return CriticalSet(location=pts, value=values, kind=kinds, eigenvalues=eigenvalues)
 
 
 def s2_oracle(k, window):
-    """Exact critical set of the two-wave field in a rectangle.
+    """Exact critical set of the two-wave field in a rectangle, as a CriticalSet.
 
     Critical points sit at ((2a+1)pi/(2k), (2b+1)pi/(2k)); the sine signs
     (-1)^a and (-1)^b give kind and value analytically: (+,+) is a maximum
@@ -371,23 +432,12 @@ def s2_oracle(k, window):
     def lattice(lo, hi):
         first = int(math.ceil((2.0 * k * lo / math.pi - 1.0) / 2.0))
         last = int(math.floor((2.0 * k * hi / math.pi - 1.0) / 2.0))
-        return range(first, last + 1)
+        return np.arange(first, last + 1)
 
-    out = []
-    kk2 = k * k
-    for a in lattice(xmin, xmax):
-        x = (2 * a + 1) * math.pi / (2.0 * k)
-        sx = -1.0 if a % 2 else 1.0
-        for b in lattice(ymin, ymax):
-            y = (2 * b + 1) * math.pi / (2.0 * k)
-            sy = -1.0 if b % 2 else 1.0
-            eigenvalues = tuple(sorted((-kk2 * sx, -kk2 * sy)))
-            if sx > 0 and sy > 0:
-                kind = KIND_MAXIMUM
-            elif sx < 0 and sy < 0:
-                kind = KIND_MINIMUM
-            else:
-                kind = KIND_SADDLE
-            out.append(CriticalPoint((x, y), float(sx + sy), kind, eigenvalues))
-    out.sort(key=lambda cp: cp.location)
-    return out
+    # x-major, so the rows come sorted by (x, y)
+    ab = np.stack(np.meshgrid(lattice(xmin, xmax), lattice(ymin, ymax), indexing="ij"), -1)
+    ab = ab.reshape(-1, 2)
+    signs = np.where(ab % 2, -1.0, 1.0)
+    kind = np.select([signs.min(axis=1) > 0, signs.max(axis=1) < 0], [0, 1], 2)
+    return CriticalSet(location=(2 * ab + 1) * math.pi / (2.0 * k), value=signs.sum(axis=1),
+                       kind=kind.astype(np.int8), eigenvalues=np.sort(-(k * k) * signs, axis=1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extrema import KIND_MAXIMUM, KIND_MINIMUM
+from .extrema import KIND_MAXIMUM, KIND_MINIMUM, _ItemView, _same_columns
 from .wavefield import _as_points, direction_basis
 
 _E = direction_basis()
@@ -123,12 +123,32 @@ class RhombusTile:
     intersection: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TilingPatch:
-    """Tiles dualized from a window, plus the count of skipped singular crossings."""
+    """Tiles dualized from a window as columns, plus the count of skipped singular crossings.
 
-    tiles: tuple[RhombusTile, ...]
+    Row n of vertices (n, 4, 2), thin (bool), families (n, 2) and
+    intersection (n, 2) is one tile, as the fields of RhombusTile describe;
+    tiles is a sequence of one RhombusTile per row, built on access.
+    """
+
+    vertices: np.ndarray
+    thin: np.ndarray
+    families: np.ndarray
+    intersection: np.ndarray
     skipped_singular: int
+
+    __eq__ = _same_columns
+
+    @property
+    def tiles(self):
+        return _ItemView(len(self.thin), self._tile)
+
+    def _tile(self, i):
+        return RhombusTile(vertices=tuple(map(tuple, self.vertices[i].tolist())),
+                           kind=THIN if self.thin[i] else THICK,
+                           families=tuple(self.families[i].tolist()),
+                           intersection=tuple(self.intersection[i].tolist()))
 
 
 # Quadrant visit order around an intersection that walks the rhombus
@@ -179,17 +199,13 @@ def tiles(spec, window, singular_eps=None):
     spacing = spec.spacing
     line_lo, line_hi = (v.astype(int) for v in _line_ranges(spec, window))
 
-    out = []
+    columns = []
     skipped = 0
     for i, j in itertools.combinations(range(5), 2):
         others = [l for l in range(5) if l != i and l != j]
         inv = np.linalg.inv(np.array([_E[i], _E[j]]))
-        kind = THIN if (j - i) in (2, 3) else THICK
-        r_vals = np.arange(line_lo[i], line_hi[i] + 1)
-        s_vals = np.arange(line_lo[j], line_hi[j] + 1)
-        if len(r_vals) == 0 or len(s_vals) == 0:
-            continue
-        rr, ss = np.meshgrid(r_vals, s_vals, indexing="ij")
+        rr, ss = np.meshgrid(np.arange(line_lo[i], line_hi[i] + 1),
+                             np.arange(line_lo[j], line_hi[j] + 1), indexing="ij")
         line_ids = np.column_stack([rr.ravel(), ss.ravel()]).astype(float)
         pts = (line_ids * spacing) @ inv.T
         in_window = (
@@ -207,13 +223,14 @@ def tiles(spec, window, singular_eps=None):
         base[:, [i, j]] = line_ids - 1.0
         corners = np.repeat(base[:, None, :], len(_QUADRANTS), axis=1)
         corners[:, :, [i, j]] += _QUADRANTS
-        verts = (corners[..., None, :] @ _E)[..., 0, :]
-        out.extend(
-            RhombusTile(vertices=tuple(map(tuple, quad)), kind=kind, families=(i, j),
-                        intersection=tuple(cross))
-            for quad, cross in zip(verts.tolist(), pts.tolist())
-        )
-    return TilingPatch(tiles=tuple(out), skipped_singular=skipped)
+        columns.append((
+            (corners[..., None, :] @ _E)[..., 0, :],
+            np.full(len(pts), (j - i) in (2, 3)),
+            np.tile((i, j), (len(pts), 1)),
+            pts,
+        ))
+    vertices, thin, families, intersection = map(np.concatenate, zip(*columns))
+    return TilingPatch(vertices, thin, families, intersection, skipped)
 
 
 @dataclass(frozen=True)
@@ -251,18 +268,17 @@ class SimilarityTransform:
 def fit_similarity(pairs):
     """Least-squares similarity from source to target points, closed form.
 
-    Treats points as planar complex values: after centering both sets,
+    pairs is a sequence of (source, target) points, or an (n, 2, 2) array of
+    them. Treats points as planar complex values: after centering both sets,
     alpha = sum(conj(zs) * zt) / sum(|zs|^2) carries the scale (modulus) and
     rotation (argument); the translation aligns the centroids. Raises on
     fewer than two pairs or coincident sources.
     """
-    pairs = list(pairs)
+    pairs = np.asarray(pairs, dtype=float)
     if len(pairs) < 2:
         raise ValueError("need at least two source/target pairs")
-    src = np.array([np.asarray(s, dtype=float) for s, _ in pairs])
-    tgt = np.array([np.asarray(t, dtype=float) for _, t in pairs])
-    zs = src[:, 0] + 1j * src[:, 1]
-    zt = tgt[:, 0] + 1j * tgt[:, 1]
+    zs = pairs[:, 0, 0] + 1j * pairs[:, 0, 1]
+    zt = pairs[:, 1, 0] + 1j * pairs[:, 1, 1]
     zs_c = zs - zs.mean()
     zt_c = zt - zt.mean()
     denom = float(np.sum(np.abs(zs_c) ** 2))
@@ -280,37 +296,47 @@ def fit_similarity(pairs):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Correspondences:
+    """Matched extrema as columns, one row per extremum.
+
+    rows are the extrema's rows in the CriticalSet they came from, index the
+    region index vectors (n, 5) and position the dual vertex positions
+    (n, 2), each as index_vector and dual_vertex give them.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+    position: np.ndarray
+
+    __eq__ = _same_columns
+
+
 def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None):
-    """Region index and dual vertex of each extremum used for matching.
+    """Region index and dual vertex of each extremum of a CriticalSet used for matching.
 
     Keeps maxima and minima only, trims extrema within one grid spacing of
     the disk boundary when disk_radius is given (edge regions are truncated
     and would bias the fit), and drops those within boundary_eps (default
     1e-9 * spacing) of any grid line, where the region is undefined. Returns
-    (kept_extrema, trips, excluded_near_singular), where trips holds one
-    (extremum, index_vector, DualVertex) per matched extremum. All extrema
-    are indexed and dualized as stacked single points, so each result rounds
-    as index_vector and dual_vertex do.
+    (kept, correspondences, excluded_near_singular): kept holds the rows of
+    the extrema that passed the kind and rim filters, and correspondences
+    those of them that were matched. All extrema are indexed and dualized
+    as stacked single points, so each result rounds as index_vector and
+    dual_vertex do.
     """
     if boundary_eps is None:
         boundary_eps = 1e-9 * spec.spacing
-    kept = [cp for cp in extrema if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM)]
+    kept = np.flatnonzero(extrema.of_kind(KIND_MAXIMUM, KIND_MINIMUM))
     if disk_radius is not None:
-        limit = disk_radius - spec.spacing
-        kept = [cp for cp in kept if math.hypot(*cp.location) <= limit]
-    locations = np.array([cp.location for cp in kept], dtype=float).reshape(-1, 1, 2)
-    m, margin = region_indices(spec, locations)
+        # math.hypot, not np.hypot: the two round differently
+        x, y = extrema.location[kept].T.tolist()
+        kept = kept[np.array(list(map(math.hypot, x, y))) <= disk_radius - spec.spacing]
+    m, margin = region_indices(spec, extrema.location[kept, None, :])
     usable = margin[:, 0] > boundary_eps
     m = m[usable]
-    positions = (m.astype(float) @ _E)[:, 0]
-    trips = [
-        (cp, iv, DualVertex(index=iv, position=tuple(pos)))
-        for cp, iv, pos in zip(
-            itertools.compress(kept, usable.tolist()), map(tuple, m[:, 0].tolist()),
-            positions.tolist(),
-        )
-    ]
-    return kept, trips, len(kept) - len(trips)
+    matched = Correspondences(kept[usable], m[:, 0], (m.astype(float) @ _E)[:, 0])
+    return kept, matched, len(kept) - len(matched.rows)
 
 
 @dataclass(frozen=True)
@@ -323,8 +349,7 @@ class MatchReport:
     of the fitted physical tile edge) drive the summary statistics.
     dual_position_collisions counts matched regions whose dual vertex
     coincides with that of a different matched region. correspondences
-    holds the (extremum, index_vector, DualVertex) trips the fit used, in
-    the order of residuals.
+    holds the Correspondences the fit used, in the order of residuals.
     """
 
     num_extrema: int
@@ -337,11 +362,11 @@ class MatchReport:
     excluded_near_singular: int
     dual_position_collisions: int
     transform: SimilarityTransform
-    correspondences: tuple
+    correspondences: Correspondences
 
 
 def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
-    """Register dual vertices against extrema and score the correspondence.
+    """Register dual vertices against the extrema of a CriticalSet and score the correspondence.
 
     Fits the least-squares similarity from dual-vertex positions to extremum
     locations over all retained correspondences and reports per-extremum
@@ -349,19 +374,16 @@ def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
     occupancy counts, and exclusion tallies. Deterministic for fixed inputs.
     Raises ValueError when fewer than two usable correspondences remain.
     """
-    kept, trips, excluded = matching_correspondences(spec, extrema, disk_radius, boundary_eps)
-    if len(trips) < 2:
+    kept, matched, excluded = matching_correspondences(spec, extrema, disk_radius, boundary_eps)
+    if len(matched.rows) < 2:
         raise ValueError("insufficient extrema for registration (need at least 2)")
-    indices = np.array([iv for _, iv, _ in trips])
-    pairs = [(dv.position, cp.location) for cp, _, dv in trips]
-    sources = np.array([src for src, _ in pairs])
-    _, first, occupancy = np.unique(indices, axis=0, return_index=True, return_counts=True)
+    sources, targets = matched.position, extrema.location[matched.rows]
+    _, first, occupancy = np.unique(matched.index, axis=0, return_index=True,
+                                    return_counts=True)
     # Python's round, not np.round: the two can differ in the last place.
     groups = Counter((round(x, 6), round(y, 6)) for x, y in sources[first].tolist())
-    transform = fit_similarity(pairs)
-    mapped = transform.apply(sources)
-    targets = np.array([tgt for _, tgt in pairs])
-    residuals = np.hypot(*(mapped - targets).T) / transform.scale
+    transform = fit_similarity(np.stack([sources, targets], axis=1))
+    residuals = np.hypot(*(transform.apply(sources) - targets).T) / transform.scale
     return MatchReport(
         num_extrema=len(kept),
         num_regions_hit=len(occupancy),
@@ -373,5 +395,5 @@ def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
         excluded_near_singular=excluded,
         dual_position_collisions=sum(n for n in groups.values() if n > 1),
         transform=transform,
-        correspondences=tuple(trips),
+        correspondences=matched,
     )

@@ -82,11 +82,21 @@ class SvgCanvas:
         self._elements.extend(template % tuple(c) for c in coords)
 
     def circle(self, center, radius_px, fill="#000000", stroke="none", width=1.0):
-        x, y = self.map_point(*center)
-        self._elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius_px:g}" fill="{fill}" '
-            f'stroke="{stroke}" stroke-width="{width:g}" />'
+        self.circles([center], radius_px, fill=[fill], stroke=stroke, width=width)
+
+    def circles(self, centers, radius_px, fill="#000000", stroke="none", width=1.0):
+        """One circle of radius_px pixels per row of centers, an (n, 2) array of world points.
+
+        fill is one color for all of them or a sequence of n colors. Formatted
+        with one template, in the bytes circle() writes.
+        """
+        coords = self._map_points(np.asarray(centers, dtype=float).reshape(-1, 2)).tolist()
+        fills = [fill] * len(coords) if isinstance(fill, str) else fill
+        style = f'stroke="{stroke}" stroke-width="{width:g}"'
+        template = '<circle cx="%.2f" cy="%.2f" r="{:g}" fill="%s" {} />'.format(
+            radius_px, style.replace("%", "%%")
         )
+        self._elements.extend(template % (x, y, color) for (x, y), color in zip(coords, fills))
 
     def polygon(self, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
         self.polygons([points], fill=fill, stroke=stroke, width=width, opacity=opacity)

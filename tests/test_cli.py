@@ -652,6 +652,33 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, toleran
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["extrema", "match"])
+@pytest.mark.parametrize("dedupe_radius, message", [
+    (0.0, "dedupe_radius must be positive"),
+    (-0.1, "dedupe_radius must be positive"),
+    (1e-310, "dedupe_radius must cut the domain into finitely many cells"),
+])
+def test_dedupe_radius_without_finitely_many_cells_is_config_error(tmp_path, capsys, command,
+                                                                   dedupe_radius, message):
+    # 0 divided by zero and 1e-310 overflowed a cell index to inf, both in a traceback
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {"dedupe_radius": dedupe_radius}}))
+    assert cli.main([command, "--radius", "12", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"pentawave: config error: {message}\n"
+
+
+def test_degeneracy_tolerance_whose_square_overflows_marks_every_point_degenerate(tmp_path):
+    # its square used to raise OverflowError. Now every Hessian counts as degenerate, so
+    # every step is a damped gradient step and only the seed at the origin converges.
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {"eig_degenerate_tol": 1e300}}))
+    out = tmp_path / "o"
+    assert cli.main(["extrema", "--radius", "12", "--config", str(cfg), "--out", str(out)]) == 0
+    counts = json.loads((out / "extrema.json").read_text())["report"]["counts"]
+    assert counts == {"degenerate": 1, "maximum": 0, "minimum": 0, "saddle": 0}
+
+
 @pytest.mark.parametrize("command, key", [
     ("identity", "identity_num_points"),
     ("extrema", "max_newton_steps"),

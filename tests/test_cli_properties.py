@@ -1,0 +1,106 @@
+"""Property test: extrema, tiling and match end in a documented exit code on any flags.
+
+Every run must return 0, 2, 3 or 4, print at most one line to stderr (none on
+success), raise nothing and warn nothing. Most values are usable and a few are
+not. Wavenumbers, radii and seed spacings are drawn so that every run either
+seeds at most about 6 * 10^4 points and crosses a few hundred grid lines, or
+is refused by a count check before it allocates. No value starts threads:
+these commands never use the block pool.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pentawave import cli
+
+
+def _mostly(usual, odd):
+    """usual eight times in ten, odd otherwise."""
+    return st.integers(0, 9).flatmap(lambda n: usual if n < 8 else odd)
+
+
+# Values the CLI must refuse before allocating anything: not finite or positive,
+# so small that the derived tolerances or the pentagrid wavenumber underflow to
+# zero, or so large that with any radius below the seed and crossing counts
+# pass the cap.
+_K = _mostly(st.one_of(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.2, 4.0)),
+             st.sampled_from([1e-3, 0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e20,
+                              1e300]))
+# from 0.5, so no radius is small enough to turn a refused wavenumber into a small grid
+_RADIUS = _mostly(st.one_of(st.sampled_from([2.0, 8.0, 12.0]), st.floats(0.5, 12.0)),
+                  st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e300]))
+_ANY_NUMBER = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e154, 1e300]),
+    st.integers(-3, 3),
+    st.booleans(), st.none(), st.text(max_size=2), st.integers(10 ** 309),
+)
+_TOLERANCES = {
+    "grad_tol": _mostly(st.floats(1e-14, 1e-2), _ANY_NUMBER),
+    "eig_degenerate_tol": _mostly(st.floats(1e-12, 1.0), _ANY_NUMBER),
+    # from 0.1 up: at most about 6 * 10^4 seeds at radius 12
+    "seed_spacing": _mostly(st.floats(0.1, 1.5), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
+    "dedupe_radius": _mostly(st.floats(1e-6, 0.3), _ANY_NUMBER),
+    # the Newton loop runs as many steps as asked for, so the count stays small
+    "max_newton_steps": _mostly(st.integers(1, 60), st.sampled_from([0, -2, 2.5, -0.5, "3"])),
+    "singular_eps": _mostly(st.floats(-1e-3, 1.0), _ANY_NUMBER),
+    "boundary_eps": _mostly(st.floats(-1e-3, 1.0), _ANY_NUMBER),
+    "identity_num_points": _ANY_NUMBER,
+    "identity_k_min": _ANY_NUMBER,
+    "unknown_key": _ANY_NUMBER,
+}
+_FORMATS = _mostly(st.sampled_from(["csv,json,svg", "csv", "json", "svg", "json,svg"]),
+                   st.sampled_from(["", "png", "csv,,json", " svg "]))
+
+
+@st.composite
+def _tolerances(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_TOLERANCES)), unique=True, max_size=3))
+    return {key: draw(_TOLERANCES[key]) for key in keys}
+
+
+def _run(argv, tolerances):
+    """(exit code, stderr) of one in-process run, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as work:
+        if tolerances is not None:
+            config = os.path.join(work, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"tolerances": tolerances}, fh)
+            argv = [*argv, "--config", config]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--out", os.path.join(work, "out")])
+        assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["extrema", "tiling", "match"]),
+    k=_K,
+    radius=_RADIUS,
+    grid_step=_mostly(st.just(0.25), st.sampled_from([0.0, -1.0, math.nan])),
+    fmt=_FORMATS,
+    tolerances=st.one_of(st.none(), _tolerances()),
+)
+def test_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, fmt, tolerances):
+    # --flag=value, so a value such as -inf is not read as a flag
+    argv = [command, f"--k={k!r}", f"--radius={radius!r}", f"--grid-step={grid_step!r}",
+            f"--format={fmt}"]
+    code, err = _run(argv, tolerances)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err

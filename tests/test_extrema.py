@@ -52,6 +52,50 @@ def test_s2_oracle_respects_wavenumber():
     assert np.allclose(mx[0].location, (math.pi / 4, math.pi / 4), atol=1e-15)
 
 
+def _s2_oracle_reference(k, window):
+    """s2_oracle as it built one CriticalPoint per point, kept verbatim as the oracle."""
+    xmin, xmax, ymin, ymax = window
+
+    def lattice(lo, hi):
+        first = int(math.ceil((2.0 * k * lo / math.pi - 1.0) / 2.0))
+        last = int(math.floor((2.0 * k * hi / math.pi - 1.0) / 2.0))
+        return range(first, last + 1)
+
+    out = []
+    kk2 = k * k
+    for a in lattice(xmin, xmax):
+        x = (2 * a + 1) * math.pi / (2.0 * k)
+        sx = -1.0 if a % 2 else 1.0
+        for b in lattice(ymin, ymax):
+            y = (2 * b + 1) * math.pi / (2.0 * k)
+            sy = -1.0 if b % 2 else 1.0
+            eigenvalues = tuple(sorted((-kk2 * sx, -kk2 * sy)))
+            if sx > 0 and sy > 0:
+                kind = ex.KIND_MAXIMUM
+            elif sx < 0 and sy < 0:
+                kind = ex.KIND_MINIMUM
+            else:
+                kind = ex.KIND_SADDLE
+            out.append(ex.CriticalPoint((x, y), float(sx + sy), kind, eigenvalues))
+    out.sort(key=lambda cp: cp.location)
+    return out
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
+def test_s2_oracle_equals_the_object_building_reference(k):
+    rng = np.random.default_rng(12)
+    windows = [(0.0, TWO_PI, 0.0, TWO_PI), (-20.0, 20.0, -3.0, 9.0), (0.1, 0.2, 0.1, 0.2)]
+    for _ in range(50):
+        x0, y0 = rng.uniform(-30.0, 30.0, 2)
+        windows.append((x0, x0 + rng.uniform(0.0, 15.0), y0, y0 + rng.uniform(0.0, 15.0)))
+    sizes = []
+    for window in windows:
+        got = ex.s2_oracle(k, window)
+        _assert_critical_set_equals(got, _s2_oracle_reference(k, window))
+        sizes.append(len(got))
+    assert sizes[2] == 0 and max(sizes) > 40
+
+
 def test_pipeline_matches_s2_oracle():
     window = (0.5, TWO_PI - 0.5, 0.5, TWO_PI - 0.5)
     found = pw.find_critical_points(1.0, _window_config(window), field=ex.S2_FIELD)
@@ -365,10 +409,91 @@ def test_batched_classify_and_value_equal_single_points(field, k):
         assert cp.value == float(field.value(k, np.asarray(cp.location)))
     rng = np.random.default_rng(7)
     pts = np.concatenate([[cp.location for cp in found], rng.uniform(-60.0, 60.0, (4000, 2))])
-    kinds, eigenvalues = ex.classify(k, pts, cfg, field=field)
-    for p, kind, eig in zip(pts.tolist(), kinds, eigenvalues.tolist()):
+    codes, eigenvalues = ex.classify(k, pts, cfg, field=field)
+    for p, code, eig in zip(pts.tolist(), codes.tolist(), eigenvalues.tolist()):
+        kind = ex.KINDS[code]
         assert _classify_reference(k, p, cfg, field) == (kind, tuple(eig))
         assert ex.classify(k, p, cfg, field=field) == (kind, tuple(eig))
+
+
+def _find_critical_points_reference(k, cfg, field):
+    """find_critical_points as it built one CriticalPoint per point, kept verbatim as the oracle.
+
+    The batch classify of that version (kind names) is inlined.
+    """
+    pts, converged, gnorm = ex._refine_batch(field, k, ex._seed_grid(cfg), cfg)
+    keep = converged & ex._in_domain(pts, cfg)
+    pts, gnorm = pts[keep], gnorm[keep]
+    if len(pts) == 0:
+        return []
+    found = pts[ex._dedupe(pts, gnorm, cfg.dedupe_radius)]
+    found = found[np.lexsort((found[:, 1], found[:, 0]))]
+    hess = field.hess(k, found[:, None, :]).reshape(-1, 2, 2)
+    a, b, c = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
+    half_trace = 0.5 * (a + b)
+    spread = np.array(list(map(math.hypot, (0.5 * (a - b)).tolist(), c.tolist())))
+    lo, hi = half_trace - spread, half_trace + spread
+    tol = cfg.eig_degenerate_tol
+    codes = np.select([hi < -tol, lo > tol, (lo < -tol) & (hi > tol)], [0, 1, 2], 3)
+    kinds = [ex.KINDS[code] for code in codes.tolist()]
+    eigenvalues = np.column_stack([lo, hi])
+    values = field.value(k, found[:, None, :])[:, 0]
+    return [
+        ex.CriticalPoint(location=tuple(loc), value=value, kind=kind, eigenvalues=tuple(eig))
+        for loc, value, kind, eig in zip(
+            found.tolist(), values.tolist(), kinds, eigenvalues.tolist()
+        )
+    ]
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_critical_set_equals(got, want):
+    """The CriticalSet holds, bit for bit, the CriticalPoints of the object-building reference."""
+    assert isinstance(got, ex.CriticalSet)
+    assert list(got) == want and len(got) == len(want)
+    n = len(want)
+    assert _bits(got.location) == _bits(np.array([cp.location for cp in want]).reshape(n, 2))
+    assert _bits(got.value) == _bits(np.array([cp.value for cp in want], dtype=float))
+    assert _bits(got.eigenvalues) == _bits(
+        np.array([cp.eigenvalues for cp in want]).reshape(n, 2))
+    assert [ex.KINDS[code] for code in got.kind.tolist()] == [cp.kind for cp in want]
+
+
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
+def test_critical_set_equals_the_object_building_reference(field, k):
+    configs = [
+        ex.default_search_config(k, 14.0 / k),
+        ex.default_search_config(k, 0.1),  # the origin alone
+        _window_config((-3.0 / k, 9.5 / k, 0.25 / k, 7.0 / k), spacing=math.pi / (4.0 * k)),
+        _window_config((0.1, 0.2, 0.1, 0.2), spacing=0.05),  # no critical point
+        ex.default_search_config(k, 6.0 / k, max_newton_steps=2),
+    ]
+    sizes = []
+    for cfg in configs:
+        got = ex.find_critical_points(k, cfg, field=field)
+        want = _find_critical_points_reference(k, cfg, field)
+        _assert_critical_set_equals(got, want)
+        assert got == ex.find_critical_points(k, cfg, field=field)
+        sizes.append(len(got))
+    assert sizes[0] > 20 and sizes[3] == 0
+    assert got != ex.find_critical_points(k, configs[0], field=field)
+
+
+def test_critical_set_item_views():
+    found = ex.find_critical_points(1.0, ex.default_search_config(1.0, 10.0))
+    points = list(found)
+    assert found[0] == points[0] and found[-1] == points[-1]
+    assert found[3:7] == points[3:7] and found[::-5] == points[::-5]
+    with pytest.raises(IndexError):
+        found[len(found)]
+    assert found.of_kind(ex.KIND_SADDLE).tolist() == [cp.kind == ex.KIND_SADDLE for cp in points]
+    assert found.of_kind().sum() == 0
+    with pytest.raises(TypeError):
+        hash(found)
 
 
 def test_find_critical_points_classifies_in_one_call(monkeypatch):
@@ -567,6 +692,49 @@ def test_refine_batch_matches_reference_across_blocks(monkeypatch, field, block)
             _non_finite_field(field), 1.0, seeds, cfg)
     moved = ~converged & (pts != seeds).any(axis=1)
     assert moved.sum() > 10 and np.isinf(gnorm[moved]).all()
+
+
+def _band_counting(grad, tol, band):
+    """grad, appending to band the number of rows whose larger component is within tol
+    but whose norm is not."""
+    def counted(k, p):
+        g = grad(k, p)
+        near = (np.abs(g).max(axis=1) <= tol) & (np.hypot(g[:, 0], g[:, 1]) > tol)
+        band.append(int(near.sum()))
+        return g
+
+    return counted
+
+
+@pytest.mark.parametrize("block", [2, 3, 5])
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+def test_refine_batch_matches_reference_with_rows_between_component_and_norm(
+        monkeypatch, field, block):
+    # the gradient norm is taken only on rows whose larger component is within
+    # grad_tol; at these coarse tolerances many rows sit between the two, where
+    # only the norm decides, next to fallback steps and rows that turn non-finite
+    monkeypatch.setattr(ex, "_NEWTON_BLOCK", block)
+    rng = np.random.default_rng(9)
+    exact = np.array([cp.location for cp in ex.s2_oracle(1.0, (-8.0, 8.0, -8.0, 8.0))])
+    for base, tol in ((field, 1e-3), (_non_finite_field(field), 1e-4)):
+        # s2's gradient is (cos x, cos y), so these offsets from its critical
+        # points put both components just within tol on the first step
+        offsets = 0.9 * tol * rng.choice([-1.0, 1.0], (len(exact), 2))
+        seeds = np.concatenate([rng.uniform(-8.0, 8.0, (61, 2)), exact + offsets])
+        band = []
+        traced = ex.FieldTriple(base.value, _band_counting(base.grad, tol, band), base.hess)
+        for degenerate in (1e-8, 0.5, 1e-200):
+            cfg = ex.default_search_config(1.0, 8.0, grad_tol=tol, eig_degenerate_tol=degenerate)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _refine_batch_reference(base, 1.0, seeds, cfg)
+                got = ex._refine_batch(traced, 1.0, seeds, cfg)
+            for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
+                assert np.array_equal(a, b), name
+        assert sum(band) > 5
+    # the last run: rows stopped at their last finite point, unconverged
+    pts, converged, gnorm = got
+    moved = ~converged & (pts != seeds).any(axis=1)
+    assert moved.any() and np.isinf(gnorm[moved]).all() and np.isfinite(pts).all()
 
 
 def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):

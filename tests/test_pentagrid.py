@@ -1,5 +1,6 @@
 """Tests for pentagrid indexing, dualization, tiling, and registration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from pentawave.extrema import (
     KIND_MAXIMUM,
     KIND_MINIMUM,
     KIND_SADDLE,
+    KINDS,
     CriticalPoint,
+    CriticalSet,
 )
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
@@ -31,6 +34,20 @@ def _fake_extremum(location, kind=KIND_MAXIMUM):
         kind=kind,
         eigenvalues=(sign, sign),
     )
+
+
+def _critical_set(points):
+    """The CriticalSet whose rows are the given CriticalPoints, in order."""
+    return CriticalSet(
+        location=np.array([cp.location for cp in points], dtype=float).reshape(-1, 2),
+        value=np.array([cp.value for cp in points], dtype=float),
+        kind=np.array([KINDS.index(cp.kind) for cp in points], dtype=np.int8),
+        eigenvalues=np.array([cp.eigenvalues for cp in points], dtype=float).reshape(-1, 2),
+    )
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def test_spec_spacing():
@@ -292,6 +309,7 @@ def test_match_report_recovers_planted_transform():
     )
     extrema, ivs = _planted_scene(spec, planted, 40, seed=67)
     assert len(extrema) >= 30
+    extrema = _critical_set(extrema)
     report = pg.match_report(spec, extrema)
     assert report.num_extrema == len(extrema)
     assert report.num_regions_hit == len(extrema)
@@ -315,12 +333,12 @@ def test_match_report_counts_shared_regions():
     iv_b = pg.index_vector(spec, b1)
     assert pg.index_vector(spec, b2) == iv_b
     assert iv_a != iv_b
-    extrema = [
+    extrema = _critical_set([
         _fake_extremum(a1),
         _fake_extremum(a2, KIND_MINIMUM),
         _fake_extremum(b1),
         _fake_extremum(b2, KIND_MINIMUM),
-    ]
+    ])
     report = pg.match_report(spec, extrema)
     assert report.num_extrema == 4
     assert report.num_regions_hit == 2
@@ -334,11 +352,11 @@ def test_match_report_ignores_saddles_and_requires_two():
         _fake_extremum((4.0, 4.0), KIND_SADDLE),
     ]
     with pytest.raises(ValueError):
-        pg.match_report(spec, saddles)
+        pg.match_report(spec, _critical_set(saddles))
     with pytest.raises(ValueError):
-        pg.match_report(spec, [])
+        pg.match_report(spec, _critical_set([]))
     with pytest.raises(ValueError):
-        pg.match_report(spec, [_fake_extremum((0.5, 0.5))])
+        pg.match_report(spec, _critical_set([_fake_extremum((0.5, 0.5))]))
 
 
 def test_matching_correspondences_filters():
@@ -347,26 +365,28 @@ def test_matching_correspondences_filters():
     saddle = _fake_extremum((4.0, 4.0), KIND_SADDLE)
     on_line = _fake_extremum((math.pi, 0.2))
     far = _fake_extremum((19.5, 0.0))
-    kept, trips, excluded = pg.matching_correspondences(
-        spec, [inside, saddle, on_line, far], disk_radius=20.0
-    )
+    extrema = _critical_set([inside, saddle, on_line, far])
+    kept, matched, excluded = pg.matching_correspondences(spec, extrema, disk_radius=20.0)
     # saddle dropped by kind, far extremum trimmed at one spacing from the
     # rim, on-line extremum counted as excluded
-    assert kept == [inside, on_line]
+    assert [extrema[row] for row in kept] == [inside, on_line]
     assert excluded == 1
-    assert len(trips) == 1
-    cp, iv, dv = trips[0]
+    assert len(matched.rows) == 1
+    cp, iv = extrema[matched.rows[0]], tuple(matched.index[0].tolist())
+    position = matched.position[0]
     assert cp == inside
     assert iv == (0, 0, -1, -1, -1)
-    assert dv.position == pg.dual_vertex(iv).position
+    assert tuple(position.tolist()) == pg.dual_vertex(iv).position
 
 
 def test_correspondences_basic():
     spec = pg.PentagridSpec(1.0)
-    trips = pg.matching_correspondences(spec, [_fake_extremum((0.5, 0.5))])[1]
-    assert len(trips) == 1
-    assert trips[0][1] == (0, 0, -1, -1, -1)
-    assert pg.matching_correspondences(spec, []) == ([], [], 0)
+    matched = pg.matching_correspondences(spec, _critical_set([_fake_extremum((0.5, 0.5))]))[1]
+    assert len(matched.rows) == 1
+    assert matched.index[0].tolist() == [0, 0, -1, -1, -1]
+    kept, matched, excluded = pg.matching_correspondences(spec, _critical_set([]))
+    assert (kept.tolist(), matched.rows.tolist(), excluded) == ([], [], 0)
+    assert matched.index.shape == (0, 5) and matched.position.shape == (0, 2)
 
 
 _E = pw.direction_basis()
@@ -421,10 +441,24 @@ def _tiles_reference(spec, window, singular_eps=None):
                 verts.append((float(pos[0]), float(pos[1])))
             out.append(pg.RhombusTile(vertices=tuple(verts), kind=kind, families=(i, j),
                                       intersection=(float(x), float(y))))
-    return pg.TilingPatch(tiles=tuple(out), skipped_singular=skipped)
+    return tuple(out), skipped
 
 
-@pytest.mark.parametrize("c", [1.0, 1.0 / (2.0 * TAU), 0.93 / (2.0 * TAU), 2.3])
+def _assert_patch_equals(got, want):
+    """The columnar patch holds, bit for bit, the tiles of the object-building reference."""
+    tiles, skipped = want
+    assert tuple(got.tiles) == tiles and got.skipped_singular == skipped
+    n = len(tiles)
+    assert _bits(got.vertices) == _bits(np.array([t.vertices for t in tiles]).reshape(n, 4, 2))
+    assert _bits(got.intersection) == _bits(
+        np.array([t.intersection for t in tiles]).reshape(n, 2))
+    assert got.thin.dtype == bool and got.thin.tolist() == [t.kind == pg.THIN for t in tiles]
+    assert got.families.shape == (n, 2)
+    assert got.families.tolist() == [list(t.families) for t in tiles]
+
+
+@pytest.mark.parametrize("c", [1.0, 1.0 / (2.0 * TAU), 0.93 / (2.0 * TAU), 2.5 / (2.0 * TAU),
+                               2.3])
 @pytest.mark.parametrize("window", [
     (-12.0, 12.0, -12.0, 12.0),      # centred: the singular crossing at the origin
     (0.0, 17.5, -9.0, 0.0),          # corner on the origin
@@ -434,9 +468,9 @@ def _tiles_reference(spec, window, singular_eps=None):
 def test_tiles_match_reference_loop(c, window):
     spec = pg.PentagridSpec(c)
     got = pg.tiles(spec, window)
-    want = _tiles_reference(spec, window)
-    assert got == want
+    _assert_patch_equals(got, _tiles_reference(spec, window))
     assert pg.crossing_count(spec, window) >= len(got.tiles) + got.skipped_singular
+    assert got == pg.tiles(spec, window)
 
 
 def test_tiles_match_reference_loop_with_wide_singular_eps():
@@ -444,7 +478,24 @@ def test_tiles_match_reference_loop_with_wide_singular_eps():
     window = (-40.0, 40.0, -40.0, 40.0)
     got = pg.tiles(spec, window, singular_eps=0.05 * spec.spacing)
     assert got.skipped_singular > 1
-    assert got == _tiles_reference(spec, window, singular_eps=0.05 * spec.spacing)
+    _assert_patch_equals(got, _tiles_reference(spec, window, singular_eps=0.05 * spec.spacing))
+
+
+def test_empty_tiling_patch():
+    spec = pg.PentagridSpec(1.0)
+    got = pg.tiles(spec, (3.0, 3.5, 3.0, 3.5))
+    _assert_patch_equals(got, _tiles_reference(spec, (3.0, 3.5, 3.0, 3.5)))
+    assert len(got.tiles) == 0 and not got.tiles and got.skipped_singular == 0
+    assert got.vertices.shape == (0, 4, 2) and got.intersection.shape == (0, 2)
+
+
+def test_tile_views():
+    patch = pg.tiles(pg.PentagridSpec(1.0), (-6.0, 6.0, -6.0, 6.0))
+    tiles = list(patch.tiles)
+    assert patch.tiles[0] == tiles[0] and patch.tiles[-2] == tiles[-2]
+    assert patch.tiles[2:9:3] == tiles[2:9:3]
+    with pytest.raises(IndexError):
+        patch.tiles[-len(tiles) - 1]
 
 
 def test_crossing_count_overflows_to_inf_without_allocating():
@@ -504,9 +555,33 @@ def _report_reference(spec, extrema, disk_radius=None, boundary_eps=None):
     )
 
 
+def _assert_trips_equal(extrema, matched, trips):
+    """Columnar correspondences of a CriticalSet hold, bit for bit, the reference trips."""
+    assert [extrema[row] for row in matched.rows] == [cp for cp, _, _ in trips]
+    n = len(trips)
+    assert _bits(matched.index) == _bits(np.array([iv for _, iv, _ in trips], dtype=np.int64)
+                                         .reshape(n, 5))
+    assert _bits(matched.position) == _bits(np.array([dv.position for _, _, dv in trips])
+                                            .reshape(n, 2))
+
+
+def _assert_matching_equals(extrema, got, want):
+    kept, matched, excluded = got
+    want_kept, trips, want_excluded = want
+    assert [extrema[row] for row in kept] == want_kept and excluded == want_excluded
+    _assert_trips_equal(extrema, matched, trips)
+
+
+def _assert_report_equals(extrema, got, want):
+    """match_report equals the reference report, its correspondences bit for bit."""
+    assert dataclasses.replace(got, correspondences=None) == dataclasses.replace(
+        want, correspondences=None)
+    _assert_trips_equal(extrema, got.correspondences, want.correspondences)
+
+
 def _registration_extrema(k, radius, spec, rng):
     """Field extrema plus planted points on, just beside and just off grid lines and the rim."""
-    found = pw.find_critical_points(k, pw.default_search_config(k, radius))
+    found = list(pw.find_critical_points(k, pw.default_search_config(k, radius)))
     planted = []
     for n in range(40):
         i = n % 5
@@ -523,20 +598,61 @@ def _registration_extrema(k, radius, spec, rng):
     return found + planted
 
 
-@pytest.mark.parametrize("k", [1.0, 0.93])
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_batched_correspondences_and_report_match_reference(k):
     spec = pg.PentagridSpec(k / (2.0 * TAU))
     extrema = _registration_extrema(k, 45.0, spec, np.random.default_rng(3))
+    columns = _critical_set(extrema)
     for disk_radius in (None, 45.0):
-        got = pg.matching_correspondences(spec, extrema, disk_radius=disk_radius)
         want = _matching_reference(spec, extrema, disk_radius=disk_radius)
-        assert got == want
+        _assert_matching_equals(
+            columns, pg.matching_correspondences(spec, columns, disk_radius=disk_radius), want)
         assert want[2] >= 5
-        assert pg.match_report(spec, extrema, disk_radius) == _report_reference(
-            spec, extrema, disk_radius
-        )
+        _assert_report_equals(columns, pg.match_report(spec, columns, disk_radius),
+                              _report_reference(spec, extrema, disk_radius))
     # an extremum exactly boundary_eps from its nearest line is excluded
     _, margin = pg.region_indices(spec, np.asarray(extrema[0].location))
-    got = pg.matching_correspondences(spec, extrema, boundary_eps=float(margin))
-    assert got == _matching_reference(spec, extrema, boundary_eps=float(margin))
-    assert extrema[0] not in [cp for cp, _, _ in got[1]]
+    got = pg.matching_correspondences(spec, columns, boundary_eps=float(margin))
+    _assert_matching_equals(columns, got,
+                            _matching_reference(spec, extrema, boundary_eps=float(margin)))
+    assert 0 not in got[1].rows
+
+
+def _rim_straddlers(limit, rng, count):
+    """Points a few ulps from the circle of radius limit that math.hypot puts on one side
+    of it and np.hypot on the other."""
+    out = []
+    while len(out) < count:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = limit * math.cos(theta), limit * math.sin(theta)
+        for _ in range(4):
+            y = math.nextafter(y, math.inf)
+            if (math.hypot(x, y) <= limit) != (float(np.hypot(x, y)) <= limit):
+                out.append((x, y))
+    return out
+
+
+def test_rim_trim_rounds_as_math_hypot():
+    spec = pg.PentagridSpec(1.0 / (2.0 * TAU))
+    radius = 45.0
+    points = _rim_straddlers(radius - spec.spacing, np.random.default_rng(5), 12)
+    extrema = [_fake_extremum(p, (KIND_MAXIMUM, KIND_MINIMUM)[n % 2])
+               for n, p in enumerate(points)]
+    columns = _critical_set(extrema)
+    want = _matching_reference(spec, extrema, disk_radius=radius)
+    _assert_matching_equals(
+        columns, pg.matching_correspondences(spec, columns, disk_radius=radius), want)
+    assert 0 < len(want[0]) < len(extrema)
+
+
+def test_correspondences_of_the_search_output_match_reference():
+    # the CriticalSet find_critical_points returns, read directly; and no extremum at all
+    spec = pg.PentagridSpec(1.0 / (2.0 * TAU))
+    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 60.0))
+    for columns in (found, pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))):
+        for disk_radius in (None, 60.0):
+            want = _matching_reference(spec, list(columns), disk_radius=disk_radius)
+            _assert_matching_equals(
+                columns, pg.matching_correspondences(spec, columns, disk_radius), want)
+    _assert_report_equals(found, pg.match_report(spec, found, 60.0),
+                          _report_reference(spec, list(found), 60.0))

@@ -28,6 +28,44 @@ def _line_reference(canvas, p0, p1, stroke="#888888", width=1.0, opacity=1.0):
     )
 
 
+def _circle_reference(canvas, center, radius_px, fill="#000000", stroke="none", width=1.0):
+    """SvgCanvas.circle before batching, kept verbatim as the oracle."""
+    x, y = canvas.map_point(*center)
+    return (
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius_px:g}" fill="{fill}" '
+        f'stroke="{stroke}" stroke-width="{width:g}" />'
+    )
+
+
+def test_circles_equal_per_element_bytes():
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        lo = rng.uniform(-50.0, 0.0, 2)
+        bbox = (lo[0], lo[0] + rng.uniform(0.1, 90.0), lo[1], lo[1] + rng.uniform(0.1, 90.0))
+        canvas = SvgCanvas(bbox, size=int(rng.integers(100, 1200)))
+        centers = rng.uniform(-200.0, 200.0, (150, 2))
+        # points a hair from pixel (0, 0), which format as -0.00 or 0.00
+        half_view = 0.5 * canvas.size / canvas.scale
+        origin = np.array([canvas._cx - half_view, canvas._cy + half_view])
+        centers[:10] = origin + rng.uniform(-0.004, 0.004, (10, 2)) / canvas.scale
+        fills = rng.choice(["#cc3333", "none", "rgb(10%,20%,30%)"], len(centers)).tolist()
+        radius = float(rng.choice([2.5, 3, 1.25e-7]))
+        style = dict(stroke=str(rng.choice(["none", "#33%"])), width=float(rng.choice([1, 0.8])))
+        canvas.circles(centers, radius, fill=fills, **style)
+        canvas.circles(centers[:3], radius, fill="#10%", **style)
+        canvas.circles(np.zeros((0, 2)), radius, **style)
+        canvas.circle(tuple(centers[0]), radius)
+        canvas.circle((1, -2), 4, fill="#dd8800", **style)
+        want = [_circle_reference(canvas, c, radius, fill=f, **style)
+                for c, f in zip(centers.tolist(), fills)]
+        want += [_circle_reference(canvas, c, radius, fill="#10%", **style)
+                 for c in centers[:3].tolist()]
+        want += [_circle_reference(canvas, tuple(centers[0]), radius),
+                 _circle_reference(canvas, (1, -2), 4, fill="#dd8800", **style)]
+        assert canvas._elements == want
+        assert 'cx="-0.00"' in canvas.to_string() or 'cy="-0.00"' in canvas.to_string()
+
+
 def test_polygons_and_lines_equal_per_element_bytes():
     rng = np.random.default_rng(5)
     for trial in range(20):
