@@ -249,9 +249,10 @@ def _newton_step(field, k, cur, g, cfg):
         return new
     flat = ~regular
     fallback_step = 0.1 * cfg.seed_spacing
-    direction = g[flat] / np.hypot(g[flat, 0], g[flat, 1])[:, None]
-    lo = cur[flat] - fallback_step * direction
-    hi = cur[flat] + fallback_step * direction
+    g, cur = g.compress(flat, axis=0), cur.compress(flat, axis=0)
+    direction = g / np.hypot(g[:, 0], g[:, 1])[:, None]
+    lo = cur - fallback_step * direction
+    hi = cur + fallback_step * direction
     glo = field.grad(k, lo)
     ghi = field.grad(k, hi)
     take_lo = np.hypot(glo[:, 0], glo[:, 1]) <= np.hypot(ghi[:, 0], ghi[:, 1])
@@ -266,8 +267,10 @@ def _refine_batch(field, k, seeds, cfg):
     point is accepted unchanged. The loop keeps a compacted working set of
     the active rows (idx, cur, g) and writes a row back to the result only
     when it converges, turns non-finite (it keeps its last finite point) or
-    the steps run out. The gradient norm is taken only on rows whose larger
-    gradient component is within grad_tol. grad sees the active rows and
+    the steps run out. Rows are gathered with compress, which copies the
+    rows a boolean index does, several times faster on (n, 2) arrays. The
+    gradient norm is taken only on rows whose larger gradient component is
+    within grad_tol. grad sees the active rows and
     hess the rows not yet converged, in seed order, cut into the blocks of
     _row_blocks: numpy rounds a one-row batch differently from a larger one,
     but any two or more rows round as the same rows of one larger batch do,
@@ -289,73 +292,153 @@ def _refine_batch(field, k, seeds, cfg):
         # hypot is never below either component, so only these rows can converge
         within = np.abs(g) <= cfg.grad_tol
         done = within[:, 0] & within[:, 1]
-        gn = np.hypot(g[done, 0], g[done, 1])
+        gd = g.compress(done, axis=0)
+        gn = np.hypot(gd[:, 0], gd[:, 1])
         small = gn <= cfg.grad_tol
         done[done] = small
         if small.any():
-            hit = idx[done]
+            hit = idx.compress(done)
             converged[hit] = True
-            gnorm[hit] = gn[small]
-            pts[hit] = cur[done]
+            gnorm[hit] = gn.compress(small)
+            pts[hit] = cur.compress(done, axis=0)
             live = ~done
             # one at a time, so each old array is freed before the next copy
-            idx = idx[live]
-            cur = cur[live]
-            g = g[live]
+            idx = idx.compress(live)
+            cur = cur.compress(live, axis=0)
+            g = g.compress(live, axis=0)
         if step == cfg.max_newton_steps or idx.size == 0:
             break
         new = _newton_step(field, k, cur, g, cfg)
         del g
         bad = ~(np.isfinite(new[:, 0]) & np.isfinite(new[:, 1]))
         if bad.any():
-            pts[idx[bad]] = cur[bad]
+            pts[idx.compress(bad)] = cur.compress(bad, axis=0)
             live = ~bad
-            idx, new = idx[live], new[live]
+            idx, new = idx.compress(live), new.compress(live, axis=0)
         cur = new
         del new  # else the next compaction keeps the old rows alive
     pts[idx] = cur
     return pts, converged, gnorm
 
 
-def _dedupe(pts, gnorm, dedupe_radius):
-    """Greedy dedupe keyed on a spatial hash; returns indices of kept rows.
+def _cell_keys(cells):
+    """int64 key of each row of cells, an (n, 2) array of whole numbers, and the key width.
 
-    Candidates are visited by ascending gradient norm (ties by x then y), and
-    each is kept unless a kept point in its own or an adjacent cell of side h
-    = dedupe_radius lies within h, so each cluster keeps its minimum-gradient-
-    norm representative. Two points in one fine cell of side h/2 are always
-    that close, so a point whose fine cell already holds a kept point is
-    dropped without a scan. Squares are taken with ** on plain floats, which
-    rounds as C pow does (not always as x*x does).
+    Equal rows get equal keys, and cell (x + dx, y + dy) has key + dx * width + dy for
+    |dx|, |dy| <= 1. A column spanning 2**30 or more cells first has each gap between
+    its values that is wider than one cell closed to two, which keeps both facts.
     """
-    order = np.lexsort((pts[:, 1], pts[:, 0], gnorm))
-    ordered = pts[order]
+    cols = []
+    for c in cells.T:
+        c = c - c.min()
+        if c.max() >= 2.0 ** 30:
+            values, c = np.unique(c, return_inverse=True)
+            c = np.concatenate([[0.0], np.cumsum(np.minimum(np.diff(values), 2.0))])[c]
+        cols.append(c.astype(np.int64) + 1)
+    width = int(cols[1].max()) + 2
+    return cols[0] * width + cols[1], width
+
+
+def _near_ranges(keys, width, queries):
+    """(lo, hi) of the entries of sorted keys in the 3 x 3 cells around each query key,
+    one pair per row of the neighbourhood."""
+    return [(np.searchsorted(keys, queries + dx * width - 1, "left"),
+             np.searchsorted(keys, queries + dx * width + 1, "right")) for dx in (-1, 0, 1)]
+
+
+def _leaders(rows, group, columns):
+    """Per group, the least value of the last column over the rows that tie for least
+    in each column before it, taken column by column; with the row numbers last, the
+    row first in the lexicographic order of the columns.
+
+    rows come in runs of equal group; == ties -0.0 with 0.0, as a sort does.
+    """
+    for column in columns:
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        v = column[rows]
+        least = np.minimum.reduceat(v, starts)
+        first = v == np.repeat(least, np.diff(starts, append=len(v)))
+        rows, group = rows[first], group[first]
+    return least
+
+
+def _dedupe(pts, gnorm, dedupe_radius):
+    """Greedy dedupe keyed on a spatial hash; returns indices of kept rows in visiting order.
+
+    Candidates are visited by ascending gradient norm (ties by x, y, then row), and
+    each is kept unless a kept point in its own or an adjacent cell of side h =
+    dedupe_radius lies within h, so each cluster keeps its minimum-gradient-norm
+    representative. Two points in one fine cell of side h/2 are always that close,
+    so a kept point drops the rest of its fine cell. The fine cell floor(x / (h/2))
+    lies in the cell floor(fine / 2) of side h, since x / (h/2) is x / h doubled. So
+    a fine cell with no other occupied fine cell in the 3 x 3 cells of side h around
+    its own keeps its first row, its leader, and drops the rest, whatever the other
+    cells keep; only the rows of the other fine cells go through _greedy_keep.
+    """
     h = dedupe_radius
-    # number the fine cells: ids of equal cells agree after sorting by cell
-    fine = np.floor(ordered / (0.5 * h))
-    by_cell = np.lexsort((fine[:, 1], fine[:, 0]))
-    fine = fine[by_cell]
-    cell = np.empty(len(order), dtype=np.intp)
-    cell[by_cell] = np.cumsum(np.r_[False, (fine[1:] != fine[:-1]).any(axis=1)])
-    taken = bytearray(len(order))
-    near = {}
-    kept = []
-    for r, g in enumerate(cell.tolist()):
-        if taken[g]:
-            continue
-        x, y = ordered[r].tolist()
-        cx, cy = math.floor(x / h), math.floor(y / h)
-        if any(
-            (px - x) ** 2 + (py - y) ** 2 <= h * h
-            for nx in (cx - 1, cx, cx + 1)
-            for ny in (cy - 1, cy, cy + 1)
-            for px, py in near.get((nx, ny), ())
-        ):
-            continue
-        near.setdefault((cx, cy), []).append((x, y))
-        taken[g] = 1
-        kept.append(int(order[r]))
-    return kept
+    fine = np.floor(pts / (0.5 * h))
+    # fails only where pts / h is subnormal; then every row goes through the greedy
+    halves = np.array_equal(np.floor(0.5 * fine), np.floor(pts / h))
+    key, _ = _cell_keys(fine)
+    by_cell = np.argsort(key)
+    key = key[by_cell]
+    group = np.cumsum(np.diff(key, prepend=key[0]) != 0)  # fine cell of each sorted row
+    del key
+    leaders = _leaders(by_cell, group, (gnorm, pts[:, 0], pts[:, 1], np.arange(len(pts))))
+    coarse, width = _cell_keys(np.floor(0.5 * fine[leaders]))
+    del fine
+    alone = halves & (sum(hi - lo for lo, hi in _near_ranges(np.sort(coarse), width, coarse)) == 1)
+    cell = np.empty(len(pts), dtype=np.intp)
+    cell[by_cell] = group
+    rows = np.sort(by_cell[~alone[group]])
+    del by_cell, group
+    rows = rows[np.lexsort((pts[rows, 1], pts[rows, 0], gnorm[rows]))]
+    kept = np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell[rows], h)]])
+    kept.sort()
+    return kept[np.lexsort((pts[kept, 1], pts[kept, 0], gnorm[kept]))].tolist()
+
+
+def _greedy_keep(pts, cell, h):
+    """Which rows the dedupe greedy keeps, for rows in visiting order with their fine cells.
+
+    A row is dropped when an earlier kept row shares its fine cell, or lies in its own
+    or an adjacent cell of side h and within h: its earlier neighbours. Decided in
+    rounds: each round keeps every open row with no open earlier neighbour, then drops
+    every open row with a kept one. The first open row is always decided, so the rounds
+    end; rows clustered at their critical points with norms in no spatial order take a
+    handful of rounds, and a chain visited from one end takes one round per two rows.
+    """
+    if len(pts) == 0:
+        return np.zeros(0, dtype=bool)
+    coarse, width = _cell_keys(np.floor(pts / h))
+    order = np.argsort(coarse)
+    occupied = coarse[order]
+    # pairs (a, b) of neighbours, a visited first; squares as C pow, as ** does
+    a, b = [], []
+    for rows in _row_blocks(len(pts)):
+        ranges = _near_ranges(occupied, width, coarse[rows])
+        lo = np.concatenate([lo for lo, _ in ranges])
+        count = np.concatenate([hi for _, hi in ranges]) - lo
+        i = np.repeat(np.tile(np.arange(rows.start, rows.stop), 3), count)
+        j = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+        i, j = i[i < j], j[i < j]
+        d = pts[i] - pts[j]
+        near = np.float_power(d[:, 0], 2.0) + np.float_power(d[:, 1], 2.0) <= h * h
+        pair = near | (cell[i] == cell[j])
+        a.append(i[pair])
+        b.append(j[pair])
+    a, b = np.concatenate(a), np.concatenate(b)
+    state = np.zeros(len(pts), dtype=np.int8)  # 0 open, 1 kept, 2 dropped
+    while (state == 0).any():
+        waits = np.zeros(len(pts), dtype=bool)
+        waits[b] = True
+        state[(state == 0) & ~waits] = 1
+        behind = np.zeros(len(pts), dtype=bool)
+        behind[b[state[a] == 1]] = True
+        state[behind] = 2
+        live = (state[a] == 0) & (state[b] == 0)
+        a, b = a[live], b[live]
+    return state == 1
 
 
 def classify(k, location, cfg, field=S5_FIELD):
@@ -385,14 +468,18 @@ def classify(k, location, cfg, field=S5_FIELD):
 
 def check_search_grid(k, cfg):
     """Refuse a seed grid coarser than pi/(2k), which could skip critical points, and a
-    dedupe radius so small that the domain spans more cells than a double can count.
+    dedupe radius so small that the domain spans 2**52 or more dedupe cells across.
     """
     if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
         raise ValueError("seed_spacing must not exceed pi/(2k)")
     # the dedupe divides coordinates by dedupe_radius / 2
     extent = cfg.radius if cfg.window is None else max(map(abs, cfg.window))
-    if not math.isfinite(2.0 * extent / cfg.dedupe_radius):
+    cells = 2.0 * extent / cfg.dedupe_radius
+    if not math.isfinite(cells):
         raise ValueError("dedupe_radius must cut the domain into finitely many cells")
+    # below it a cell index and its neighbours are exact doubles and int64s
+    if cells >= 2.0 ** 52:
+        raise ValueError("dedupe_radius must cut the domain into fewer than 2**52 cells across")
 
 
 def find_critical_points(k, cfg, field=S5_FIELD):

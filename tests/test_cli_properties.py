@@ -1,11 +1,15 @@
-"""Property test: extrema, tiling and match end in a documented exit code on any flags.
+"""Property test: every command ends in a documented exit code on any flags.
 
 Every run must return 0, 2, 3 or 4, print at most one line to stderr (none on
-success), raise nothing and warn nothing. Most values are usable and a few are
-not. Wavenumbers, radii and seed spacings are drawn so that every run either
+success, apart from identity's note that it draws no svg), raise nothing and
+warn nothing. Most values are usable and a few are not. For extrema, tiling and
+match, wavenumbers, radii and seed spacings are drawn so that every run either
 seeds at most about 6 * 10^4 points and crosses a few hundred grid lines, or
-is refused by a count check before it allocates. No value starts threads:
-these commands never use the block pool.
+is refused by a count check before it allocates; these commands never use the
+block pool. field, identity and converge are drawn with radii up to 4, grid
+steps from 0.05, at most 20 series terms and at most 2 * 10^4 identity points,
+or values refused before they allocate; converge and identity run their blocks
+on the two-worker block pool, and no value asks it for more threads.
 """
 
 import contextlib
@@ -101,6 +105,48 @@ def test_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, f
     assert code in (0, 2, 3, 4), (code, err)
     if code == 0:
         assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+
+
+_SMALL_RADIUS = _mostly(st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 4.0)),
+                        st.sampled_from([-1.0, math.nan, math.inf, 1e300]))
+_SERIES_TOLERANCES = {
+    **_TOLERANCES,
+    "identity_num_points": _mostly(st.integers(0, 2 * 10 ** 4), _ANY_NUMBER),
+    "identity_k_min": _mostly(st.floats(0.0, 10.0), _ANY_NUMBER),
+    "identity_k_max": _mostly(st.floats(0.0, 10.0), _ANY_NUMBER),
+}
+_IDENTITY_SVG_NOTE = "identity: no svg output defined for this command\n"
+
+
+@st.composite
+def _series_tolerances(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_SERIES_TOLERANCES)), unique=True, max_size=3))
+    return {key: draw(_SERIES_TOLERANCES[key]) for key in keys}
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["field", "identity", "converge"]),
+    k=_K,
+    radius=_SMALL_RADIUS,
+    grid_step=_mostly(st.floats(0.05, 2.0), st.sampled_from([0.0, -1.0, math.nan, 1e-300])),
+    terms=_mostly(st.integers(0, 20), st.sampled_from([-1, 1475, 10 ** 6])),
+    seed=_mostly(st.integers(0, 2 ** 32), st.sampled_from([-1, 2 ** 64, 10 ** 30])),
+    fmt=_FORMATS,
+    tolerances=st.one_of(st.none(), _series_tolerances()),
+)
+def test_series_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, terms,
+                                                      seed, fmt, tolerances):
+    argv = [command, f"--k={k!r}", f"--radius={radius!r}", f"--grid-step={grid_step!r}",
+            f"--terms={terms}", f"--seed={seed}", f"--format={fmt}"]
+    code, err = _run(argv, tolerances)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code == 0:
+        assert err in ("", _IDENTITY_SVG_NOTE), err
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err

@@ -380,6 +380,97 @@ def test_dedupe_matches_greedy_reference_on_converged_seeds():
     assert ex._dedupe(pts, gnorm, cfg.dedupe_radius) == want
 
 
+def _dedupe_checked(monkeypatch, pts, gnorm, h):
+    """Rows that went through ex._greedy_keep, once ex._dedupe has matched the reference."""
+    seen = []
+    greedy = ex._greedy_keep
+
+    def spy(rows, cell, radius):
+        seen.append(len(rows))
+        return greedy(rows, cell, radius)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ex, "_greedy_keep", spy)
+        got = ex._dedupe(pts, gnorm, h)
+    assert got == _greedy_dedupe_reference(pts, gnorm, h)
+    return seen[0]
+
+
+def _converged_seeds(k, cfg):
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, ex._seed_grid(cfg), cfg)
+    return pts[converged], gnorm[converged]
+
+
+@pytest.mark.parametrize("k", [0.93, 2.5])
+def test_dedupe_matches_greedy_reference_on_a_search_of_radius_100(monkeypatch, k):
+    cfg = ex.default_search_config(k, 100.0)
+    pts, gnorm = _converged_seeds(k, cfg)
+    assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
+
+
+def test_dedupe_matches_greedy_reference_with_a_radius_near_the_seed_spacing(monkeypatch):
+    cfg = ex.default_search_config(1.0, 100.0, dedupe_radius=0.9 * math.pi / 4.0)
+    pts, gnorm = _converged_seeds(1.0, cfg)
+    assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
+
+
+def test_dedupe_keeps_the_lowest_of_tied_rows(monkeypatch):
+    # equal rows, and rows tied on gradient norm and x but not on y, in fine cells alone
+    # and in fine cells next to another, in shuffled row order
+    rng = np.random.default_rng(11)
+    h = 0.1
+    centers = 10 * h * np.array([(a, b) for a in range(-20, 20) for b in range(-20, 20)])
+    centers += 0.25 * h + rng.uniform(-0.2 * h, 0.2 * h, size=centers.shape)
+    centers = np.concatenate([centers, centers[::2] + (0.5 * h, 0.0)])
+    gnorm = rng.choice([0.0, 1e-13, 2e-13], size=len(centers))
+    copies = rng.integers(1, 6, size=len(centers))
+    pts, gnorm = np.repeat(centers, copies, axis=0), np.repeat(gnorm, copies)
+    shifted = pts[::3] + (0.0, rng.choice([-0.1, 0.1]) * h)
+    pts, gnorm = np.concatenate([pts, shifted]), np.concatenate([gnorm, gnorm[::3]])
+    order = rng.permutation(len(pts))
+    assert 0 < _dedupe_checked(monkeypatch, pts[order], gnorm[order], h) < len(pts)
+
+
+@pytest.mark.parametrize("neighbours", [(), ((0.6, 0.0),), ((0.6, 0.0), (-0.6, -0.3))])
+def test_dedupe_keeps_the_lowest_of_signed_zeros(monkeypatch, neighbours):
+    # -0.0 ties with 0.0, so the lowest row wins, and the CSV shows its sign
+    h = math.pi / 16.0
+    zeros = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] * 3)
+    for order in np.random.default_rng(3).permuted(np.tile(np.arange(12), (8, 1)), axis=1):
+        pts = np.concatenate([zeros[order], h * np.array(neighbours).reshape(-1, 2)])
+        gnorm = np.zeros(len(pts))
+        greedy_rows = _dedupe_checked(monkeypatch, pts, gnorm, h)
+        assert greedy_rows == (len(pts) if neighbours else 0)
+
+
+def test_dedupe_with_every_cell_alone_and_with_none(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = 0.1
+    apart = 4 * h * np.array([(a, b) for a in range(-30, 30) for b in range(-30, 30)])
+    apart = np.repeat(apart + 0.25 * h, 3, axis=0) + rng.uniform(-0.2, 0.2, (10800, 2)) * h
+    assert _dedupe_checked(monkeypatch, apart, rng.random(len(apart)), h) == 0
+    # one point in every fine cell of a square of 60 x 60 of them
+    packed = 0.5 * h * (np.array([(a, b) for a in range(60) for b in range(60)]) + 0.5)
+    packed += rng.uniform(-0.2, 0.2, packed.shape) * h
+    assert _dedupe_checked(monkeypatch, packed, rng.random(len(packed)), h) == len(packed)
+    # -5e-324 / 3 rounds to -0.0 but -5e-324 / 1.5 to -5e-324, so the first point's fine
+    # cell -1 does not lie in its cell 0 of side 3: every row goes through the greedy,
+    # which drops (3, 0), within 3 of it; by fine cells the two would be two cells apart
+    tiny = np.array([(-5e-324, 0.0), (3.0, 0.0)])
+    assert _dedupe_checked(monkeypatch, tiny, np.array([0.0, 1.0]), 3.0) == len(tiny)
+
+
+def test_dedupe_matches_greedy_reference_over_more_than_2_30_cells(monkeypatch):
+    # cell indices that span 2**30 or more are numbered with their gaps closed
+    rng = np.random.default_rng(9)
+    h = 1e-9
+    pts = rng.uniform(-12.0, 12.0, size=(4000, 2))
+    pts = np.concatenate([pts, pts[:2000] + rng.uniform(-1.2, 1.2, (2000, 2)) * h])
+    greedy_rows = _dedupe_checked(monkeypatch, pts, rng.random(len(pts)), h)
+    assert 0 < greedy_rows < len(pts)
+    assert ex._cell_keys(np.floor(pts / h))[1] < 2 ** 31
+
+
 def _classify_reference(k, location, cfg, field):
     """The original single-point classify, kept verbatim as the oracle."""
     hess = field.hess(k, np.asarray(location, dtype=float))
@@ -775,6 +866,34 @@ def test_disk_seed_grid_matches_the_meshgrid_reference(k, radius):
         got, want = ex._seed_grid(cfg), _seed_grid_reference(cfg)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_find_critical_points_memory_per_seed():
+    cfg = ex.default_search_config(1.0, 100.0)
+    seeds = len(ex._seed_grid(cfg))
+    tracemalloc.start()
+    try:
+        ex.find_critical_points(1.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 132.4 B per seed with the one-point-at-a-time dedupe, 130.9 B since
+    assert peak / seeds <= 132.4
+
+
+def test_dedupe_memory_per_candidate():
+    cfg = ex.default_search_config(1.0, 100.0)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_grid(cfg), cfg)
+    keep = converged & ex._in_domain(pts, cfg)
+    pts, gnorm = pts[keep], gnorm[keep]
+    tracemalloc.start()
+    try:
+        ex._dedupe(pts, gnorm, cfg.dedupe_radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 115.8 B per candidate with the one-point-at-a-time dedupe, 87.6 B since
+    assert peak / len(pts) < 95
 
 
 def test_refine_batch_memory_per_seed():
