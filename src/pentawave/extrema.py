@@ -339,13 +339,6 @@ def _cell_keys(cells):
     return cols[0] * width + cols[1], width
 
 
-def _near_ranges(keys, width, queries):
-    """(lo, hi) of the entries of sorted keys in the 3 x 3 cells around each query key,
-    one pair per row of the neighbourhood."""
-    return [(np.searchsorted(keys, queries + dx * width - 1, "left"),
-             np.searchsorted(keys, queries + dx * width + 1, "right")) for dx in (-1, 0, 1)]
-
-
 def _leaders(rows, group, columns):
     """Per group, the least value of the last column over the rows that tie for least
     in each column before it, taken column by column; with the row numbers last, the
@@ -387,7 +380,11 @@ def _dedupe(pts, gnorm, dedupe_radius):
     leaders = _leaders(by_cell, group, (gnorm, pts[:, 0], pts[:, 1], np.arange(len(pts))))
     coarse, width = _cell_keys(np.floor(0.5 * fine[leaders]))
     del fine
-    alone = halves & (sum(hi - lo for lo, hi in _near_ranges(np.sort(coarse), width, coarse)) == 1)
+    # occupied fine cells in the 3 x 3 cells of side h around each, its own included
+    occupied = np.sort(coarse)
+    near = sum(np.searchsorted(occupied, coarse + dx * width + 1, "right")
+               - np.searchsorted(occupied, coarse + dx * width - 1, "left") for dx in (-1, 0, 1))
+    alone = halves & (near == 1)
     cell = np.empty(len(pts), dtype=np.intp)
     cell[by_cell] = group
     rows = np.sort(by_cell[~alone[group]])
@@ -401,44 +398,30 @@ def _dedupe(pts, gnorm, dedupe_radius):
 def _greedy_keep(pts, cell, h):
     """Which rows the dedupe greedy keeps, for rows in visiting order with their fine cells.
 
-    A row is dropped when an earlier kept row shares its fine cell, or lies in its own
-    or an adjacent cell of side h and within h: its earlier neighbours. Decided in
-    rounds: each round keeps every open row with no open earlier neighbour, then drops
-    every open row with a kept one. The first open row is always decided, so the rounds
-    end; rows clustered at their critical points with norms in no spatial order take a
-    handful of rounds, and a chain visited from one end takes one round per two rows.
+    A row is dropped when an earlier kept row shares its fine cell, without a scan, or
+    lies in its own or an adjacent cell of side h and within h; so the work grows with
+    the rows times the kept rows around them. Squares are taken with ** on plain
+    floats, which rounds as C pow does (not always as x*x does).
     """
-    if len(pts) == 0:
-        return np.zeros(0, dtype=bool)
-    coarse, width = _cell_keys(np.floor(pts / h))
-    order = np.argsort(coarse)
-    occupied = coarse[order]
-    # pairs (a, b) of neighbours, a visited first; squares as C pow, as ** does
-    a, b = [], []
-    for rows in _row_blocks(len(pts)):
-        ranges = _near_ranges(occupied, width, coarse[rows])
-        lo = np.concatenate([lo for lo, _ in ranges])
-        count = np.concatenate([hi for _, hi in ranges]) - lo
-        i = np.repeat(np.tile(np.arange(rows.start, rows.stop), 3), count)
-        j = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
-        i, j = i[i < j], j[i < j]
-        d = pts[i] - pts[j]
-        near = np.float_power(d[:, 0], 2.0) + np.float_power(d[:, 1], 2.0) <= h * h
-        pair = near | (cell[i] == cell[j])
-        a.append(i[pair])
-        b.append(j[pair])
-    a, b = np.concatenate(a), np.concatenate(b)
-    state = np.zeros(len(pts), dtype=np.int8)  # 0 open, 1 kept, 2 dropped
-    while (state == 0).any():
-        waits = np.zeros(len(pts), dtype=bool)
-        waits[b] = True
-        state[(state == 0) & ~waits] = 1
-        behind = np.zeros(len(pts), dtype=bool)
-        behind[b[state[a] == 1]] = True
-        state[behind] = 2
-        live = (state[a] == 0) & (state[b] == 0)
-        a, b = a[live], b[live]
-    return state == 1
+    taken = set()
+    near = {}
+    keep = np.zeros(len(pts), dtype=bool)
+    for r, g in enumerate(cell.tolist()):
+        if g in taken:
+            continue
+        x, y = pts[r].tolist()
+        cx, cy = math.floor(x / h), math.floor(y / h)
+        if any(
+            (px - x) ** 2 + (py - y) ** 2 <= h * h
+            for nx in (cx - 1, cx, cx + 1)
+            for ny in (cy - 1, cy, cy + 1)
+            for px, py in near.get((nx, ny), ())
+        ):
+            continue
+        near.setdefault((cx, cy), []).append((x, y))
+        taken.add(g)
+        keep[r] = True
+    return keep
 
 
 def classify(k, location, cfg, field=S5_FIELD):

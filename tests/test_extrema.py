@@ -380,8 +380,9 @@ def test_dedupe_matches_greedy_reference_on_converged_seeds():
     assert ex._dedupe(pts, gnorm, cfg.dedupe_radius) == want
 
 
-def _dedupe_checked(monkeypatch, pts, gnorm, h):
-    """Rows that went through ex._greedy_keep, once ex._dedupe has matched the reference."""
+def _dedupe_checked(monkeypatch, pts, gnorm, h, traced=False):
+    """Rows that went through ex._greedy_keep, once ex._dedupe has matched the reference;
+    traced, also the tracemalloc peak of ex._dedupe per row."""
     seen = []
     greedy = ex._greedy_keep
 
@@ -391,9 +392,15 @@ def _dedupe_checked(monkeypatch, pts, gnorm, h):
 
     with monkeypatch.context() as patched:
         patched.setattr(ex, "_greedy_keep", spy)
-        got = ex._dedupe(pts, gnorm, h)
+        if traced:
+            tracemalloc.start()
+        try:
+            got = ex._dedupe(pts, gnorm, h)
+            peak = tracemalloc.get_traced_memory()[1] if traced else 0
+        finally:
+            tracemalloc.stop()
     assert got == _greedy_dedupe_reference(pts, gnorm, h)
-    return seen[0]
+    return (seen[0], peak / len(pts)) if traced else seen[0]
 
 
 def _converged_seeds(k, cfg):
@@ -469,6 +476,29 @@ def test_dedupe_matches_greedy_reference_over_more_than_2_30_cells(monkeypatch):
     greedy_rows = _dedupe_checked(monkeypatch, pts, rng.random(len(pts)), h)
     assert 0 < greedy_rows < len(pts)
     assert ex._cell_keys(np.floor(pts / h))[1] < 2 ** 31
+
+
+def test_dedupe_memory_stays_linear_on_coincident_rows(monkeypatch):
+    # rows at +-tiny coordinates fill the four fine cells around the origin, all in
+    # conflict; any work per pair of rows would take gigabytes here
+    rng = np.random.default_rng(13)
+    pts = rng.choice([-1e-17, -0.0, 0.0, 1e-17], size=(20000, 2))
+    gnorm = rng.random(len(pts))
+    greedy_rows, per_row = _dedupe_checked(monkeypatch, pts, gnorm, 0.002, traced=True)
+    assert greedy_rows == len(pts)
+    # measured 64 B per row
+    assert per_row < 100
+
+
+def test_dedupe_memory_stays_linear_on_a_dense_seed_grid(monkeypatch):
+    # nearly every converged seed lands in a fine cell with occupied neighbours
+    cfg = ex.default_search_config(1.0, 1.0, seed_spacing=0.01, dedupe_radius=0.002)
+    pts, gnorm = _converged_seeds(1.0, cfg)
+    h = cfg.dedupe_radius
+    greedy_rows, per_row = _dedupe_checked(monkeypatch, pts, gnorm, h, traced=True)
+    assert greedy_rows > 0.9 * len(pts)
+    # measured 64 B per row
+    assert per_row < 100
 
 
 def _classify_reference(k, location, cfg, field):
