@@ -50,11 +50,11 @@ from .svgout import SvgCanvas, clip_line_to_box, diverging_colors
 from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
-    _block_edges,
     _disk_lattice_blocks,
     _map_blocks,
     _sin_prod,
     _sin_sum,
+    _whole_lattice,
     direction_basis,
     p5,
     project,
@@ -323,7 +323,7 @@ def _config_checked(fn, *args, **kwargs):
 
 
 def _disk_blocks(radius, step, size):
-    """The blocks of wavefield._disk_lattice_blocks, once the grid size is within the cap."""
+    """The half grid of wavefield._disk_lattice_blocks, once the whole grid is within the cap."""
     # counted in floats, so an overflowing grid is refused instead of raising
     side = 2.0 * float(np.floor(radius / step)) + 1.0
     suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
@@ -333,7 +333,7 @@ def _disk_blocks(radius, step, size):
 
 def _disk_grid(radius, step):
     """The whole disk grid of _disk_blocks as one array; the block size leaves its rows unchanged."""
-    return np.concatenate(list(_disk_blocks(radius, step, 1 << 16)))
+    return _whole_lattice(np.concatenate(list(_disk_blocks(radius, step, 1 << 16))))
 
 
 def _check_count(count, what, remedy="a smaller --radius or --k"):
@@ -492,21 +492,16 @@ def _blocked_max_errors(spec, blocks):
     return worst, num_points
 
 
-def _series_max_errors(spec, pts):
-    """The per-N maxima of _blocked_max_errors over the converge chunks of an array of points."""
-    edges = _block_edges(len(pts), _converge_chunk(spec.num_terms))
-    blocks = (pts[start:stop] for start, stop in zip(edges, edges[1:]))
-    return _blocked_max_errors(spec, blocks)[0]
-
-
 def _run_converge(cfg):
     spec = _config_checked(SeriesSpec, cfg.k, cfg.terms)
     bounds = [
         _config_checked(tail_bound, cfg.k, cfg.radius, n).scaled_bound
         for n in range(cfg.terms + 1)
     ]
+    # s5 (a sum of sines) and each term (a product of five) are odd bit for bit, so
+    # |s5 - series_N| is the same at p and -p and the half grid has every maximum
     blocks = _disk_blocks(cfg.radius, cfg.grid_step, _converge_chunk(cfg.terms))
-    errors, num_samples = _blocked_max_errors(spec, blocks)
+    errors, half = _blocked_max_errors(spec, blocks)
     rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
     for n, err, bound in rows:
         if err > bound:
@@ -515,7 +510,7 @@ def _run_converge(cfg):
             )
     _write_csv(cfg, "converge", ["N", "max_error", "bound"], list(zip(*rows)))
     report = {
-        "num_samples": num_samples,
+        "num_samples": 2 * half - 1,
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
     }
     _write_json(cfg, "converge", report)

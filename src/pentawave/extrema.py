@@ -19,6 +19,7 @@ import numpy as np
 from .wavefield import (
     _block_edges,
     _disk_lattice_blocks,
+    _whole_lattice,
     grad_s2,
     grad_s5,
     hess_s2,
@@ -40,15 +41,18 @@ _NEWTON_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class FieldTriple:
-    """Value, gradient, and Hessian evaluators sharing the signature (k, points)."""
+    """Value, gradient, and Hessian evaluators sharing the signature (k, points); odd
+    declares the value and Hessian odd and the gradient even under p -> 0.0 - p, bit for bit."""
 
     value: Callable
     grad: Callable
     hess: Callable
+    odd: bool = False
 
 
-S5_FIELD = FieldTriple(s5, grad_s5, hess_s5)
-S2_FIELD = FieldTriple(s2, grad_s2, hess_s2)
+# Sums of sines of projections: numpy's sin is odd and cos even bit for bit.
+S5_FIELD = FieldTriple(s5, grad_s5, hess_s5, odd=True)
+S2_FIELD = FieldTriple(s2, grad_s2, hess_s2, odd=True)
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,11 @@ def seed_count(cfg):
         return float((2 * np.floor(cfg.radius / s) + 1) ** 2)
 
 
+def _seed_half(cfg):
+    """The disk seed lattice from its centre row, the origin, on."""
+    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, cfg.seed_spacing, 1 << 16)))
+
+
 def _seed_grid(cfg):
     s = cfg.seed_spacing
     if cfg.window is not None:
@@ -197,7 +206,7 @@ def _seed_grid(cfg):
         ys = ymin + s * np.arange(int(math.floor((ymax - ymin) / s)) + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
-    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, s, 1 << 16)))
+    return _whole_lattice(_seed_half(cfg))
 
 
 def _in_domain(pts, cfg):
@@ -220,7 +229,16 @@ def _row_blocks(num_rows):
     return map(slice, edges[:-1], edges[1:])
 
 
-def _newton_step(field, k, cur, g, cfg):
+def _evaluate(fn, k, rows, paired):
+    """fn(k, rows), where a lone row that stands for a pair is evaluated as two
+    identical rows, so it rounds as the pair did in one batch.
+    """
+    if len(rows) == 1 and paired[0]:
+        return fn(k, np.repeat(rows, 2, axis=0))[:1]
+    return fn(k, rows)
+
+
+def _newton_step(field, k, cur, g, paired, cfg):
     """Next point of each row: a Newton step, or where the Hessian determinant
     falls below eig_degenerate_tol^2 a damped gradient step of length
     0.1*seed_spacing in whichever of the +-gradient directions reduces the
@@ -229,6 +247,11 @@ def _newton_step(field, k, cur, g, cfg):
     overwrites the degenerate rows;
     every row is regular on almost every step. A function of its own, so the
     step's arrays are freed before the caller compacts its rows.
+
+    Returns (new, split, mate). A paired row's mate steps to 0.0 - its new
+    point, except at a fallback whose norms tie (or hold a NaN): the mate's lo
+    and hi are 0.0 - hi and 0.0 - lo, so it takes the same side. Those rows,
+    as positions into cur, are split, and mate holds their mates' next points.
     """
     try:
         det_tol = cfg.eig_degenerate_tol ** 2
@@ -237,7 +260,7 @@ def _newton_step(field, k, cur, g, cfg):
     new = np.empty_like(cur)
     regular = np.empty(len(cur), dtype=bool)
     for rows in _row_blocks(len(cur)):
-        hess = field.hess(k, cur[rows])
+        hess = _evaluate(field.hess, k, cur[rows], paired[rows])
         det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
         gb = g[rows]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -246,21 +269,23 @@ def _newton_step(field, k, cur, g, cfg):
         new[rows] = cur[rows] - np.column_stack([dx, dy])
         regular[rows] = np.abs(det) >= det_tol
     if regular.all():
-        return new
-    flat = ~regular
+        return new, np.empty(0, dtype=np.intp), np.empty((0, 2))
+    flat = np.flatnonzero(~regular)
     fallback_step = 0.1 * cfg.seed_spacing
-    g, cur = g.compress(flat, axis=0), cur.compress(flat, axis=0)
+    g, cur, paired = g[flat], cur[flat], paired[flat]
     direction = g / np.hypot(g[:, 0], g[:, 1])[:, None]
     lo = cur - fallback_step * direction
     hi = cur + fallback_step * direction
-    glo = field.grad(k, lo)
-    ghi = field.grad(k, hi)
-    take_lo = np.hypot(glo[:, 0], glo[:, 1]) <= np.hypot(ghi[:, 0], ghi[:, 1])
+    glo = _evaluate(field.grad, k, lo, paired)
+    ghi = _evaluate(field.grad, k, hi, paired)
+    nlo, nhi = np.hypot(glo[:, 0], glo[:, 1]), np.hypot(ghi[:, 0], ghi[:, 1])
+    take_lo = nlo <= nhi
     new[flat] = np.where(take_lo[:, None], lo, hi)
-    return new
+    split = paired & (take_lo == (nhi <= nlo))
+    return new, flat[split], 0.0 - np.where(take_lo[split, None], hi[split], lo[split])
 
 
-def _refine_batch(field, k, seeds, cfg):
+def _refine_batch(field, k, seeds, cfg, mirror=False):
     """Newton-iterate every seed; returns (points, converged, gradient_norm).
 
     Convergence is checked before stepping, so a seed already at a critical
@@ -271,24 +296,36 @@ def _refine_batch(field, k, seeds, cfg):
     rows a boolean index does, several times faster on (n, 2) arrays. The
     gradient norm is taken only on rows whose larger gradient component is
     within grad_tol. grad sees the active rows and
-    hess the rows not yet converged, in seed order, cut into the blocks of
+    hess the rows not yet converged, cut into the blocks of
     _row_blocks: numpy rounds a one-row batch differently from a larger one,
     but any two or more rows round as the same rows of one larger batch do,
-    so the bits do not depend on the blocks.
+    so the bits depend neither on the blocks nor on the order of the rows.
+
+    With mirror, seeds is a lattice from its centre row on (_seed_half), field
+    is odd, and the results are those of _whole_lattice(seeds), whose row n-1-i
+    mirrors row i. Each row after the centre stands for itself and its mate,
+    whose state is 0.0 - p and whose flag and gradient norm are the row's. A
+    one-row batch rounds as a lone row only when it is the search's only
+    active seed; a paired one is evaluated as two rows (_evaluate). Where a
+    fallback splits a pair (_newton_step), the mate goes on as its own row.
     """
-    pts = np.array(seeds, dtype=float)
+    mates = max(len(seeds) - 1, 0) if mirror else 0
+    pts = np.empty((mates + len(seeds), 2))
+    pts[mates:] = seeds
     del seeds
     n = len(pts)
     converged = np.zeros(n, dtype=bool)
     gnorm = np.full(n, np.inf)
-    idx = np.arange(n)
-    cur = pts  # safe to share: a row of pts is only ever set to its current point
+    idx = np.arange(mates, n)
+    cur = pts[mates:]  # safe to share: a row of pts is only ever set to its current point
+    paired = (idx > mates) & mirror
+    own = np.ones(mates, dtype=bool)  # mates still 0.0 - their row's point
     for step in range(cfg.max_newton_steps + 1):
         if idx.size == 0:
             break
         g = np.empty_like(cur)
         for rows in _row_blocks(len(cur)):
-            g[rows] = field.grad(k, cur[rows])
+            g[rows] = _evaluate(field.grad, k, cur[rows], paired[rows])
         # hypot is never below either component, so only these rows can converge
         within = np.abs(g) <= cfg.grad_tol
         done = within[:, 0] & within[:, 1]
@@ -306,18 +343,30 @@ def _refine_batch(field, k, seeds, cfg):
             idx = idx.compress(live)
             cur = cur.compress(live, axis=0)
             g = g.compress(live, axis=0)
+            paired = paired.compress(live)
         if step == cfg.max_newton_steps or idx.size == 0:
             break
-        new = _newton_step(field, k, cur, g, cfg)
+        new, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
         del g
+        if pair.size:
+            own[n - 1 - idx[pair]] = False
+            paired[pair] = False
+            idx = np.concatenate([idx, n - 1 - idx[pair]])
+            cur = np.concatenate([cur, 0.0 - cur[pair]])
+            new = np.concatenate([new, mate])
+            paired = np.concatenate([paired, np.zeros(pair.size, dtype=bool)])
         bad = ~(np.isfinite(new[:, 0]) & np.isfinite(new[:, 1]))
         if bad.any():
             pts[idx.compress(bad)] = cur.compress(bad, axis=0)
             live = ~bad
-            idx, new = idx.compress(live), new.compress(live, axis=0)
+            idx, new, paired = idx.compress(live), new.compress(live, axis=0), paired.compress(live)
         cur = new
         del new  # else the next compaction keeps the old rows alive
     pts[idx] = cur
+    rows = np.flatnonzero(own)
+    pts[rows] = 0.0 - pts[n - 1 - rows]
+    converged[rows] = converged[n - 1 - rows]
+    gnorm[rows] = gnorm[n - 1 - rows]
     return pts, converged, gnorm
 
 
@@ -475,8 +524,11 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     points sorted by (x, y) as one CriticalSet.
     """
     check_search_grid(k, cfg)
-    # no name holds the seed grid, so _refine_batch can free it once copied
-    pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
+    # no name holds the seeds, so _refine_batch can free them once copied
+    if field.odd and cfg.window is None:
+        pts, converged, gnorm = _refine_batch(field, k, _seed_half(cfg), cfg, mirror=True)
+    else:
+        pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)
     pts, gnorm = pts[keep], gnorm[keep]
     if len(pts):

@@ -365,6 +365,13 @@ class MatchReport:
     correspondences: Correspondences
 
 
+def _median(values):
+    """np.median of a nonempty 1-D array without NaN, bit for bit, without the NaN check
+    that imports numpy.ma (about 10 ms): the np.mean of its middle value or two."""
+    n = len(values)
+    return np.mean(np.sort(values)[(n - 1) // 2:n // 2 + 1])
+
+
 def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
     """Register dual vertices against the extrema of a CriticalSet and score the correspondence.
 
@@ -390,7 +397,7 @@ def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
         regions_with_exactly_one=int((occupancy == 1).sum()),
         residuals=tuple(residuals.tolist()),
         mean_residual=float(np.mean(residuals)),
-        median_residual=float(np.median(residuals)),
+        median_residual=float(_median(residuals)),
         max_residual=float(np.max(residuals)),
         excluded_near_singular=excluded,
         dual_position_collisions=sum(n for n in groups.values() if n > 1),

@@ -117,7 +117,10 @@ def _old_disk_grid(radius, step):
     (20 / 0.93, 0.05 / 0.93),  # a k-scaled radius and pitch
 ])
 def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
-    want = _old_disk_grid(radius, step)
+    # the blocks hold the half of the grid from its middle row, the origin, on
+    whole = _old_disk_grid(radius, step)
+    want = whole[len(whole) // 2:]
+    assert want[0].tolist() == [0.0, 0.0]
     total = len(want)
     sizes = {1, 2, 3, 5, 64, total, total + 1, cli._converge_chunk(14), 1 << 16}
     if total > 2:
@@ -132,7 +135,7 @@ def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
         assert [len(block) for block in blocks] == np.diff(edges).tolist()
         for block, start, stop in zip(blocks, edges, edges[1:]):
             assert block.tobytes() == want[start:stop].tobytes()
-    assert cli._disk_grid(radius, step).tobytes() == want.tobytes()
+    assert cli._disk_grid(radius, step).tobytes() == whole.tobytes()
 
 
 def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
@@ -188,6 +191,14 @@ def _series_errors_one_n_at_a_time(k, pts, terms):
     ]
 
 
+def _series_max_errors(spec, pts):
+    """The per-N maxima of cli._blocked_max_errors over the converge chunks of an array
+    of points."""
+    edges = pw.wavefield._block_edges(len(pts), cli._converge_chunk(spec.num_terms))
+    blocks = (pts[start:stop] for start, stop in zip(edges, edges[1:]))
+    return cli._blocked_max_errors(spec, blocks)[0]
+
+
 def _chunk_leaving_one_point(num_points):
     """A chunk size that splits num_points into at least three chunks plus one point."""
     return next(c for c in range(num_points // 3, 1, -1) if num_points % c == 1)
@@ -234,7 +245,7 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
     worst = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(1.0, 5), pts)).argmax()
     pts = np.vstack([np.delete(pts, worst, axis=0), pts[worst]])
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 100)
-    got = cli._series_max_errors(pw.SeriesSpec(1.0, terms), pts)
+    got = _series_max_errors(pw.SeriesSpec(1.0, terms), pts)
     assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, pts, terms)
 
 
@@ -254,7 +265,8 @@ def test_converge_rounding_violation_reported_at_first_failing_n(tmp_path):
 
 def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     terms, radius, step = 9, 4.0, 0.25
-    num_points = len(cli._disk_grid(radius, step))
+    # converge evaluates the half of the grid from the origin on
+    num_points = len(cli._disk_grid(radius, step)) // 2 + 1
     chunk = _chunk_leaving_one_point(num_points)
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
     calls = {"project": 0, "_sin_sum": 0, "_sin_prod": 0, "s5": 0, "p5": 0, "series_partial": 0}
@@ -762,3 +774,12 @@ def test_version_in_envelope(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "converge.json").read_text())
     assert report["version"] == pw.__version__
+
+
+def test_match_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on first use, about 10 ms of every match run
+    code = ("import sys; from pentawave import cli; "
+            f"code = cli.main(['match', '--radius', '30', '--out', {str(tmp_path / 'm')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "0 False\n", proc.stderr

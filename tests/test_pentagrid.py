@@ -656,3 +656,11 @@ def test_correspondences_of_the_search_output_match_reference():
                 columns, pg.matching_correspondences(spec, columns, disk_radius), want)
     _assert_report_equals(found, pg.match_report(spec, found, 60.0),
                           _report_reference(spec, list(found), 60.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 4970, 4971])
+def test_median_is_numpy_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n) * 1e-3,
+                   np.repeat(rng.uniform(0.0, 1.0, (n + 1) // 2), 2)[:n]):
+        assert pg._median(values).tobytes() == np.median(values).tobytes()
