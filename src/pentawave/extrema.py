@@ -363,10 +363,10 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         cur = new
         del new  # else the next compaction keeps the old rows alive
     pts[idx] = cur
-    rows = np.flatnonzero(own)
-    pts[rows] = 0.0 - pts[n - 1 - rows]
-    converged[rows] = converged[n - 1 - rows]
-    gnorm[rows] = gnorm[n - 1 - rows]
+    # the mates, from reversed views of their rows (empty without mirror): no temporaries
+    np.subtract(0.0, pts[n - mates:][::-1], out=pts[:mates], where=own[:, None])
+    np.copyto(converged[:mates], converged[n - mates:][::-1], where=own)
+    np.copyto(gnorm[:mates], gnorm[n - mates:][::-1], where=own)
     return pts, converged, gnorm
 
 
@@ -530,7 +530,9 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     else:
         pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)
+    del converged  # with keep, freed before the dedupe, where the search peaks
     pts, gnorm = pts[keep], gnorm[keep]
+    del keep
     if len(pts):
         pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
