@@ -14,7 +14,6 @@ from .extrema import (
     KINDS,
     S2_FIELD,
     S5_FIELD,
-    CriticalPoint,
     CriticalSet,
     FieldTriple,
     SearchConfig,
@@ -24,28 +23,23 @@ from .extrema import (
     s2_oracle,
 )
 from .identities import (
-    ResidualReport,
     direction_sum_residuals,
     even_flip_terms,
     expansion_lhs,
     expansion_terms,
     functional_residual,
-    run_identity_suite,
     suite_residual_breakdown,
     two_wave_residual,
 )
 from .pentagrid import (
     Correspondences,
-    DualVertex,
     MatchReport,
-    OnBoundaryError,
     PentagridSpec,
     RhombusTile,
     SimilarityTransform,
     TilingPatch,
-    dual_vertex,
+    dual_vertices,
     fit_similarity,
-    index_vector,
     match_report,
     matching_correspondences,
     region_indices,

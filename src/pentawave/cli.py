@@ -103,6 +103,10 @@ _TOLERANCE_KEYS = (
     "identity_k_max",
 )
 
+# Config-file keys that must hold whole numbers; every other key but out and format
+# holds a float.
+_WHOLE_KEYS = ("terms", "seed", "max_newton_steps", "identity_num_points")
+
 _DEFAULTS = {
     "k": 1.0,
     "radius": 10.0,
@@ -183,28 +187,52 @@ def _load_config_file(path):
     return data
 
 
+def _config_value(key, value, prefix=""):
+    """A config-file value, checked; prefix + key names it in the messages.
+
+    out and format must be strings. Every other key must hold a finite JSON
+    number, not a bool, and is returned as a float, or for _WHOLE_KEYS as an
+    int, exact if it was one.
+    """
+    what = prefix + key
+    if key in ("out", "format"):
+        if not isinstance(value, str):
+            raise ConfigError(f"{what} must be a string")
+        return value
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be numeric")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{what} is out of range") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite")
+    if key not in _WHOLE_KEYS:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be a whole number, not {number!r}")
+    return int(value)
+
+
 def resolve_config(args):
-    """Merge flags over config-file values over defaults, then validate."""
+    """Merge flags over config-file values over defaults, then validate.
+
+    Every value in the config file is checked, also one a flag overrides.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
+    file_values = {
+        key: _config_value(key, value) for key, value in file_cfg.items() if key != "tolerances"
+    }
 
     def pick(name):
         flag = getattr(args, name)
         if flag is not None:
             return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return _DEFAULTS[name]
+        return file_values.get(name, _DEFAULTS[name])
 
-    try:
-        k = float(pick("k"))
-        radius = float(pick("radius"))
-        terms = int(pick("terms"))
-        grid_step = float(pick("grid_step"))
-        seed = int(pick("seed"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"non-numeric configuration value: {exc}") from exc
-    out_dir = str(pick("out"))
-    formats = tuple(part.strip() for part in str(pick("format")).split(",") if part.strip())
+    k, radius, terms, grid_step, seed = map(pick, ("k", "radius", "terms", "grid_step", "seed"))
+    out_dir = pick("out")
+    formats = tuple(part.strip() for part in pick("format").split(",") if part.strip())
 
     if not (math.isfinite(k) and k > 0):
         raise ConfigError("k must be finite and positive")
@@ -223,21 +251,7 @@ def resolve_config(args):
     unknown = set(tolerances) - set(_TOLERANCE_KEYS)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"tolerance {key} must be numeric")
-        try:
-            value = float(value)
-        except OverflowError as exc:
-            raise ConfigError(f"tolerance {key} is out of range") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"tolerance {key} must be finite")
-        if key in ("max_newton_steps", "identity_num_points"):
-            if not value.is_integer():
-                raise ConfigError(f"tolerance {key} must be a whole number, not {value!r}")
-            value = int(value)
-        resolved[key] = value
+    resolved = {key: _config_value(key, value, "tolerance ") for key, value in tolerances.items()}
 
     return RunConfig(
         command=args.command,
@@ -574,9 +588,9 @@ def _run_tiling(cfg):
     _write_csv(cfg, "tiling", header, columns)
     num_thin = int(patch.thin.sum())
     report = {
-        "num_tiles": len(patch.tiles),
+        "num_tiles": len(patch.thin),
         "num_thin": num_thin,
-        "num_thick": len(patch.tiles) - num_thin,
+        "num_thick": len(patch.thin) - num_thin,
         "skipped_singular": patch.skipped_singular,
         "grid_wavenumber": spec.c,
         "spacing": spec.spacing,
@@ -584,7 +598,7 @@ def _run_tiling(cfg):
     _write_json(cfg, "tiling", report)
 
     def draw():
-        if not patch.tiles:
+        if not len(patch.thin):
             return None
         verts = patch.vertices.reshape(-1, 2)
         pad = 1.0

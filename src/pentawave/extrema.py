@@ -10,7 +10,6 @@ and serves as a closed-form oracle for it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -55,34 +54,6 @@ S5_FIELD = FieldTriple(s5, grad_s5, hess_s5, odd=True)
 S2_FIELD = FieldTriple(s2, grad_s2, hess_s2, odd=True)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """A converged zero of the field gradient.
-
-    eigenvalues is the Hessian spectrum in ascending order; kind follows the
-    eigenvalue-sign rule of classify().
-    """
-
-    location: tuple[float, float]
-    value: float
-    kind: str
-    eigenvalues: tuple[float, float]
-
-
-class _ItemView(Sequence):
-    """Read-only sequence of size items; item i is built by item(i), only on access."""
-
-    def __init__(self, size, item):
-        self._size, self._item = size, item
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, i):
-        rows = range(self._size)[i]
-        return [self._item(r) for r in rows] if isinstance(rows, range) else self._item(rows)
-
-
 def _same_columns(a, b):
     """Dataclass equality for records of arrays: every field equal by np.array_equal."""
     return type(a) is type(b) and all(
@@ -91,12 +62,12 @@ def _same_columns(a, b):
 
 
 @dataclass(frozen=True, eq=False)
-class CriticalSet(Sequence):
+class CriticalSet:
     """Critical points as columns, one row per point, sorted by (x, y).
 
     location (n, 2), value (n,), kind (n,) codes into KINDS and eigenvalues
-    (n, 2), the Hessian spectrum in ascending order. As a sequence it holds
-    one CriticalPoint per row, built on access.
+    (n, 2), the Hessian spectrum in ascending order; kind follows the
+    eigenvalue-sign rule of classify().
     """
 
     location: np.ndarray
@@ -109,16 +80,9 @@ class CriticalSet(Sequence):
     def __len__(self):
         return len(self.value)
 
-    def __getitem__(self, i):
-        return _ItemView(len(self), self._point)[i]
-
     def of_kind(self, *kinds):
         """Boolean mask of the rows whose kind is one of the given kind names."""
         return np.isin(self.kind, [KINDS.index(kind) for kind in kinds])
-
-    def _point(self, i):
-        return CriticalPoint(tuple(self.location[i].tolist()), float(self.value[i]),
-                             KINDS[self.kind[i]], tuple(self.eigenvalues[i].tolist()))
 
 
 @dataclass(frozen=True)

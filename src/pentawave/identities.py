@@ -5,13 +5,12 @@ that vanishes in exact arithmetic: the 16-term sine expansion of the
 five-wave product, the functional equation tying s5 at three wavenumbers
 to p5, the eleven linear relations among the five projections, and the
 two-wave product factorization. A seeded suite runner sweeps random
-points and wavenumbers and reports the worst absolute residual.
+points and wavenumbers and reports the worst absolute residual of each.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,15 +138,6 @@ def two_wave_residual(k, p):
     return _maybe_scalar(np.asarray(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Worst absolute residual over a seeded random sweep."""
-
-    max_abs_residual: float
-    num_points: int
-    rng_seed: int
-
-
 def _sweep_range(num_points, k_range, radius):
     """The validated (lo, hi) wavenumber range of a sweep."""
     if num_points < 1:
@@ -226,16 +216,3 @@ def suite_residual_breakdown(num_points, seed, k_range, radius):
     names = ("expansion", "functional", "direction_sums", "two_wave")
     return dict(zip(names, map(float, worst)))
 
-
-def run_identity_suite(num_points, seed, k_range, radius):
-    """Sweep seeded random disk points and wavenumbers over all four checks.
-
-    Points are uniform in the disk of the given radius, wavenumbers uniform
-    in k_range; the same seed always reproduces the same report.
-    """
-    breakdown = suite_residual_breakdown(num_points, seed, k_range, radius)
-    return ResidualReport(
-        max_abs_residual=max(breakdown.values()),
-        num_points=int(num_points),
-        rng_seed=int(seed),
-    )

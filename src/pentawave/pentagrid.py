@@ -15,21 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .extrema import KIND_MAXIMUM, KIND_MINIMUM, _ItemView, _same_columns
+from .extrema import KIND_MAXIMUM, KIND_MINIMUM, _same_columns
 from .wavefield import _as_points, direction_basis
 
 _E = direction_basis()
 
 THIN = "thin"
 THICK = "thick"
-
-
-class OnBoundaryError(ValueError):
-    """Point lies within boundary_eps of a grid line, so its region is undefined."""
 
 
 @dataclass(frozen=True)
@@ -64,24 +61,6 @@ def region_indices(spec, pts):
     return np.floor(t).astype(np.int64), margin
 
 
-def index_vector(spec, p, boundary_eps=None):
-    """Strip indices m_i = floor(c*a_i/pi) of the region containing one point.
-
-    Raises OnBoundaryError when the point lies within boundary_eps (default
-    1e-9 * spacing) of any grid line, where the floor is unreliable.
-    """
-    if boundary_eps is None:
-        boundary_eps = 1e-9 * spec.spacing
-    m, margin = region_indices(spec, p)
-    if m.ndim != 1:
-        raise ValueError("index_vector expects a single point; use region_indices for batches")
-    if margin <= boundary_eps:
-        raise OnBoundaryError(
-            f"point within {boundary_eps:g} of a grid line; region index undefined"
-        )
-    return tuple(int(v) for v in m)
-
-
 def region_sign(iv):
     """Sign of the product field on the region: (-1) to the sum of the indices."""
     arr = np.asarray(iv)
@@ -89,22 +68,13 @@ def region_sign(iv):
     return int(s) if s.ndim == 0 else s
 
 
-@dataclass(frozen=True)
-class DualVertex:
-    """Tiling-space vertex of a region: position = sum_i m_i e_i, unit edges."""
+def dual_vertices(m):
+    """Tiling-space vertices sum_i m_i e_i of region indices m (..., 5), as (..., 2).
 
-    index: tuple[int, int, int, int, int]
-    position: tuple[float, float]
-
-
-def dual_vertex(iv):
-    """Dualize a region index to its tiling-space vertex."""
-    m = np.asarray(iv, dtype=float)
-    pos = m @ _E
-    return DualVertex(
-        index=tuple(int(v) for v in iv),
-        position=(float(pos[0]), float(pos[1])),
-    )
+    Each index vector is projected as a stacked single row, so a batch rounds
+    row by row as one index vector does.
+    """
+    return (np.asarray(m, dtype=float)[..., None, :] @ _E)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -121,6 +91,20 @@ class RhombusTile:
     kind: str
     families: tuple[int, int]
     intersection: tuple[float, float]
+
+
+class _ItemView(Sequence):
+    """Read-only sequence of size items; item i is built by item(i), only on access."""
+
+    def __init__(self, size, item):
+        self._size, self._item = size, item
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        rows = range(self._size)[i]
+        return [self._item(r) for r in rows] if isinstance(rows, range) else self._item(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +174,7 @@ def tiles(spec, window, singular_eps=None):
     lines meet, as at the origin of this zero-offset grid); they produce no
     tile and are tallied in skipped_singular. Thin tiles come from family
     pairs at cyclic distance 2 or 3, thick tiles from distance 1 or 4.
-    Each family pair is dualized as one batch; vertices are projected as
-    stacked single index vectors, so they round as dual_vertex does.
+    Each family pair is dualized as one batch, its vertices by dual_vertices.
     """
     if singular_eps is None:
         singular_eps = 1e-9 * spec.spacing
@@ -224,7 +207,7 @@ def tiles(spec, window, singular_eps=None):
         corners = np.repeat(base[:, None, :], len(_QUADRANTS), axis=1)
         corners[:, :, [i, j]] += _QUADRANTS
         columns.append((
-            (corners[..., None, :] @ _E)[..., 0, :],
+            dual_vertices(corners),
             np.full(len(pts), (j - i) in (2, 3)),
             np.tile((i, j), (len(pts), 1)),
             pts,
@@ -249,19 +232,6 @@ class SimilarityTransform:
         return np.stack(
             [c * x - s * y + self.translation[0], s * x + c * y + self.translation[1]],
             axis=-1,
-        )
-
-    def inverse(self):
-        inv_scale = 1.0 / self.scale
-        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
-        tx, ty = self.translation
-        return SimilarityTransform(
-            scale=inv_scale,
-            rotation=-self.rotation,
-            translation=(
-                -inv_scale * (c * tx - s * ty),
-                -inv_scale * (s * tx + c * ty),
-            ),
         )
 
 
@@ -301,8 +271,8 @@ class Correspondences:
     """Matched extrema as columns, one row per extremum.
 
     rows are the extrema's rows in the CriticalSet they came from, index the
-    region index vectors (n, 5) and position the dual vertex positions
-    (n, 2), each as index_vector and dual_vertex give them.
+    region index vectors (n, 5) of region_indices and position the dual
+    vertex positions (n, 2) of dual_vertices.
     """
 
     rows: np.ndarray
@@ -321,9 +291,8 @@ def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None)
     1e-9 * spacing) of any grid line, where the region is undefined. Returns
     (kept, correspondences, excluded_near_singular): kept holds the rows of
     the extrema that passed the kind and rim filters, and correspondences
-    those of them that were matched. All extrema are indexed and dualized
-    as stacked single points, so each result rounds as index_vector and
-    dual_vertex do.
+    those of them that were matched. All extrema are indexed as stacked
+    single points, so each rounds as region_indices of that one point does.
     """
     if boundary_eps is None:
         boundary_eps = 1e-9 * spec.spacing
@@ -334,8 +303,8 @@ def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None)
         kept = kept[np.array(list(map(math.hypot, x, y))) <= disk_radius - spec.spacing]
     m, margin = region_indices(spec, extrema.location[kept, None, :])
     usable = margin[:, 0] > boundary_eps
-    m = m[usable]
-    matched = Correspondences(kept[usable], m[:, 0], (m.astype(float) @ _E)[:, 0])
+    m = m[usable, 0]
+    matched = Correspondences(kept[usable], m, dual_vertices(m))
     return kept, matched, len(kept) - len(matched.rows)
 
 

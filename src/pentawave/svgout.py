@@ -32,11 +32,6 @@ def diverging_colors(values, vmax):
     return ["#%06x" % code for code in rgb.tolist()]
 
 
-def diverging_color(value, vmax):
-    """Blue-white-red hex color for value in [-vmax, vmax]; see diverging_colors."""
-    return diverging_colors([value], vmax)[0]
-
-
 class SvgCanvas:
     """Accumulates SVG elements in world coordinates and serializes them."""
 

@@ -127,14 +127,10 @@ def test_criterion_4_checkerboard_oracle(verdict):
     elapsed = time.perf_counter() - start
     ok = len(found) == len(oracle) == 4
     if ok:
-        for got, want in zip(found, oracle):
-            dist = math.hypot(
-                got.location[0] - want.location[0], got.location[1] - want.location[1]
-            )
-            ok = ok and dist <= 1e-9
-            ok = ok and got.kind == want.kind
-            ok = ok and abs(got.value - want.value) <= 1e-9
-    kinds = sorted(p.kind for p in found)
+        ok = ok and bool(np.all(np.hypot(*(found.location - oracle.location).T) <= 1e-9))
+        ok = ok and found.kind.tolist() == oracle.kind.tolist()
+        ok = ok and bool(np.all(np.abs(found.value - oracle.value) <= 1e-9))
+    kinds = sorted(ex.KINDS[code] for code in found.kind.tolist())
     ok = ok and kinds == ["maximum", "minimum", "saddle", "saddle"]
     ok = ok and elapsed <= 2.0
     verdict(
@@ -211,17 +207,13 @@ def test_criterion_7_registration_recovery(verdict):
         if g > 1e-6 * spec.spacing:
             regions[tuple(int(v) for v in row)] = None
     planted = pg.SimilarityTransform(scale=3.7, rotation=0.4, translation=(5.0, -2.0))
-    pairs = []
-    for iv in regions:
-        src = pg.dual_vertex(iv).position
-        tgt = planted.apply(np.asarray(src))
-        pairs.append((src, (float(tgt[0]), float(tgt[1]))))
-    fitted = pg.fit_similarity(pairs)
-    mapped = fitted.apply(np.array([p for p, _ in pairs]))
-    targets = np.array([t for _, t in pairs])
+    sources = pg.dual_vertices(list(regions))
+    targets = planted.apply(sources)
+    fitted = pg.fit_similarity(np.stack([sources, targets], axis=1))
+    mapped = fitted.apply(sources)
     max_residual = float(np.hypot(*(mapped - targets).T).max())
     ok = (
-        len(pairs) >= 40
+        len(sources) >= 40
         and abs(fitted.scale - 3.7) <= 1e-9
         and abs(fitted.rotation - 0.4) <= 1e-9
         and max_residual <= 1e-9
@@ -230,7 +222,7 @@ def test_criterion_7_registration_recovery(verdict):
         7,
         "registration recovery",
         ok,
-        f"{len(pairs)} pairs, scale err {abs(fitted.scale - 3.7):.2g}, "
+        f"{len(sources)} pairs, scale err {abs(fitted.scale - 3.7):.2g}, "
         f"max residual {max_residual:.2g}",
     )
 
@@ -278,8 +270,8 @@ def test_criterion_9_symmetry_suite(verdict):
     )
 
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 10.0))
-    locs = np.array([cp.location for cp in found])
-    kinds = [cp.kind for cp in found]
+    locs = found.location
+    kinds = [ex.KINDS[code] for code in found.kind.tolist()]
     set_ok = len(found) > 0
     for p, kind in zip(locs @ np.array([[c5, s5_], [-s5_, c5]]), kinds):
         d = np.hypot(locs[:, 0] - p[0], locs[:, 1] - p[1])

@@ -664,6 +664,25 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, toleran
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, message", [
+    ('"terms": Infinity', "terms must be finite"),  # was an OverflowError traceback
+    ('"seed": -Infinity', "seed must be finite"),  # was an OverflowError traceback
+    ('"terms": 2.5', "terms must be a whole number, not 2.5"),  # ran with 2 terms
+    ('"k": true', "k must be numeric"),  # ran with k = 1.0
+    ('"terms": "8"', "terms must be numeric"),  # ran
+    ('"out": null', "out must be a string"),  # wrote into a directory named None
+    ('"radius": 1e400', "radius must be finite"),
+    ('"seed": 1%s' % ("0" * 400), "seed is out of range"),  # an int beyond the doubles
+])
+def test_bad_config_file_value_is_config_error(tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text("{%s}" % value)
+    # --k wins over a k in the file, which is checked all the same
+    assert cli.main(["converge", "--k", "1", "--radius", "1", "--config", "c.json"]) == 2
+    assert capsys.readouterr().err == f"pentawave: config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
 @pytest.mark.parametrize("command", ["extrema", "match"])
 @pytest.mark.parametrize("dedupe_radius, message", [
     (0.0, "dedupe_radius must be positive"),

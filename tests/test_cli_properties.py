@@ -2,7 +2,9 @@
 
 Every run must return 0, 2, 3 or 4, print at most one line to stderr (none on
 success, apart from identity's note that it draws no svg), raise nothing and
-warn nothing. Most values are usable and a few are not. For extrema, tiling and
+warn nothing. Most values are usable and a few are not. The config file may
+also hold top-level keys of any JSON value; every file value is checked, and
+the flags win over it, so those values never change the size of a run. For extrema, tiling and
 match, wavenumbers, radii and seed spacings are drawn so that every run either
 seeds at most about 6 * 10^4 points and crosses a few hundred grid lines, or
 is refused by a count check before it allocates; these commands never use the
@@ -43,7 +45,7 @@ _RADIUS = _mostly(st.one_of(st.sampled_from([2.0, 8.0, 12.0]), st.floats(0.5, 12
                   st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e300]))
 _ANY_NUMBER = st.one_of(
     st.floats(),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e154, 1e300]),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e154, 1e300, math.inf, -math.inf]),
     st.integers(-3, 3),
     st.booleans(), st.none(), st.text(max_size=2), st.integers(10 ** 309),
 )
@@ -65,19 +67,24 @@ _FORMATS = _mostly(st.sampled_from(["csv,json,svg", "csv", "json", "svg", "json,
                    st.sampled_from(["", "png", "csv,,json", " svg "]))
 
 
+_TOP_LEVEL = st.one_of(st.none(), st.dictionaries(st.sampled_from(cli._CONFIG_KEYS), _ANY_NUMBER,
+                                                 max_size=3))
+
+
 @st.composite
 def _tolerances(draw):
     keys = draw(st.lists(st.sampled_from(sorted(_TOLERANCES)), unique=True, max_size=3))
     return {key: draw(_TOLERANCES[key]) for key in keys}
 
 
-def _run(argv, tolerances):
-    """(exit code, stderr) of one in-process run, in a fresh directory."""
+def _run(argv, tolerances, top):
+    """(exit code, stderr) of one in-process run, in a fresh directory, with a config
+    file of the top-level keys and the tolerances unless both are None."""
     with tempfile.TemporaryDirectory() as work:
-        if tolerances is not None:
+        if tolerances is not None or top is not None:
             config = os.path.join(work, "config.json")
             with open(config, "w", encoding="utf-8") as fh:
-                json.dump({"tolerances": tolerances}, fh)
+                json.dump({**(top or {}), "tolerances": tolerances or {}}, fh)
             argv = [*argv, "--config", config]
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
@@ -96,12 +103,14 @@ def _run(argv, tolerances):
     grid_step=_mostly(st.just(0.25), st.sampled_from([0.0, -1.0, math.nan])),
     fmt=_FORMATS,
     tolerances=st.one_of(st.none(), _tolerances()),
+    top=_TOP_LEVEL,
 )
-def test_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, fmt, tolerances):
+def test_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, fmt, tolerances,
+                                                top):
     # --flag=value, so a value such as -inf is not read as a flag
     argv = [command, f"--k={k!r}", f"--radius={radius!r}", f"--grid-step={grid_step!r}",
             f"--format={fmt}"]
-    code, err = _run(argv, tolerances)
+    code, err = _run(argv, tolerances, top)
     assert code in (0, 2, 3, 4), (code, err)
     if code == 0:
         assert err == ""
@@ -138,12 +147,13 @@ def _series_tolerances(draw):
     seed=_mostly(st.integers(0, 2 ** 32), st.sampled_from([-1, 2 ** 64, 10 ** 30])),
     fmt=_FORMATS,
     tolerances=st.one_of(st.none(), _series_tolerances()),
+    top=_TOP_LEVEL,
 )
 def test_series_commands_end_in_a_documented_exit_code(command, k, radius, grid_step, terms,
-                                                      seed, fmt, tolerances):
+                                                      seed, fmt, tolerances, top):
     argv = [command, f"--k={k!r}", f"--radius={radius!r}", f"--grid-step={grid_step!r}",
             f"--terms={terms}", f"--seed={seed}", f"--format={fmt}"]
-    code, err = _run(argv, tolerances)
+    code, err = _run(argv, tolerances, top)
     assert code in (0, 2, 3, 4), (code, err)
     if code == 0:
         assert err in ("", _IDENTITY_SVG_NOTE), err

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,46 +15,51 @@ TAU = (1.0 + math.sqrt(5.0)) / 2.0
 TWO_PI = 2.0 * math.pi
 
 
+# One critical point, as the per-point references below build them.
+_Point = namedtuple("_Point", "location value kind eigenvalues")
+
+
 def _window_config(window, spacing=math.pi / 4.0, **overrides):
     return ex.SearchConfig(radius=0.0, seed_spacing=spacing, window=window, **overrides)
 
 
+def _kinds(points):
+    """The kind name of each row of a CriticalSet."""
+    return [ex.KINDS[code] for code in points.kind.tolist()]
+
+
 def test_s2_oracle_full_period():
     pts = ex.s2_oracle(1.0, (0.0, TWO_PI, 0.0, TWO_PI))
-    kinds = sorted(p.kind for p in pts)
-    assert kinds == [ex.KIND_MAXIMUM, ex.KIND_MINIMUM, ex.KIND_SADDLE, ex.KIND_SADDLE]
-    by_kind = {p.kind: p for p in pts if p.kind != ex.KIND_SADDLE}
-    mx = by_kind[ex.KIND_MAXIMUM]
-    mn = by_kind[ex.KIND_MINIMUM]
-    assert np.allclose(mx.location, (math.pi / 2, math.pi / 2), atol=1e-15)
-    assert mx.value == 2.0
-    assert np.allclose(mn.location, (3 * math.pi / 2, 3 * math.pi / 2), atol=1e-15)
-    assert mn.value == -2.0
+    kinds = _kinds(pts)
+    assert sorted(kinds) == [ex.KIND_MAXIMUM, ex.KIND_MINIMUM, ex.KIND_SADDLE, ex.KIND_SADDLE]
+    mx = kinds.index(ex.KIND_MAXIMUM)
+    mn = kinds.index(ex.KIND_MINIMUM)
+    assert np.allclose(pts.location[mx], (math.pi / 2, math.pi / 2), atol=1e-15)
+    assert pts.value[mx] == 2.0
+    assert np.allclose(pts.location[mn], (3 * math.pi / 2, 3 * math.pi / 2), atol=1e-15)
+    assert pts.value[mn] == -2.0
 
 
 def test_s2_oracle_counts_scale_quadratically():
     for m in (1, 2, 3):
         window = (0.0, TWO_PI * m, 0.0, TWO_PI * m)
         pts = ex.s2_oracle(1.0, window)
-        n_max = sum(1 for p in pts if p.kind == ex.KIND_MAXIMUM)
-        n_min = sum(1 for p in pts if p.kind == ex.KIND_MINIMUM)
-        n_sad = sum(1 for p in pts if p.kind == ex.KIND_SADDLE)
-        assert n_max == m * m
-        assert n_min == m * m
-        assert n_sad == 2 * m * m
+        assert pts.of_kind(ex.KIND_MAXIMUM).sum() == m * m
+        assert pts.of_kind(ex.KIND_MINIMUM).sum() == m * m
+        assert pts.of_kind(ex.KIND_SADDLE).sum() == 2 * m * m
 
 
 def test_s2_oracle_respects_wavenumber():
     pts = ex.s2_oracle(2.0, (0.0, math.pi, 0.0, math.pi))
     # with k=2 the lattice shrinks by half: one full period fits
     assert len(pts) == 4
-    mx = [p for p in pts if p.kind == ex.KIND_MAXIMUM]
+    mx = pts.location[pts.of_kind(ex.KIND_MAXIMUM)]
     assert len(mx) == 1
-    assert np.allclose(mx[0].location, (math.pi / 4, math.pi / 4), atol=1e-15)
+    assert np.allclose(mx[0], (math.pi / 4, math.pi / 4), atol=1e-15)
 
 
 def _s2_oracle_reference(k, window):
-    """s2_oracle as it built one CriticalPoint per point, kept verbatim as the oracle."""
+    """s2_oracle as it built one record per point, kept verbatim as the oracle."""
     xmin, xmax, ymin, ymax = window
 
     def lattice(lo, hi):
@@ -76,7 +82,7 @@ def _s2_oracle_reference(k, window):
                 kind = ex.KIND_MINIMUM
             else:
                 kind = ex.KIND_SADDLE
-            out.append(ex.CriticalPoint((x, y), float(sx + sy), kind, eigenvalues))
+            out.append(_Point((x, y), float(sx + sy), kind, eigenvalues))
     out.sort(key=lambda cp: cp.location)
     return out
 
@@ -101,13 +107,10 @@ def test_pipeline_matches_s2_oracle():
     found = pw.find_critical_points(1.0, _window_config(window), field=ex.S2_FIELD)
     oracle = ex.s2_oracle(1.0, window)
     assert len(found) == len(oracle) == 4
-    for f, o in zip(found, oracle):
-        assert f.kind == o.kind
-        assert math.hypot(
-            f.location[0] - o.location[0], f.location[1] - o.location[1]
-        ) <= 1e-9
-        assert abs(f.value - o.value) <= 1e-9
-        assert np.allclose(f.eigenvalues, o.eigenvalues, atol=1e-8)
+    assert _kinds(found) == _kinds(oracle)
+    assert np.all(np.hypot(*(found.location - oracle.location).T) <= 1e-9)
+    assert np.all(np.abs(found.value - oracle.value) <= 1e-9)
+    assert np.allclose(found.eigenvalues, oracle.eigenvalues, atol=1e-8)
 
 
 def _refine_one(k, seed, cfg, field=ex.S5_FIELD):
@@ -143,21 +146,21 @@ def test_refine_one_row_origin_seed_degenerate():
 def test_tiny_disk_returns_only_origin():
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))
     assert len(found) == 1
-    assert found[0].location == (0.0, 0.0)
-    assert found[0].kind == ex.KIND_DEGENERATE
-    assert found[0].value == 0.0
+    assert found.location.tolist() == [[0.0, 0.0]]
+    assert _kinds(found) == [ex.KIND_DEGENERATE]
+    assert found.value.tolist() == [0.0]
 
 
 def test_gradient_postcondition_and_sorted_output():
     cfg = pw.default_search_config(1.0, 6.0)
     found = pw.find_critical_points(1.0, cfg)
     assert len(found) > 0
-    locs = [c.location for c in found]
+    locs = found.location.tolist()
     assert locs == sorted(locs)
-    for c in found:
-        g = pw.grad_s5(1.0, c.location)
+    for loc in locs:
+        g = pw.grad_s5(1.0, loc)
         assert math.hypot(g[0], g[1]) <= cfg.grad_tol
-        assert math.hypot(*c.location) <= 6.0 + 1e-9
+        assert math.hypot(*loc) <= 6.0 + 1e-9
 
 
 def test_results_stable_under_seed_refinement():
@@ -167,9 +170,8 @@ def test_results_stable_under_seed_refinement():
         1.0, pw.default_search_config(1.0, 6.0, seed_spacing=math.pi / 8.0)
     )
     assert len(coarse) == len(fine)
-    for a, b in zip(coarse, fine):
-        assert math.hypot(a.location[0] - b.location[0], a.location[1] - b.location[1]) <= 1e-8
-        assert a.kind == b.kind
+    assert np.all(np.hypot(*(coarse.location - fine.location).T) <= 1e-8)
+    assert _kinds(coarse) == _kinds(fine)
 
 
 def test_deterministic_across_calls():
@@ -180,22 +182,21 @@ def test_deterministic_across_calls():
 
 def test_classification_against_eigenvalues():
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 10.0))
-    kinds = {c.kind for c in found}
+    kinds = _kinds(found)
     assert ex.KIND_MAXIMUM in kinds
     assert ex.KIND_MINIMUM in kinds
     assert ex.KIND_SADDLE in kinds
-    for c in found:
-        lo, hi = c.eigenvalues
+    for loc, (lo, hi), kind in zip(found.location.tolist(), found.eigenvalues.tolist(), kinds):
         assert lo <= hi
-        h = pw.hess_s5(1.0, c.location)
+        h = pw.hess_s5(1.0, loc)
         want = np.linalg.eigvalsh(h)
         assert abs(lo - want[0]) <= 1e-9
         assert abs(hi - want[1]) <= 1e-9
-        if c.kind == ex.KIND_MAXIMUM:
+        if kind == ex.KIND_MAXIMUM:
             assert hi < 0
-        elif c.kind == ex.KIND_MINIMUM:
+        elif kind == ex.KIND_MINIMUM:
             assert lo > 0
-        elif c.kind == ex.KIND_SADDLE:
+        elif kind == ex.KIND_SADDLE:
             assert lo < 0 < hi
 
 
@@ -213,8 +214,8 @@ def test_classify_helper_cases():
 
 def test_field_symmetry_of_critical_set():
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 8.0))
-    locs = np.array([c.location for c in found])
-    kinds = [c.kind for c in found]
+    locs = found.location
+    kinds = _kinds(found)
     c5, s5 = math.cos(TWO_PI / 5.0), math.sin(TWO_PI / 5.0)
     rot = locs @ np.array([[c5, s5], [-s5, c5]])
     for p, kind in zip(rot, kinds):
@@ -245,9 +246,8 @@ def test_dense_seed_grid_cross_check():
         ),
     )
     assert len(base) == len(dense)
-    for a, b in zip(base, dense):
-        assert math.hypot(a.location[0] - b.location[0], a.location[1] - b.location[1]) <= 1e-8
-        assert a.kind == b.kind
+    assert np.all(np.hypot(*(base.location - dense.location).T) <= 1e-8)
+    assert _kinds(base) == _kinds(dense)
 
 
 def test_search_config_validation():
@@ -525,11 +525,12 @@ def test_batched_classify_and_value_equal_single_points(field, k):
     cfg = ex.default_search_config(k, 12.0 / k)
     found = ex.find_critical_points(k, cfg, field=field)
     assert len(found) > 20
-    for cp in found:
-        assert _classify_reference(k, cp.location, cfg, field) == (cp.kind, cp.eigenvalues)
-        assert cp.value == float(field.value(k, np.asarray(cp.location)))
+    for loc, value, kind, eig in zip(found.location.tolist(), found.value.tolist(),
+                                     _kinds(found), found.eigenvalues.tolist()):
+        assert _classify_reference(k, loc, cfg, field) == (kind, tuple(eig))
+        assert value == float(field.value(k, np.asarray(loc)))
     rng = np.random.default_rng(7)
-    pts = np.concatenate([[cp.location for cp in found], rng.uniform(-60.0, 60.0, (4000, 2))])
+    pts = np.concatenate([found.location, rng.uniform(-60.0, 60.0, (4000, 2))])
     codes, eigenvalues = ex.classify(k, pts, cfg, field=field)
     for p, code, eig in zip(pts.tolist(), codes.tolist(), eigenvalues.tolist()):
         kind = ex.KINDS[code]
@@ -538,7 +539,7 @@ def test_batched_classify_and_value_equal_single_points(field, k):
 
 
 def _find_critical_points_reference(k, cfg, field):
-    """find_critical_points as it built one CriticalPoint per point, kept verbatim as the oracle.
+    """find_critical_points as it built one record per point, kept verbatim as the oracle.
 
     The batch classify of that version (kind names) is inlined.
     """
@@ -560,7 +561,7 @@ def _find_critical_points_reference(k, cfg, field):
     eigenvalues = np.column_stack([lo, hi])
     values = field.value(k, found[:, None, :])[:, 0]
     return [
-        ex.CriticalPoint(location=tuple(loc), value=value, kind=kind, eigenvalues=tuple(eig))
+        _Point(location=tuple(loc), value=value, kind=kind, eigenvalues=tuple(eig))
         for loc, value, kind, eig in zip(
             found.tolist(), values.tolist(), kinds, eigenvalues.tolist()
         )
@@ -572,15 +573,17 @@ def _bits(a):
 
 
 def _assert_critical_set_equals(got, want):
-    """The CriticalSet holds, bit for bit, the CriticalPoints of the object-building reference."""
+    """The CriticalSet holds, bit for bit, the points of the object-building reference."""
     assert isinstance(got, ex.CriticalSet)
-    assert list(got) == want and len(got) == len(want)
+    assert len(got) == len(want)
     n = len(want)
     assert _bits(got.location) == _bits(np.array([cp.location for cp in want]).reshape(n, 2))
     assert _bits(got.value) == _bits(np.array([cp.value for cp in want], dtype=float))
     assert _bits(got.eigenvalues) == _bits(
         np.array([cp.eigenvalues for cp in want]).reshape(n, 2))
-    assert [ex.KINDS[code] for code in got.kind.tolist()] == [cp.kind for cp in want]
+    assert _kinds(got) == [cp.kind for cp in want]
+    assert got.of_kind(ex.KIND_SADDLE).tolist() == [cp.kind == ex.KIND_SADDLE for cp in want]
+    assert got.of_kind().sum() == 0
 
 
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
@@ -602,19 +605,8 @@ def test_critical_set_equals_the_object_building_reference(field, k):
         sizes.append(len(got))
     assert sizes[0] > 20 and sizes[3] == 0
     assert got != ex.find_critical_points(k, configs[0], field=field)
-
-
-def test_critical_set_item_views():
-    found = ex.find_critical_points(1.0, ex.default_search_config(1.0, 10.0))
-    points = list(found)
-    assert found[0] == points[0] and found[-1] == points[-1]
-    assert found[3:7] == points[3:7] and found[::-5] == points[::-5]
-    with pytest.raises(IndexError):
-        found[len(found)]
-    assert found.of_kind(ex.KIND_SADDLE).tolist() == [cp.kind == ex.KIND_SADDLE for cp in points]
-    assert found.of_kind().sum() == 0
     with pytest.raises(TypeError):
-        hash(found)
+        hash(got)
 
 
 def test_find_critical_points_classifies_in_one_call(monkeypatch):
@@ -723,7 +715,7 @@ def test_refine_batch_matches_reference_on_fallback_steps(field):
 def test_refine_batch_matches_reference_on_window_and_critical_seeds():
     window = (-3.0, 11.5, 0.25, 9.0)
     cfg = _window_config(window)
-    exact = [cp.location for cp in ex.s2_oracle(1.0, window)]
+    exact = ex.s2_oracle(1.0, window).location
     seeds = np.concatenate([exact, ex._seed_grid(cfg), exact[:1]])
     _, converged, _ = _assert_refine_matches_reference(ex.S2_FIELD, 1.0, seeds, cfg)
     assert converged[: len(exact)].all()
@@ -836,7 +828,7 @@ def test_refine_batch_matches_reference_with_rows_between_component_and_norm(
     # only the norm decides, next to fallback steps and rows that turn non-finite
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", block)
     rng = np.random.default_rng(9)
-    exact = np.array([cp.location for cp in ex.s2_oracle(1.0, (-8.0, 8.0, -8.0, 8.0))])
+    exact = ex.s2_oracle(1.0, (-8.0, 8.0, -8.0, 8.0)).location
     for base, tol in ((field, 1e-3), (_non_finite_field(field), 1e-4)):
         # s2's gradient is (cos x, cos y), so these offsets from its critical
         # points put both components just within tol on the first step

@@ -122,25 +122,23 @@ def test_two_wave_residual():
 
 
 def test_identity_suite_small():
-    report = pw.run_identity_suite(num_points=1, seed=0, k_range=(1.0, 1.0), radius=0.0)
-    assert report.max_abs_residual == 0.0
-    assert report.num_points == 1
-    assert report.rng_seed == 0
+    parts = pw.suite_residual_breakdown(num_points=1, seed=0, k_range=(1.0, 1.0), radius=0.0)
+    assert max(parts.values()) == 0.0
 
 
 def test_identity_suite_full_sweep():
-    report = pw.run_identity_suite(
+    parts = pw.suite_residual_breakdown(
         num_points=10000, seed=42, k_range=(0.1, 10.0), radius=20.0
     )
-    assert report.max_abs_residual <= 1e-9
+    assert max(parts.values()) <= 1e-9
 
 
 def test_identity_suite_deterministic():
-    a = pw.run_identity_suite(num_points=500, seed=7, k_range=(0.5, 5.0), radius=10.0)
-    b = pw.run_identity_suite(num_points=500, seed=7, k_range=(0.5, 5.0), radius=10.0)
+    a = pw.suite_residual_breakdown(num_points=500, seed=7, k_range=(0.5, 5.0), radius=10.0)
+    b = pw.suite_residual_breakdown(num_points=500, seed=7, k_range=(0.5, 5.0), radius=10.0)
     assert a == b
-    c = pw.run_identity_suite(num_points=500, seed=8, k_range=(0.5, 5.0), radius=10.0)
-    assert c.max_abs_residual != a.max_abs_residual
+    c = pw.suite_residual_breakdown(num_points=500, seed=8, k_range=(0.5, 5.0), radius=10.0)
+    assert max(c.values()) != max(a.values())
 
 
 def test_identity_suite_breakdown_keys():
@@ -153,13 +151,13 @@ def test_identity_suite_breakdown_keys():
 
 def test_identity_suite_validation():
     with pytest.raises(ValueError):
-        pw.run_identity_suite(num_points=0, seed=0, k_range=(1.0, 2.0), radius=1.0)
+        pw.suite_residual_breakdown(num_points=0, seed=0, k_range=(1.0, 2.0), radius=1.0)
     with pytest.raises(ValueError):
-        pw.run_identity_suite(num_points=10, seed=0, k_range=(2.0, 1.0), radius=1.0)
+        pw.suite_residual_breakdown(num_points=10, seed=0, k_range=(2.0, 1.0), radius=1.0)
     with pytest.raises(ValueError):
-        pw.run_identity_suite(num_points=10, seed=0, k_range=(0.0, 1.0), radius=1.0)
+        pw.suite_residual_breakdown(num_points=10, seed=0, k_range=(0.0, 1.0), radius=1.0)
     with pytest.raises(ValueError):
-        pw.run_identity_suite(num_points=10, seed=0, k_range=(1.0, 2.0), radius=-1.0)
+        pw.suite_residual_breakdown(num_points=10, seed=0, k_range=(1.0, 2.0), radius=-1.0)
 
 
 def _old_s5(k, p):

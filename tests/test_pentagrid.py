@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from pentawave.extrema import (
     KIND_MINIMUM,
     KIND_SADDLE,
     KINDS,
-    CriticalPoint,
     CriticalSet,
 )
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
+_E = pw.direction_basis()
+
+# One critical point, as the per-extremum references below read them.
+_Point = namedtuple("_Point", "location value kind eigenvalues")
 
 
 def _disk_points(rng, n, radius):
@@ -28,7 +32,7 @@ def _disk_points(rng, n, radius):
 
 def _fake_extremum(location, kind=KIND_MAXIMUM):
     sign = -1.0 if kind == KIND_MAXIMUM else 1.0
-    return CriticalPoint(
+    return _Point(
         location=(float(location[0]), float(location[1])),
         value=-sign,
         kind=kind,
@@ -36,8 +40,15 @@ def _fake_extremum(location, kind=KIND_MAXIMUM):
     )
 
 
+def _points(extrema):
+    """The rows of a CriticalSet as _Points, in order."""
+    return [_Point(tuple(loc), value, KINDS[kind], tuple(eig)) for loc, value, kind, eig in zip(
+        extrema.location.tolist(), extrema.value.tolist(), extrema.kind.tolist(),
+        extrema.eigenvalues.tolist())]
+
+
 def _critical_set(points):
-    """The CriticalSet whose rows are the given CriticalPoints, in order."""
+    """The CriticalSet whose rows are the given _Points, in order."""
     return CriticalSet(
         location=np.array([cp.location for cp in points], dtype=float).reshape(-1, 2),
         value=np.array([cp.value for cp in points], dtype=float),
@@ -48,6 +59,18 @@ def _critical_set(points):
 
 def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
+
+
+def _region(spec, p):
+    """The region index vector of one point, which must lie off every grid line."""
+    m, margin = pg.region_indices(spec, p)
+    assert margin > 1e-9 * spec.spacing
+    return tuple(m.tolist())
+
+
+def _dual_vertex(iv):
+    """The dual vertex of one region index vector, projected as a lone row: the oracle."""
+    return tuple((np.asarray(iv, dtype=float) @ _E).tolist())
 
 
 def test_spec_spacing():
@@ -61,18 +84,14 @@ def test_spec_spacing():
 
 def test_index_vector_example():
     spec = pg.PentagridSpec(1.0)
-    assert pg.index_vector(spec, (0.5, 0.5)) == (0, 0, -1, -1, -1)
+    assert _region(spec, (0.5, 0.5)) == (0, 0, -1, -1, -1)
 
 
 def test_index_vector_origin_is_singular():
     spec = pg.PentagridSpec(1.0)
-    with pytest.raises(pg.OnBoundaryError):
-        pg.index_vector(spec, (0.0, 0.0))
-    # a point on a single family-0 line also raises
-    with pytest.raises(pg.OnBoundaryError):
-        pg.index_vector(spec, (math.pi, 0.1))
-    with pytest.raises(ValueError):
-        pg.index_vector(spec, np.zeros((3, 2)))
+    # the origin, and a point on a single family-0 line, sit on a grid line
+    for p in ((0.0, 0.0), (math.pi, 0.1)):
+        assert pg.region_indices(spec, p)[1] <= 1e-9 * spec.spacing
 
 
 def test_region_indices_batch_consistent_with_scalar():
@@ -87,7 +106,6 @@ def test_region_indices_batch_consistent_with_scalar():
         assert abs(gi - margin[i]) <= 1e-12
         if margin[i] > 1e-9 * spec.spacing:
             assert tuple(mi) == tuple(m[i])
-            assert pg.index_vector(spec, pts[i]) == tuple(int(v) for v in m[i])
 
 
 def test_crossing_one_line_changes_one_index():
@@ -111,8 +129,8 @@ def test_crossing_one_line_changes_one_index():
             others[fam] = math.inf
             if others.min() <= 3.0 * delta:
                 continue
-            iv_lo = pg.index_vector(spec, on_line - delta * e[fam])
-            iv_hi = pg.index_vector(spec, on_line + delta * e[fam])
+            iv_lo = _region(spec, on_line - delta * e[fam])
+            iv_hi = _region(spec, on_line + delta * e[fam])
             diff = [a - b for a, b in zip(iv_hi, iv_lo)]
             assert diff[fam] == 1
             assert all(d == 0 for i, d in enumerate(diff) if i != fam)
@@ -146,15 +164,12 @@ def test_region_sign_matches_product_field_sign():
 
 
 def test_dual_vertex_examples():
-    dv = pg.dual_vertex((0, 0, 0, 0, 0))
-    assert dv.position == (0.0, 0.0)
-    assert dv.index == (0, 0, 0, 0, 0)
+    assert pg.dual_vertices((0, 0, 0, 0, 0)).tolist() == [0.0, 0.0]
     e = pw.direction_basis()
-    dv = pg.dual_vertex((1, 0, 0, 0, 0))
-    assert abs(dv.position[0] - e[0, 0]) <= 1e-15
-    assert abs(dv.position[1] - e[0, 1]) <= 1e-15
-    dv = pg.dual_vertex((1, 1, 1, 1, 1))
-    assert math.hypot(*dv.position) <= 1e-15
+    position = pg.dual_vertices((1, 0, 0, 0, 0))
+    assert abs(position[0] - e[0, 0]) <= 1e-15
+    assert abs(position[1] - e[0, 1]) <= 1e-15
+    assert math.hypot(*pg.dual_vertices((1, 1, 1, 1, 1))) <= 1e-15
 
 
 def test_tiles_geometry():
@@ -260,17 +275,6 @@ def test_fit_similarity_validation():
         pg.fit_similarity([((1.0, 1.0), (0.0, 0.0)), ((1.0, 1.0), (2.0, 2.0))])
 
 
-def test_similarity_transform_roundtrip():
-    t = pg.SimilarityTransform(scale=2.5, rotation=0.7, translation=(1.0, -3.0))
-    rng = np.random.default_rng(65)
-    pts = rng.normal(size=(50, 2)) * 10.0
-    back = t.inverse().apply(t.apply(pts))
-    assert np.abs(back - pts).max() <= 1e-12
-    tt = t.inverse().inverse()
-    assert abs(tt.scale - t.scale) <= 1e-12
-    assert abs(tt.rotation - t.rotation) <= 1e-12
-
-
 def _planted_scene(spec, transform, n_target, seed):
     """Extrema planted at transformed dual vertices of self-consistent regions."""
     rng = np.random.default_rng(seed)
@@ -288,7 +292,7 @@ def _planted_scene(spec, transform, n_target, seed):
             iv = tuple(int(v) for v in row)
             if iv in ivs:
                 continue
-            loc = transform.apply(np.asarray(pg.dual_vertex(iv).position))
+            loc = transform.apply(pg.dual_vertices(iv))
             mm, gg = pg.region_indices(spec, loc)
             # keep only regions the transform maps back into themselves so
             # the planted extremum really lies in the region it labels
@@ -328,10 +332,10 @@ def test_match_report_counts_shared_regions():
     # two extrema inside each of two distinct regions
     a1, a2 = (0.4, 0.4), (0.6, 0.55)
     b1, b2 = (4.0, 4.0), (4.2, 4.1)
-    iv_a = pg.index_vector(spec, a1)
-    assert pg.index_vector(spec, a2) == iv_a
-    iv_b = pg.index_vector(spec, b1)
-    assert pg.index_vector(spec, b2) == iv_b
+    iv_a = _region(spec, a1)
+    assert _region(spec, a2) == iv_a
+    iv_b = _region(spec, b1)
+    assert _region(spec, b2) == iv_b
     assert iv_a != iv_b
     extrema = _critical_set([
         _fake_extremum(a1),
@@ -369,27 +373,29 @@ def test_matching_correspondences_filters():
     kept, matched, excluded = pg.matching_correspondences(spec, extrema, disk_radius=20.0)
     # saddle dropped by kind, far extremum trimmed at one spacing from the
     # rim, on-line extremum counted as excluded
-    assert [extrema[row] for row in kept] == [inside, on_line]
+    points = _points(extrema)
+    assert [points[row] for row in kept] == [inside, on_line]
     assert excluded == 1
     assert len(matched.rows) == 1
-    cp, iv = extrema[matched.rows[0]], tuple(matched.index[0].tolist())
+    cp, iv = points[matched.rows[0]], tuple(matched.index[0].tolist())
     position = matched.position[0]
     assert cp == inside
     assert iv == (0, 0, -1, -1, -1)
-    assert tuple(position.tolist()) == pg.dual_vertex(iv).position
+    assert tuple(position.tolist()) == _dual_vertex(iv)
 
 
 def test_correspondences_basic():
     spec = pg.PentagridSpec(1.0)
+    for points in ([_fake_extremum((0.5, 0.5))], []):
+        columns = _critical_set(points)
+        _assert_matching_equals(columns, pg.matching_correspondences(spec, columns),
+                                _matching_reference(spec, points))
     matched = pg.matching_correspondences(spec, _critical_set([_fake_extremum((0.5, 0.5))]))[1]
     assert len(matched.rows) == 1
     assert matched.index[0].tolist() == [0, 0, -1, -1, -1]
     kept, matched, excluded = pg.matching_correspondences(spec, _critical_set([]))
     assert (kept.tolist(), matched.rows.tolist(), excluded) == ([], [], 0)
     assert matched.index.shape == (0, 5) and matched.position.shape == (0, 2)
-
-
-_E = pw.direction_basis()
 
 
 def _tiles_reference(spec, window, singular_eps=None):
@@ -464,6 +470,7 @@ def _assert_patch_equals(got, want):
     (0.0, 17.5, -9.0, 0.0),          # corner on the origin
     (-31.7, 4.2, -0.5, 22.9),
     (3.0, 3.5, 3.0, 3.5),            # smaller than one spacing
+    (3.0, 3.25, 2.25, 2.5),          # one tile at c = 1
 ])
 def test_tiles_match_reference_loop(c, window):
     spec = pg.PentagridSpec(c)
@@ -520,7 +527,7 @@ def _matching_reference(spec, extrema, disk_radius=None, boundary_eps=None):
             excluded += 1
             continue
         iv = tuple(int(v) for v in m)
-        trips.append((cp, iv, pg.dual_vertex(iv)))
+        trips.append((cp, iv, _dual_vertex(iv)))
     return kept, trips, excluded
 
 
@@ -532,9 +539,9 @@ def _report_reference(spec, extrema, disk_radius=None, boundary_eps=None):
         occupancy[iv] = occupancy.get(iv, 0) + 1
     position_groups = {}
     for iv in occupancy:
-        pos = pg.dual_vertex(iv).position
+        pos = _dual_vertex(iv)
         position_groups.setdefault((round(pos[0], 6), round(pos[1], 6)), set()).add(iv)
-    pairs = [(dv.position, cp.location) for cp, _, dv in trips]
+    pairs = [(position, cp.location) for cp, _, position in trips]
     transform = pg.fit_similarity(pairs)
     mapped = transform.apply(np.array([p[0] for p in pairs]))
     residuals = tuple(
@@ -557,18 +564,19 @@ def _report_reference(spec, extrema, disk_radius=None, boundary_eps=None):
 
 def _assert_trips_equal(extrema, matched, trips):
     """Columnar correspondences of a CriticalSet hold, bit for bit, the reference trips."""
-    assert [extrema[row] for row in matched.rows] == [cp for cp, _, _ in trips]
+    points = _points(extrema)
+    assert [points[row] for row in matched.rows] == [cp for cp, _, _ in trips]
     n = len(trips)
     assert _bits(matched.index) == _bits(np.array([iv for _, iv, _ in trips], dtype=np.int64)
                                          .reshape(n, 5))
-    assert _bits(matched.position) == _bits(np.array([dv.position for _, _, dv in trips])
-                                            .reshape(n, 2))
+    assert _bits(matched.position) == _bits(np.array([pos for _, _, pos in trips]).reshape(n, 2))
 
 
 def _assert_matching_equals(extrema, got, want):
     kept, matched, excluded = got
     want_kept, trips, want_excluded = want
-    assert [extrema[row] for row in kept] == want_kept and excluded == want_excluded
+    points = _points(extrema)
+    assert [points[row] for row in kept] == want_kept and excluded == want_excluded
     _assert_trips_equal(extrema, matched, trips)
 
 
@@ -581,7 +589,7 @@ def _assert_report_equals(extrema, got, want):
 
 def _registration_extrema(k, radius, spec, rng):
     """Field extrema plus planted points on, just beside and just off grid lines and the rim."""
-    found = list(pw.find_critical_points(k, pw.default_search_config(k, radius)))
+    found = _points(pw.find_critical_points(k, pw.default_search_config(k, radius)))
     planted = []
     for n in range(40):
         i = n % 5
@@ -651,11 +659,11 @@ def test_correspondences_of_the_search_output_match_reference():
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 60.0))
     for columns in (found, pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))):
         for disk_radius in (None, 60.0):
-            want = _matching_reference(spec, list(columns), disk_radius=disk_radius)
+            want = _matching_reference(spec, _points(columns), disk_radius=disk_radius)
             _assert_matching_equals(
                 columns, pg.matching_correspondences(spec, columns, disk_radius), want)
     _assert_report_equals(found, pg.match_report(spec, found, 60.0),
-                          _report_reference(spec, list(found), 60.0))
+                          _report_reference(spec, _points(found), 60.0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 4970, 4971])

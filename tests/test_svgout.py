@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from pentawave.svgout import SvgCanvas, diverging_color, diverging_colors
+from pentawave.svgout import SvgCanvas, diverging_colors
 
 
 def _polygon_reference(canvas, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
@@ -98,7 +98,7 @@ def test_polygons_and_lines_equal_per_element_bytes():
 
 
 def _diverging_color_reference(value, vmax):
-    """diverging_color before the batch form, kept verbatim as the oracle."""
+    """The one-value color function before the batch form, kept verbatim as the oracle."""
     if vmax <= 0:
         return "#ffffff"
     t = max(-1.0, min(1.0, value / vmax))
@@ -136,10 +136,9 @@ def test_diverging_colors_equal_the_scalar_formula_bit_for_bit():
         ])
         want = [_diverging_color_reference(float(v), vmax) for v in values]
         assert diverging_colors(values, vmax) == want
-        assert [diverging_color(float(v), vmax) for v in values] == want
+        assert [diverging_colors([float(v)], vmax)[0] for v in values] == want
     for vmax in (0.0, -1.0):
         assert diverging_colors([0.3, -2.0], vmax) == ["#ffffff", "#ffffff"]
-        assert diverging_color(0.3, vmax) == "#ffffff"
     assert diverging_colors(np.zeros(0), 1.0) == []
     assert diverging_colors(np.array([1.0, -1.0, 0.0, -0.0]), 1.0) == [
         "#ff0000", "#0000ff", "#ffffff", "#ffffff"]
