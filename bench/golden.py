@@ -11,7 +11,11 @@ Every command runs in-process at two small scales and at k = 1 and k = 0.93,
 plus one ``identity`` sweep of 50,002 points that spans several blocks of
 the sweep, each with ``--format csv,json,svg``, inside a temporary directory and with a
 fixed relative ``--out`` (config.json and the JSON reports echo it).
-``record`` writes the sha256 of every output file plus each exit code;
+It also runs ``--help`` at the top level and for each command, with ``COLUMNS=80``
+so argparse wraps its lines the same way everywhere, and one run per config
+file in BAD_CONFIGS, each holding one value the CLI refuses; of these runs it
+digests what they print. ``record`` writes the sha256 of every output file and
+printed stream plus each exit code;
 ``check`` reruns the same invocations and exits 1, listing every difference,
 unless all bytes match. Uses only the standard library and numpy (through
 pentawave itself).
@@ -28,6 +32,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 WAVENUMBERS = ("1", "0.93")
@@ -45,6 +50,23 @@ EXTRA_FLAGS = {
 # cover the block boundaries.
 IDENTITY_BLOCKS_CONFIG = "identity_blocks.json"
 IDENTITY_BLOCKS_POINTS = 50002
+# Config files that each hold one value the CLI refuses, by run name; a run reads
+# its file and digests the one-line message it prints.
+BAD_CONFIGS = {
+    "terms-infinite": '{"terms": Infinity}',
+    "seed-infinite": '{"seed": -Infinity}',
+    "terms-fractional": '{"terms": 2.5}',
+    "terms-string": '{"terms": "8"}',
+    "k-bool": '{"k": true}',
+    "radius-overflow": '{"radius": 1e400}',
+    "seed-beyond-doubles": '{"seed": 1%s}' % ("0" * 400),
+    "out-null": '{"out": null}',
+    "format-number": '{"format": 3}',
+    "unknown-key": '{"kk": 1, "tolerance": {}}',
+    "tolerances-list": '{"tolerances": []}',
+    "tolerance-unknown": '{"tolerances": {"grad_tol": 1e-9, "grid_tol": 1e-9}}',
+    "tolerance-fractional": '{"tolerances": {"max_newton_steps": 2.5}}',
+}
 
 
 def invocations(scale):
@@ -63,6 +85,14 @@ def invocations(scale):
     return runs
 
 
+def message_runs():
+    """(run name, argv) of every run whose exit code and printed streams are digested."""
+    runs = [("help", ["--help"]), *((f"help-{command}", [command, "--help"]) for command in RADII)]
+    runs += [(f"config-{name}", ["field", "--config", f"{name}.json", "--out", "golden_out/bad"])
+             for name in BAD_CONFIGS]
+    return runs
+
+
 def digests(scale, src):
     """Exit code and sha256 of every output file of every golden run."""
     sys.path.insert(0, str(src))
@@ -74,6 +104,8 @@ def digests(scale, src):
         os.chdir(work)
         config = {"tolerances": {"identity_num_points": IDENTITY_BLOCKS_POINTS}}
         Path(IDENTITY_BLOCKS_CONFIG).write_text(json.dumps(config), encoding="utf-8")
+        for name, text in BAD_CONFIGS.items():
+            Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:
             for name, argv in invocations(scale):
                 with contextlib.redirect_stderr(io.StringIO()):
@@ -81,6 +113,17 @@ def digests(scale, src):
                 out = Path(work, "golden_out", name)
                 for path in sorted(out.iterdir()):
                     result[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, argv in message_runs():
+                out, err = io.StringIO(), io.StringIO()
+                with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
+                      contextlib.redirect_stderr(err)):
+                    try:
+                        result[f"{name}/exit"] = cli.main(argv)
+                    except SystemExit as exc:  # argparse exits after printing the help
+                        result[f"{name}/exit"] = exc.code
+                for stream, text in (("stdout", out), ("stderr", err)):
+                    digest = hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+                    result[f"{name}/{stream}"] = digest
         finally:
             os.chdir(cwd)
     return result

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .identities import suite_residual_breakdown
 # matching_correspondences is unused here but stays importable as
 # cli.matching_correspondences, a name perfbench/trace_child.py wraps.
 from .pentagrid import (  # noqa: F401
+    THICK,
+    THIN,
     PentagridSpec,
     crossing_count,
     match_report,
@@ -54,7 +56,6 @@ from .wavefield import (
     _map_blocks,
     _sin_prod,
     _sin_sum,
-    _whole_lattice,
     direction_basis,
     p5,
     project,
@@ -78,43 +79,31 @@ _MAX_GRID_SAMPLES = 10 ** 8
 # sized to fit it.
 _CONVERGE_BLOCK_BYTES = 1 << 21
 
-_COMMANDS = (
-    ("field", "sample s5, the leading product term, and the series on a disk grid"),
-    ("identity", "seeded random sweep of the algebraic identity residuals"),
-    ("converge", "truncation error versus the closed-form bound per term count"),
-    ("extrema", "locate and classify critical points inside the disk"),
-    ("tiling", "dualize the pentagrid to rhombus tiles over a square window"),
-    ("match", "register dual tiling vertices against the field extrema"),
-)
+# Every top-level setting, set by the flag --name (- for _) or the config-file key
+# name: its type, default and flag help. Each is the RunConfig field of its name,
+# but format, which RunConfig holds split into formats.
+_SETTINGS = {
+    "k": (float, 1.0, "wavenumber (default 1.0)"),
+    "radius": (float, 10.0, "disk radius or window half-size (default 10)"),
+    "terms": (int, 8, "retained series terms (default 8)"),
+    "grid_step": (float, 0.25, "sampling grid pitch (default 0.25)"),
+    "seed": (int, 0, "RNG seed (default 0)"),
+    "out": (str, "pentawave_out", "output directory"),
+    "format": (str, "csv,json", "comma separated subset of csv,json,svg (default csv,json)"),
+}
 
-_CONFIG_KEYS = ("k", "radius", "terms", "grid_step", "seed", "out", "format")
-
-# Per-module numeric overrides accepted under "tolerances" in a config file.
-_TOLERANCE_KEYS = (
-    "grad_tol",
-    "eig_degenerate_tol",
-    "seed_spacing",
-    "dedupe_radius",
-    "max_newton_steps",
-    "singular_eps",
-    "boundary_eps",
-    "identity_num_points",
-    "identity_k_min",
-    "identity_k_max",
-)
-
-# Config-file keys that must hold whole numbers; every other key but out and format
-# holds a float.
-_WHOLE_KEYS = ("terms", "seed", "max_newton_steps", "identity_num_points")
-
-_DEFAULTS = {
-    "k": 1.0,
-    "radius": 10.0,
-    "terms": 8,
-    "grid_step": 0.25,
-    "seed": 0,
-    "out": "pentawave_out",
-    "format": "csv,json",
+# Per-module numeric overrides accepted under "tolerances" in a config file, and their types.
+_TOLERANCES = {
+    "grad_tol": float,
+    "eig_degenerate_tol": float,
+    "seed_spacing": float,
+    "dedupe_radius": float,
+    "max_newton_steps": int,
+    "singular_eps": float,
+    "boundary_eps": float,
+    "identity_num_points": int,
+    "identity_k_min": float,
+    "identity_k_max": float,
 }
 
 
@@ -134,7 +123,7 @@ class RunConfig:
     terms: int
     grid_step: float
     seed: int
-    out_dir: str
+    out: str
     formats: tuple[str, ...]
     tolerances: dict
 
@@ -145,29 +134,11 @@ def build_parser():
         description="Deterministic experiment harness for the fivefold wave field.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text in _COMMANDS:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--k", type=float, default=None, help="wavenumber (default 1.0)")
-        cmd.add_argument(
-            "--radius", type=float, default=None, help="disk radius or window half-size (default 10)"
-        )
-        cmd.add_argument(
-            "--terms", type=int, default=None, help="retained series terms (default 8)"
-        )
-        cmd.add_argument(
-            "--grid-step", type=float, default=None, dest="grid_step",
-            help="sampling grid pitch (default 0.25)",
-        )
-        cmd.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        cmd.add_argument("--out", type=str, default=None, help="output directory")
-        cmd.add_argument(
-            "--format", type=str, default=None,
-            help="comma separated subset of csv,json,svg (default csv,json)",
-        )
-        cmd.add_argument(
-            "--config", type=str, default=None,
-            help="JSON file whose keys fill in unset flags; flags win",
-        )
+    for command, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name, (kind, _, flag_help) in _SETTINGS.items():
+            cmd.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
+        cmd.add_argument("--config", help="JSON file whose keys fill in unset flags; flags win")
     return parser
 
 
@@ -181,21 +152,20 @@ def _load_config_file(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS) - {"tolerances"}
+    unknown = set(data) - set(_SETTINGS) - {"tolerances"}
     if unknown:
         raise ConfigError(f"unknown config file keys: {', '.join(sorted(unknown))}")
     return data
 
 
-def _config_value(key, value, prefix=""):
-    """A config-file value, checked; prefix + key names it in the messages.
+def _config_value(what, kind, value):
+    """A config-file value of type kind (str, float or int), checked; what names it.
 
-    out and format must be strings. Every other key must hold a finite JSON
-    number, not a bool, and is returned as a float, or for _WHOLE_KEYS as an
-    int, exact if it was one.
+    A str must be a string. A float or int must be a finite JSON number, not a
+    bool; it is returned as a float, or for int as an int, which must be whole
+    and is exact if it was given as one.
     """
-    what = prefix + key
-    if key in ("out", "format"):
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{what} must be a string")
         return value
@@ -207,7 +177,7 @@ def _config_value(key, value, prefix=""):
         raise ConfigError(f"{what} is out of range") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite")
-    if key not in _WHOLE_KEYS:
+    if kind is float:
         return number
     if not number.is_integer():
         raise ConfigError(f"{what} must be a whole number, not {number!r}")
@@ -221,24 +191,21 @@ def resolve_config(args):
     """
     file_cfg = _load_config_file(args.config) if args.config else {}
     file_values = {
-        key: _config_value(key, value) for key, value in file_cfg.items() if key != "tolerances"
+        key: _config_value(key, _SETTINGS[key][0], value)
+        for key, value in file_cfg.items() if key != "tolerances"
     }
-
-    def pick(name):
+    settings = {}
+    for name, (_, default, _) in _SETTINGS.items():
         flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        return file_values.get(name, _DEFAULTS[name])
+        settings[name] = file_values.get(name, default) if flag is None else flag
+    formats = tuple(part.strip() for part in settings.pop("format").split(",") if part.strip())
 
-    k, radius, terms, grid_step, seed = map(pick, ("k", "radius", "terms", "grid_step", "seed"))
-    out_dir = pick("out")
-    formats = tuple(part.strip() for part in pick("format").split(",") if part.strip())
-
+    k, radius, grid_step = settings["k"], settings["radius"], settings["grid_step"]
     if not (math.isfinite(k) and k > 0):
         raise ConfigError("k must be finite and positive")
     if not (math.isfinite(radius) and radius >= 0):
         raise ConfigError("radius must be finite and nonnegative")
-    if terms < 0:
+    if settings["terms"] < 0:
         raise ConfigError("terms must be nonnegative")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ConfigError("grid-step must be finite and positive")
@@ -248,36 +215,14 @@ def resolve_config(args):
     tolerances = file_cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be a JSON object")
-    unknown = set(tolerances) - set(_TOLERANCE_KEYS)
+    unknown = set(tolerances) - set(_TOLERANCES)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(unknown))}")
-    resolved = {key: _config_value(key, value, "tolerance ") for key, value in tolerances.items()}
-
-    return RunConfig(
-        command=args.command,
-        k=k,
-        radius=radius,
-        terms=terms,
-        grid_step=grid_step,
-        seed=seed,
-        out_dir=out_dir,
-        formats=formats,
-        tolerances=resolved,
-    )
-
-
-def _config_dict(cfg):
-    return {
-        "command": cfg.command,
-        "k": cfg.k,
-        "radius": cfg.radius,
-        "terms": cfg.terms,
-        "grid_step": cfg.grid_step,
-        "seed": cfg.seed,
-        "out": cfg.out_dir,
-        "formats": list(cfg.formats),
-        "tolerances": cfg.tolerances,
+    resolved = {
+        key: _config_value(f"tolerance {key}", _TOLERANCES[key], value)
+        for key, value in tolerances.items()
     }
+    return RunConfig(args.command, **settings, formats=formats, tolerances=resolved)
 
 
 def _cells(column):
@@ -296,7 +241,7 @@ def _write_csv(cfg, name, header, columns):
     if "csv" not in cfg.formats:
         return
     rows = itertools.chain([header], zip(*map(_cells, columns)))
-    path = os.path.join(cfg.out_dir, f"{name}.csv")
+    path = os.path.join(cfg.out, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         while lines := [",".join(row) for row in itertools.islice(rows, 1 << 12)]:
             text = "\n".join(lines) + "\n"
@@ -315,8 +260,8 @@ def _dump_json(path, payload):
 def _write_json(cfg, name, report):
     if "json" not in cfg.formats:
         return
-    payload = {"config": _config_dict(cfg), "report": report, "version": __version__}
-    _dump_json(os.path.join(cfg.out_dir, f"{name}.json"), payload)
+    payload = {"config": asdict(cfg), "report": report, "version": __version__}
+    _dump_json(os.path.join(cfg.out, f"{name}.json"), payload)
 
 
 def _write_svg(cfg, name, draw):
@@ -325,7 +270,7 @@ def _write_svg(cfg, name, draw):
         return
     canvas = draw()
     if canvas is not None:
-        canvas.write(os.path.join(cfg.out_dir, f"{name}.svg"))
+        canvas.write(os.path.join(cfg.out, f"{name}.svg"))
 
 
 def _config_checked(fn, *args, **kwargs):
@@ -336,18 +281,18 @@ def _config_checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _disk_blocks(radius, step, size):
-    """The half grid of wavefield._disk_lattice_blocks, once the whole grid is within the cap."""
+def _disk_blocks(radius, step, size, whole=False):
+    """The blocks of wavefield._disk_lattice_blocks, once the whole grid is within the cap."""
     # counted in floats, so an overflowing grid is refused instead of raising
     side = 2.0 * float(np.floor(radius / step)) + 1.0
     suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
     _check_count(side * side, "disk grid samples", f"--grid-step of at least {suggestion:.6g}")
-    yield from _disk_lattice_blocks(radius, step, size)
+    yield from _disk_lattice_blocks(radius, step, size, whole)
 
 
 def _disk_grid(radius, step):
     """The whole disk grid of _disk_blocks as one array; the block size leaves its rows unchanged."""
-    return _whole_lattice(np.concatenate(list(_disk_blocks(radius, step, 1 << 16))))
+    return np.concatenate(list(_disk_blocks(radius, step, 1 << 16, whole=True)))
 
 
 def _check_count(count, what, remedy="a smaller --radius or --k"):
@@ -421,9 +366,9 @@ def _run_field(cfg):
 
 def _run_identity(cfg):
     tol = cfg.tolerances
-    num_points = int(tol.get("identity_num_points", 10000))
-    k_lo = float(tol.get("identity_k_min", 0.1))
-    k_hi = float(tol.get("identity_k_max", 10.0))
+    num_points = tol.get("identity_num_points", 10000)
+    k_lo = tol.get("identity_k_min", 0.1)
+    k_hi = tol.get("identity_k_max", 10.0)
     _check_count(num_points, "identity sample points", "a smaller identity_num_points")
     try:
         allowance = 1e-9 * (1.0 + k_hi * cfg.radius) ** 5
@@ -583,7 +528,7 @@ def _run_tiling(cfg):
     patch = _tiles(cfg, spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
     header = ["kind", "family_i", "family_j", "cross_x", "cross_y",
               "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
-    columns = [np.where(patch.thin, "thin", "thick"), *patch.families.T,
+    columns = [np.where(patch.thin, THIN, THICK), *patch.families.T,
                *patch.intersection.T, *patch.vertices.reshape(-1, 8).T]
     _write_csv(cfg, "tiling", header, columns)
     num_thin = int(patch.thin.sum())
@@ -624,12 +569,12 @@ def _run_match(cfg):
                                   boundary_eps=cfg.tolerances.get("boundary_eps"))
     except ValueError as exc:
         payload = {
-            "config": _config_dict(cfg),
+            "config": asdict(cfg),
             "error": str(exc),
             "report": None,
             "version": __version__,
         }
-        _dump_json(os.path.join(cfg.out_dir, "match.json"), payload)
+        _dump_json(os.path.join(cfg.out, "match.json"), payload)
         print(f"match: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     report = dict(vars(report_obj), transform=vars(report_obj.transform))
@@ -670,13 +615,14 @@ def _run_match(cfg):
     return EXIT_OK
 
 
-_RUNNERS = {
-    "field": _run_field,
-    "identity": _run_identity,
-    "converge": _run_converge,
-    "extrema": _run_extrema,
-    "tiling": _run_tiling,
-    "match": _run_match,
+# Every command: its runner and its help line, in the order --help lists them.
+_COMMANDS = {
+    "field": (_run_field, "sample s5, the leading product term, and the series on a disk grid"),
+    "identity": (_run_identity, "seeded random sweep of the algebraic identity residuals"),
+    "converge": (_run_converge, "truncation error versus the closed-form bound per term count"),
+    "extrema": (_run_extrema, "locate and classify critical points inside the disk"),
+    "tiling": (_run_tiling, "dualize the pentagrid to rhombus tiles over a square window"),
+    "match": (_run_match, "register dual tiling vertices against the field extrema"),
 }
 
 
@@ -689,9 +635,9 @@ def main(argv=None):
         print(f"pentawave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _dump_json(os.path.join(cfg.out_dir, "config.json"), _config_dict(cfg))
-        return _RUNNERS[cfg.command](cfg)
+        os.makedirs(cfg.out, exist_ok=True)
+        _dump_json(os.path.join(cfg.out, "config.json"), asdict(cfg))
+        return _COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"pentawave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,6 @@ import numpy as np
 from .wavefield import (
     _block_edges,
     _disk_lattice_blocks,
-    _whole_lattice,
     grad_s2,
     grad_s5,
     hess_s2,
@@ -129,14 +128,13 @@ def default_search_config(k, radius, **overrides):
     """Standard search controls for wavenumber k over a disk.
 
     Seed spacing pi/(4k) puts eight seeds per field wavelength; the
-    degeneracy threshold scales with the Hessian magnitude k^2.
+    degeneracy threshold scales with the Hessian magnitude k^2. The controls
+    that do not depend on k keep SearchConfig's defaults.
     """
     base = dict(
         radius=float(radius),
         seed_spacing=math.pi / (4.0 * k),
-        grad_tol=1e-10,
         dedupe_radius=math.pi / (16.0 * k),
-        max_newton_steps=40,
         eig_degenerate_tol=1e-8 * k * k,
     )
     base.update(overrides)
@@ -170,7 +168,7 @@ def _seed_grid(cfg):
         ys = ymin + s * np.arange(int(math.floor((ymax - ymin) / s)) + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
-    return _whole_lattice(_seed_half(cfg))
+    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, s, 1 << 16, whole=True)))
 
 
 def _in_domain(pts, cfg):
@@ -266,12 +264,13 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
     so the bits depend neither on the blocks nor on the order of the rows.
 
     With mirror, seeds is a lattice from its centre row on (_seed_half), field
-    is odd, and the results are those of _whole_lattice(seeds), whose row n-1-i
-    mirrors row i. Each row after the centre stands for itself and its mate,
-    whose state is 0.0 - p and whose flag and gradient norm are the row's. A
-    one-row batch rounds as a lone row only when it is the search's only
-    active seed; a paired one is evaluated as two rows (_evaluate). Where a
-    fallback splits a pair (_newton_step), the mate goes on as its own row.
+    is odd, and the results are those of the whole lattice, 0.0 - seeds[:0:-1]
+    then seeds (as _seed_grid), whose row n-1-i mirrors row i. Each row after
+    the centre stands for itself and its mate, whose state is 0.0 - p and
+    whose flag and gradient norm are the row's. A one-row batch rounds as a
+    lone row only when it is the search's only active seed; a paired one is
+    evaluated as two rows (_evaluate). Where a fallback splits a pair
+    (_newton_step), the mate goes on as its own row.
     """
     mates = max(len(seeds) - 1, 0) if mirror else 0
     pts = np.empty((mates + len(seeds), 2))

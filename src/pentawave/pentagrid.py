@@ -28,6 +28,10 @@ _E = direction_basis()
 THIN = "thin"
 THICK = "thick"
 
+# Distance from a grid line, in grid spacings, within which tiles and
+# matching_correspondences treat a point as on the line unless given their own.
+_ON_LINE_SPACINGS = 1e-9
+
 
 @dataclass(frozen=True)
 class PentagridSpec:
@@ -169,15 +173,15 @@ def crossing_count(spec, window):
 def tiles(spec, window, singular_eps=None):
     """Dualize every transverse pair intersection inside the window.
 
-    Intersections within singular_eps (default 1e-9 * spacing) of a line
-    from a third family are singular in de Bruijn's sense (three or more
-    lines meet, as at the origin of this zero-offset grid); they produce no
-    tile and are tallied in skipped_singular. Thin tiles come from family
+    Intersections within singular_eps (default _ON_LINE_SPACINGS * spacing)
+    of a line from a third family are singular in de Bruijn's sense (three or
+    more lines meet, as at the origin of this zero-offset grid); they produce
+    no tile and are tallied in skipped_singular. Thin tiles come from family
     pairs at cyclic distance 2 or 3, thick tiles from distance 1 or 4.
     Each family pair is dualized as one batch, its vertices by dual_vertices.
     """
     if singular_eps is None:
-        singular_eps = 1e-9 * spec.spacing
+        singular_eps = _ON_LINE_SPACINGS * spec.spacing
     xmin, xmax, ymin, ymax = (float(v) for v in window)
     spacing = spec.spacing
     line_lo, line_hi = (v.astype(int) for v in _line_ranges(spec, window))
@@ -288,14 +292,15 @@ def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None)
     Keeps maxima and minima only, trims extrema within one grid spacing of
     the disk boundary when disk_radius is given (edge regions are truncated
     and would bias the fit), and drops those within boundary_eps (default
-    1e-9 * spacing) of any grid line, where the region is undefined. Returns
-    (kept, correspondences, excluded_near_singular): kept holds the rows of
-    the extrema that passed the kind and rim filters, and correspondences
-    those of them that were matched. All extrema are indexed as stacked
-    single points, so each rounds as region_indices of that one point does.
+    _ON_LINE_SPACINGS * spacing) of any grid line, where the region is
+    undefined. Returns (kept, correspondences, excluded_near_singular): kept
+    holds the rows of the extrema that passed the kind and rim filters, and
+    correspondences those of them that were matched. All extrema are indexed
+    as stacked single points, so each rounds as region_indices of that one
+    point does.
     """
     if boundary_eps is None:
-        boundary_eps = 1e-9 * spec.spacing
+        boundary_eps = _ON_LINE_SPACINGS * spec.spacing
     kept = np.flatnonzero(extrema.of_kind(KIND_MAXIMUM, KIND_MINIMUM))
     if disk_radius is not None:
         # math.hypot, not np.hypot: the two round differently

@@ -67,8 +67,8 @@ _FORMATS = _mostly(st.sampled_from(["csv,json,svg", "csv", "json", "svg", "json,
                    st.sampled_from(["", "png", "csv,,json", " svg "]))
 
 
-_TOP_LEVEL = st.one_of(st.none(), st.dictionaries(st.sampled_from(cli._CONFIG_KEYS), _ANY_NUMBER,
-                                                 max_size=3))
+_TOP_LEVEL = st.one_of(st.none(), st.dictionaries(st.sampled_from(list(cli._SETTINGS)),
+                                                 _ANY_NUMBER, max_size=3))
 
 
 @st.composite

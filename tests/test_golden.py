@@ -1,5 +1,6 @@
 """Smoke test of bench/golden.py, the golden-output digest tool, at a tiny scale."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -17,8 +18,18 @@ def test_golden_record_then_check(tmp_path, capsys):
     runs = {name for name, _ in golden.invocations(0.1)}
     assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1
     assert "identity-blocks/identity.json" in recorded
-    assert {key.split("/")[0] for key in recorded} == runs
+    messages = {name for name, _ in golden.message_runs()}
+    assert len(messages) == 1 + 6 + len(golden.BAD_CONFIGS)
+    assert {key.split("/")[0] for key in recorded} == runs | messages
     assert all(f"{run}/config.json" in recorded for run in runs)
+    empty = hashlib.sha256(b"").hexdigest()
+    for run in messages:
+        # the help exits 0 and prints to stdout; a bad config file exits 2 and
+        # prints its one-line message to stderr
+        is_help = run.startswith("help")
+        printed, silent = ("stdout", "stderr") if is_help else ("stderr", "stdout")
+        assert recorded[f"{run}/exit"] == (0 if is_help else 2), run
+        assert recorded[f"{run}/{silent}"] == empty and recorded[f"{run}/{printed}"] != empty, run
     assert golden.main(["check", str(digest_file)], scale=0.1) == 0
 
     key = "match-s2-k1/config.json"

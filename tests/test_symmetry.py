@@ -113,7 +113,8 @@ def test_split_mates_keep_positive_zeros(monkeypatch):
     cfg = ex.default_search_config(1.0, 10.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = ex._refine_batch(_ARC_FIELD, 1.0, half, cfg, mirror=True)
-        want = ex._refine_batch(_ARC_FIELD, 1.0, pw.wavefield._whole_lattice(half), cfg)
+        # the whole lattice of a half, the mirror relation the paired search rests on
+        want = ex._refine_batch(_ARC_FIELD, 1.0, np.concatenate([0.0 - half[:0:-1], half]), cfg)
     for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
         assert a.tobytes() == b.tobytes(), name
     assert sum(splits) == len(half) - 1
