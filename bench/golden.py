@@ -11,11 +11,13 @@ Every command runs in-process at two small scales and at k = 1 and k = 0.93,
 plus one ``identity`` sweep of 50,002 points that spans several blocks of
 the sweep, each with ``--format csv,json,svg``, inside a temporary directory and with a
 fixed relative ``--out`` (config.json and the JSON reports echo it).
-It also runs ``--help`` at the top level and for each command, with ``COLUMNS=80``
-so argparse wraps its lines the same way everywhere, and one run per config
-file in BAD_CONFIGS, each holding one value the CLI refuses; of these runs it
-digests what they print. ``record`` writes the sha256 of every output file and
-printed stream plus each exit code;
+Every command also runs at the smaller scale and k = 1 once with each format
+alone, and ``match`` once at a radius where registration fails (exit 4 and
+its error envelope). It also runs ``--help`` at the top level and for each
+command, and one run per config file in BAD_CONFIGS, each holding one value
+the CLI refuses. Every run has ``COLUMNS=80``, so argparse wraps its lines
+the same way everywhere. ``record`` writes the sha256 of every output file and
+of what every run prints on stdout and stderr, plus each exit code;
 ``check`` reruns the same invocations and exits 1, listing every difference,
 unless all bytes match. Uses only the standard library and numpy (through
 pentawave itself).
@@ -70,23 +72,27 @@ BAD_CONFIGS = {
 
 
 def invocations(scale):
-    """(run name, argv) of every golden run; radii are multiplied by scale."""
-    runs = []
-    for size in SCALES:
-        for k in WAVENUMBERS:
-            for command, r in RADII.items():
-                name = f"{command}-s{size}-k{k}"
-                runs.append((name, [command, "--k", k, "--radius", repr(r * size * scale),
-                                    *EXTRA_FLAGS.get(command, []), "--format", FORMATS,
-                                    "--out", f"golden_out/{name}"]))
+    """(run name, argv) of every golden run that writes files; radii are multiplied by scale."""
+
+    def run(name, command, k, radius, formats):
+        return name, [command, "--k", k, "--radius", repr(radius), *EXTRA_FLAGS.get(command, []),
+                      "--format", formats, "--out", f"golden_out/{name}"]
+
+    runs = [run(f"{command}-s{size}-k{k}", command, k, r * size * scale, FORMATS)
+            for size in SCALES for k in WAVENUMBERS for command, r in RADII.items()]
     runs.append(("identity-blocks", ["identity", "--radius", repr(10 * scale), "--seed", "5",
                                      "--config", IDENTITY_BLOCKS_CONFIG, "--format", FORMATS,
                                      "--out", "golden_out/identity-blocks"]))
+    runs += [run(f"{command}-{fmt}", command, "1", r * SCALES[0] * scale, fmt)
+             for fmt in FORMATS.split(",") for command, r in RADII.items()]
+    # a fixed radius with too few extrema to register: exit 4, and match.json holds
+    # the error envelope although only csv was asked for
+    runs.append(run("match-exit4", "match", "1", 10, "csv"))
     return runs
 
 
 def message_runs():
-    """(run name, argv) of every run whose exit code and printed streams are digested."""
+    """(run name, argv) of every golden run that only prints."""
     runs = [("help", ["--help"]), *((f"help-{command}", [command, "--help"]) for command in RADII)]
     runs += [(f"config-{name}", ["field", "--config", f"{name}.json", "--out", "golden_out/bad"])
              for name in BAD_CONFIGS]
@@ -94,7 +100,7 @@ def message_runs():
 
 
 def digests(scale, src):
-    """Exit code and sha256 of every output file of every golden run."""
+    """Exit code and sha256 of every output file and printed stream of every golden run."""
     sys.path.insert(0, str(src))
     from pentawave import cli
 
@@ -107,13 +113,7 @@ def digests(scale, src):
         for name, text in BAD_CONFIGS.items():
             Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:
-            for name, argv in invocations(scale):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    result[f"{name}/exit"] = cli.main(argv)
-                out = Path(work, "golden_out", name)
-                for path in sorted(out.iterdir()):
-                    result[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-            for name, argv in message_runs():
+            for name, argv in invocations(scale) + message_runs():
                 out, err = io.StringIO(), io.StringIO()
                 with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
                       contextlib.redirect_stderr(err)):
@@ -124,6 +124,8 @@ def digests(scale, src):
                 for stream, text in (("stdout", out), ("stderr", err)):
                     digest = hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
                     result[f"{name}/{stream}"] = digest
+                for path in sorted(Path(work, "golden_out", name).glob("*")):
+                    result[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         finally:
             os.chdir(cwd)
     return result

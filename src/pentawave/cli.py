@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .extrema import (
     KIND_MAXIMUM,
     KIND_MINIMUM,
     KINDS,
+    SearchConfig,
     check_search_grid,
     default_search_config,
     find_critical_points,
@@ -238,8 +239,6 @@ def _write_csv(cfg, name, header, columns):
     an int or a fixed name, none of which holds a comma, a quote or a line
     break. Rows are checked for that a chunk at a time, by counting.
     """
-    if "csv" not in cfg.formats:
-        return
     rows = itertools.chain([header], zip(*map(_cells, columns)))
     path = os.path.join(cfg.out, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -257,20 +256,28 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
-def _write_json(cfg, name, report):
-    if "json" not in cfg.formats:
-        return
-    payload = {"config": asdict(cfg), "report": report, "version": __version__}
-    _dump_json(os.path.join(cfg.out, f"{name}.json"), payload)
+def _emit(cfg, name, report, header, columns, draw=None):
+    """Write a command's artifacts in the formats cfg asks for, in the order csv, json, svg.
 
-
-def _write_svg(cfg, name, draw):
-    """Write the canvas draw() returns (None for no drawing); draw runs only if svg was requested."""
-    if "svg" not in cfg.formats:
-        return
-    canvas = draw()
-    if canvas is not None:
-        canvas.write(os.path.join(cfg.out, f"{name}.svg"))
+    The CSV table is given column by column, one per header name, and the JSON
+    report is written in its {"config", "report", "version"} envelope. draw()
+    runs only if svg was asked for, and returns the canvas to write, or None for
+    no drawing; a ValueError it raises (a span too small to scale onto the
+    canvas) is a config error. A command with no draw says it has no svg
+    output. Returns EXIT_OK.
+    """
+    path = os.path.join(cfg.out, name)
+    if "csv" in cfg.formats:
+        _write_csv(cfg, name, header, columns)
+    if "json" in cfg.formats:
+        payload = {"config": asdict(cfg), "report": report, "version": __version__}
+        _dump_json(path + ".json", payload)
+    if "svg" in cfg.formats:
+        if draw is None:
+            print(f"{name}: no svg output defined for this command", file=sys.stderr)
+        elif (canvas := _config_checked(draw)) is not None:
+            canvas.write(path + ".svg")
+    return EXIT_OK
 
 
 def _config_checked(fn, *args, **kwargs):
@@ -302,8 +309,8 @@ def _check_count(count, what, remedy="a smaller --radius or --k"):
 
 
 def _critical_points(cfg):
-    allowed = ("seed_spacing", "grad_tol", "dedupe_radius", "max_newton_steps", "eig_degenerate_tol")
-    overrides = {key: cfg.tolerances[key] for key in allowed if key in cfg.tolerances}
+    search_keys = {field.name for field in fields(SearchConfig)}
+    overrides = {key: value for key, value in cfg.tolerances.items() if key in search_keys}
     search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
     _check_count(seed_count(search), "extrema seeds")
     _config_checked(check_search_grid, cfg.k, search)
@@ -335,14 +342,12 @@ def _run_field(cfg):
             f"series deviation {deviation:g} exceeds the scaled bound {bound:g}"
         )
     columns = [pts[:, 0], pts[:, 1], s5_vals, lead_vals, series_vals]
-    _write_csv(cfg, "field", ["x", "y", "s5", "p5_lead", "series_N"], columns)
     report = {
         "num_samples": len(pts),
         "max_abs_series_deviation": deviation,
         "scaled_bound": bound,
         "num_terms": cfg.terms,
     }
-    _write_json(cfg, "field", report)
 
     def draw():
         if cfg.radius == 0:
@@ -360,8 +365,7 @@ def _run_field(cfg):
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
         return canvas
 
-    _write_svg(cfg, "field", draw)
-    return EXIT_OK
+    return _emit(cfg, "field", report, ["x", "y", "s5", "p5_lead", "series_N"], columns, draw)
 
 
 def _run_identity(cfg):
@@ -390,13 +394,6 @@ def _run_identity(cfg):
         raise ContractViolation(
             f"identity residual {worst:g} exceeds the allowance {allowance:g}"
         )
-    checks = sorted(breakdown)
-    _write_csv(
-        cfg,
-        "identity",
-        ["check", "max_abs_residual"],
-        [checks, [breakdown[name] for name in checks]],
-    )
     report = {
         "max_abs_residual": worst,
         "num_points": num_points,
@@ -404,10 +401,9 @@ def _run_identity(cfg):
         "per_identity": breakdown,
         "allowance": allowance,
     }
-    _write_json(cfg, "identity", report)
-    if "svg" in cfg.formats:
-        print("identity: no svg output defined for this command", file=sys.stderr)
-    return EXIT_OK
+    checks = sorted(breakdown)
+    columns = [checks, [breakdown[name] for name in checks]]
+    return _emit(cfg, "identity", report, ["check", "max_abs_residual"], columns)
 
 
 def _converge_chunk(terms):
@@ -467,12 +463,10 @@ def _run_converge(cfg):
             raise ContractViolation(
                 f"max error {err:g} exceeds bound {bound:g} at {n} terms"
             )
-    _write_csv(cfg, "converge", ["N", "max_error", "bound"], list(zip(*rows)))
     report = {
         "num_samples": 2 * half - 1,
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
     }
-    _write_json(cfg, "converge", report)
 
     def draw():
         positive = [v for _, e, b in rows for v in (e, b) if v > 0]
@@ -492,8 +486,7 @@ def _run_converge(cfg):
         canvas.text((0.0, hi - 0.5), "log10 max_error (red), log10 bound (blue)")
         return canvas
 
-    _write_svg(cfg, "converge", draw)
-    return EXIT_OK
+    return _emit(cfg, "converge", report, ["N", "max_error", "bound"], list(zip(*rows)), draw)
 
 
 # Marker colors of KINDS, indexed by a CriticalSet's kind codes.
@@ -506,10 +499,8 @@ def _run_extrema(cfg):
     points = _critical_points(cfg)
     columns = [*points.location.T, points.value, np.array(KINDS)[points.kind],
                *points.eigenvalues.T]
-    _write_csv(cfg, "extrema", ["x", "y", "value", "kind", "eig_low", "eig_high"], columns)
     counts = np.bincount(points.kind, minlength=len(KINDS)).tolist()
     report = {"num_points": len(points), "counts": dict(zip(KINDS, counts))}
-    _write_json(cfg, "extrema", report)
 
     def draw():
         canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
@@ -517,8 +508,8 @@ def _run_extrema(cfg):
         canvas.circles(points.location, 3.0, fill=_KIND_COLORS[points.kind].tolist())
         return canvas
 
-    _write_svg(cfg, "extrema", draw)
-    return EXIT_OK
+    header = ["x", "y", "value", "kind", "eig_low", "eig_high"]
+    return _emit(cfg, "extrema", report, header, columns, draw)
 
 
 def _run_tiling(cfg):
@@ -530,7 +521,6 @@ def _run_tiling(cfg):
               "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
     columns = [np.where(patch.thin, THIN, THICK), *patch.families.T,
                *patch.intersection.T, *patch.vertices.reshape(-1, 8).T]
-    _write_csv(cfg, "tiling", header, columns)
     num_thin = int(patch.thin.sum())
     report = {
         "num_tiles": len(patch.thin),
@@ -540,7 +530,6 @@ def _run_tiling(cfg):
         "grid_wavenumber": spec.c,
         "spacing": spec.spacing,
     }
-    _write_json(cfg, "tiling", report)
 
     def draw():
         if not len(patch.thin):
@@ -555,8 +544,7 @@ def _run_tiling(cfg):
                         stroke="#333333", width=0.8, opacity=0.85)
         return canvas
 
-    _write_svg(cfg, "tiling", draw)
-    return EXIT_OK
+    return _emit(cfg, "tiling", report, header, columns, draw)
 
 
 def _run_match(cfg):
@@ -579,14 +567,12 @@ def _run_match(cfg):
         return EXIT_CONTRACT
     report = dict(vars(report_obj), transform=vars(report_obj.transform))
     del report["correspondences"]
-    _write_json(cfg, "match", report)
 
     matched = report_obj.correspondences
     locations = critical_points.location[matched.rows]
     header = ["x", "y", "kind", "m0", "m1", "m2", "m3", "m4", "dual_x", "dual_y", "residual"]
     columns = [*locations.T, np.array(KINDS)[critical_points.kind[matched.rows]],
                *matched.index.T, *matched.position.T, report_obj.residuals]
-    _write_csv(cfg, "match", header, columns)
 
     def draw():
         bbox = (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius)
@@ -611,8 +597,7 @@ def _run_match(cfg):
         canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
         return canvas
 
-    _write_svg(cfg, "match", draw)
-    return EXIT_OK
+    return _emit(cfg, "match", report, header, columns, draw)
 
 
 # Every command: its runner and its help line, in the order --help lists them.

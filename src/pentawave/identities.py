@@ -138,8 +138,15 @@ def two_wave_residual(k, p):
     return _maybe_scalar(np.asarray(lhs - rhs))
 
 
-def _sweep_range(num_points, k_range, radius):
-    """The validated (lo, hi) wavenumber range of a sweep."""
+def _sweep_blocks(num_points, seed, k_range, radius):
+    """Yield the (points, wavenumbers) of a seeded sweep, _SWEEP_BLOCK points at a time.
+
+    The sweep draws num_points disk radii, then as many angles, then as many
+    wavenumbers in k_range, all from one PCG64 stream seeded with seed. Each
+    double of random() and uniform() takes one 64-bit draw, so the three start
+    at draws 0, n and 2n of the stream. Three copies of the generator, advanced
+    to those draws, yield every block in turn without drawing the sweep as a whole.
+    """
     if num_points < 1:
         raise ValueError("num_points must be at least 1")
     lo, hi = float(k_range[0]), float(k_range[1])
@@ -147,42 +154,15 @@ def _sweep_range(num_points, k_range, radius):
         raise ValueError("k_range must be a nonempty positive interval")
     if not (radius >= 0):
         raise ValueError("radius must be nonnegative")
-    return lo, hi
-
-
-def _draw_sweep(r_rng, theta_rng, k_rng, count, lo, hi, radius):
-    """count disk points and wavenumbers: radii, then angles, then wavenumbers."""
-    r = radius * np.sqrt(r_rng.random(count))
-    theta = 2.0 * np.pi * theta_rng.random(count)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    ks = k_rng.uniform(lo, hi, count)
-    return pts, ks
-
-
-def _sample_sweep(num_points, seed, k_range, radius):
-    """The whole sweep, drawn in one pass from one generator."""
-    lo, hi = _sweep_range(num_points, k_range, radius)
-    rng = np.random.default_rng(seed)
-    return _draw_sweep(rng, rng, rng, num_points, lo, hi, radius)
-
-
-def _sweep_blocks(num_points, seed, k_range, radius):
-    """Yield the (points, wavenumbers) of each _SWEEP_BLOCK slice of _sample_sweep.
-
-    Each double of random() and uniform() takes one 64-bit draw, so the radii,
-    angles and wavenumbers of the full draw start at draws 0, n and 2n of the
-    generator stream. Three copies of the generator, advanced to those draws,
-    yield every slice in turn without drawing the sweep as a whole.
-    """
-    lo, hi = _sweep_range(num_points, k_range, radius)
-    streams = []
-    for offset in (0, num_points, 2 * num_points):
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(offset)
-        streams.append(rng)
+    r_rng, theta_rng, k_rng = (np.random.default_rng(seed) for _ in range(3))
+    theta_rng.bit_generator.advance(num_points)
+    k_rng.bit_generator.advance(2 * num_points)
     edges = _block_edges(num_points, _SWEEP_BLOCK)
-    for start, stop in zip(edges, edges[1:]):
-        yield _draw_sweep(*streams, stop - start, lo, hi, radius)
+    for count in np.diff(edges).tolist():
+        r = radius * np.sqrt(r_rng.random(count))
+        theta = 2.0 * np.pi * theta_rng.random(count)
+        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        yield pts, k_rng.uniform(lo, hi, count)
 
 
 def _block_residuals(block):

@@ -42,6 +42,8 @@ class SvgCanvas:
         self.size = int(size)
         span = max(xmax - xmin, ymax - ymin)
         self._scale = (self.size - 2.0 * margin) / span
+        if not math.isfinite(self._scale):
+            raise ValueError(f"a world span of {span:g} is too small to scale onto the canvas")
         self._cx = 0.5 * (xmin + xmax)
         self._cy = 0.5 * (ymin + ymax)
         self._elements = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -398,6 +399,21 @@ def test_no_svg_canvas_built_without_svg_format(tmp_path, monkeypatch, command):
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("extrema", "--radius", "1e-310"),
+    ("field", "--radius", "1e-310", "--grid-step", "1"),
+])
+def test_radius_too_small_to_draw_is_config_error(tmp_path, args):
+    # the canvas scale 720 / 2e-310 overflows a double
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--format", "svg", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "pentawave: config error: a world span of 2e-310 is too small to scale onto the canvas\n"
+    )
+    assert not list(out.glob("*.svg"))
+
+
 def test_identity_outputs(tmp_path):
     out = tmp_path / "ident"
     proc = run_cli("identity", "--seed", "5", "--out", str(out), "--format", "csv,json")
@@ -624,6 +640,27 @@ def test_config_file_tolerance_keys(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "identity.json").read_text())
     assert report["report"]["num_points"] == 500
+
+
+def test_config_file_search_tolerances_reach_the_search(tmp_path, monkeypatch):
+    search = {"seed_spacing": 0.5, "grad_tol": 1e-11, "dedupe_radius": 0.1,
+              "max_newton_steps": 30, "eig_degenerate_tol": 1e-7}
+    assert set(search) == {f.name for f in fields(cli.SearchConfig)} & set(cli._TOLERANCES)
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {**search, "singular_eps": 1e-6}}))
+    seen = []
+    find_critical_points = cli.find_critical_points
+
+    def captured(k, config, **kwargs):
+        seen.append(config)
+        return find_critical_points(k, config, **kwargs)
+
+    monkeypatch.setattr(cli, "find_critical_points", captured)
+    assert cli.main(["extrema", "--radius", "5", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    [config] = seen
+    assert {key: getattr(config, key) for key in search} == search
+    assert type(config.max_newton_steps) is int
 
 
 def test_identity_sample_cap_is_checked_before_the_sweep(tmp_path, capsys, monkeypatch):

@@ -16,13 +16,29 @@ def test_golden_record_then_check(tmp_path, capsys):
     assert golden.main(["record", str(digest_file)], scale=0.1) == 0
     recorded = json.loads(digest_file.read_text())
     runs = {name for name, _ in golden.invocations(0.1)}
-    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1
+    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1 + 6 * 3 + 1
     assert "identity-blocks/identity.json" in recorded
     messages = {name for name, _ in golden.message_runs()}
     assert len(messages) == 1 + 6 + len(golden.BAD_CONFIGS)
     assert {key.split("/")[0] for key in recorded} == runs | messages
     assert all(f"{run}/config.json" in recorded for run in runs)
     empty = hashlib.sha256(b"").hexdigest()
+    for run, argv in golden.invocations(0.1):
+        command, formats = argv[0], argv[argv.index("--format") + 1].split(",")
+        # at this scale some match windows hold too few extrema to register
+        failed = recorded[f"{run}/exit"] == 4
+        assert recorded[f"{run}/exit"] == 0 or command == "match" and failed, run
+        files = {key.split("/")[1] for key in recorded if key.startswith(f"{run}/")}
+        files -= {"exit", "stdout", "stderr", "config.json"}
+        # a failed registration writes its error envelope whatever the formats;
+        # an svg is left out when there is nothing to draw
+        wanted = {"match.json"} if failed else {f"{command}.{fmt}" for fmt in formats}
+        assert {name for name in wanted if not name.endswith(".svg")} <= files <= wanted, run
+        # identity says on stderr that it draws no svg; a failed registration says why
+        notes = (command == "identity" and "svg" in formats) or failed
+        assert recorded[f"{run}/stdout"] == empty, run
+        assert (recorded[f"{run}/stderr"] != empty) == notes, run
+    assert recorded["match-exit4/exit"] == 4
     for run in messages:
         # the help exits 0 and prints to stdout; a bad config file exits 2 and
         # prints its one-line message to stderr

@@ -191,9 +191,19 @@ def _old_direction_sum_residuals(p):
     return np.concatenate([total, adjacent, skipping], axis=-1)
 
 
+def _old_sample_sweep(num_points, seed, k_range, radius):
+    """The sweep drawn whole from one generator, before it was drawn block by block, kept verbatim."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.random(num_points))
+    theta = 2.0 * np.pi * rng.random(num_points)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    ks = rng.uniform(float(k_range[0]), float(k_range[1]), num_points)
+    return pts, ks
+
+
 def _old_suite_residual_breakdown(num_points, seed, k_range, radius):
     """The sweep as one full batch, before it ran block by block, kept verbatim."""
-    pts, ks = ident._sample_sweep(num_points, seed, k_range, radius)
+    pts, ks = _old_sample_sweep(num_points, seed, k_range, radius)
     return {
         "expansion": float(np.abs(_old_expansion_lhs(ks, pts) - 16.0 * _old_p5(ks, pts)).max()),
         "functional": float(np.abs(_old_functional_residual(ks, pts)).max()),
@@ -236,16 +246,6 @@ def test_identity_functions_equal_reference_bit_for_bit():
     assert np.array_equal(pw.direction_sum_residuals(pts), _old_direction_sum_residuals(pts))
 
 
-def _old_sample_sweep(num_points, seed, k_range, radius):
-    """The sweep drawn whole from one generator, before it was drawn block by block, kept verbatim."""
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.random(num_points))
-    theta = 2.0 * np.pi * rng.random(num_points)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    ks = rng.uniform(float(k_range[0]), float(k_range[1]), num_points)
-    return pts, ks
-
-
 @pytest.mark.parametrize("num_points", [
     1, 2, 3, ident._SWEEP_BLOCK - 1, ident._SWEEP_BLOCK + 1,
     2 * ident._SWEEP_BLOCK - 1, 2 * ident._SWEEP_BLOCK + 1, 4 * ident._SWEEP_BLOCK + 1, 50002,
@@ -255,8 +255,6 @@ def test_streamed_sweep_blocks_equal_the_full_draw_bit_for_bit(num_points, k_ran
     edges = ident._block_edges(num_points, ident._SWEEP_BLOCK)
     for seed in (0, 1, 7, 2 ** 40):
         pts, ks = _old_sample_sweep(num_points, seed, k_range, 10.0)
-        full_pts, full_ks = ident._sample_sweep(num_points, seed, k_range, 10.0)
-        assert full_pts.tobytes() == pts.tobytes() and full_ks.tobytes() == ks.tobytes()
         blocks = list(ident._sweep_blocks(num_points, seed, k_range, 10.0))
         assert [len(p) for p, _ in blocks] == np.diff(edges).tolist()
         for (p, k), start, stop in zip(blocks, edges, edges[1:]):

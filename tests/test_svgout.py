@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from pentawave.svgout import SvgCanvas, diverging_colors
 
@@ -142,3 +143,13 @@ def test_diverging_colors_equal_the_scalar_formula_bit_for_bit():
     assert diverging_colors(np.zeros(0), 1.0) == []
     assert diverging_colors(np.array([1.0, -1.0, 0.0, -0.0]), 1.0) == [
         "#ff0000", "#0000ff", "#ffffff", "#ffffff"]
+
+
+def test_canvas_refuses_a_span_too_small_to_scale():
+    # 720 pixels over a span below about 4e-306 overflows the scale to inf
+    for span in (2e-310, 4e-306, 5e-324):
+        with pytest.raises(ValueError, match="too small to scale onto the canvas"):
+            SvgCanvas((0.0, span, -span, 0.0))
+    canvas = SvgCanvas((0.0, 5e-306, -5e-306, 0.0))
+    assert math.isfinite(canvas.scale)
+    assert all(math.isfinite(v) for v in canvas.map_point(5e-306, -5e-306))
