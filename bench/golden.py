@@ -13,14 +13,14 @@ the sweep, each with ``--format csv,json,svg``, inside a temporary directory and
 fixed relative ``--out`` (config.json and the JSON reports echo it).
 Every command also runs at the smaller scale and k = 1 once with each format
 alone, and ``match`` once at a radius where registration fails (exit 4 and
-its error envelope). It also runs ``--help`` at the top level and for each
-command, and one run per config file in BAD_CONFIGS, each holding one value
-the CLI refuses. Every run has ``COLUMNS=80``, so argparse wraps its lines
-the same way everywhere. ``record`` writes the sha256 of every output file and
-of what every run prints on stdout and stderr, plus each exit code;
-``check`` reruns the same invocations and exits 1, listing every difference,
-unless all bytes match. Uses only the standard library and numpy (through
-pentawave itself).
+its error envelope) and once at a fixed radius where it succeeds. It also
+runs ``--help`` at the top level and for each command, and one run per config
+file in BAD_CONFIGS, each holding one value the CLI refuses. Every run has
+``COLUMNS=80``, so argparse wraps its lines the same way everywhere.
+``record`` writes the sha256 of every output file and of what every run
+prints on stdout and stderr, plus each exit code; ``check`` reruns the same
+invocations and exits 1, listing every difference, unless all bytes match.
+Uses only the standard library and numpy (through pentawave itself).
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def invocations(scale):
     # a fixed radius with too few extrema to register: exit 4, and match.json holds
     # the error envelope although only csv was asked for
     runs.append(run("match-exit4", "match", "1", 10, "csv"))
+    # a fixed radius that registers (radii 4 to 16 end in exit 4): at every scale a
+    # match that succeeds is digested, with its CSV, JSON and SVG
+    runs.append(run("match-r20", "match", "1", 20, FORMATS))
     return runs
 
 

@@ -118,6 +118,8 @@ class SearchConfig:
             raise ValueError("dedupe_radius must be smaller than seed_spacing")
         if not (self.dedupe_radius > 0):
             raise ValueError("dedupe_radius must be positive")
+        if not math.isfinite(self.seed_spacing):  # pi/(4k) overflows for a subnormal k
+            raise ValueError("seed_spacing must be finite")
         if not (self.grad_tol > 0 and self.eig_degenerate_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_newton_steps < 1:
@@ -230,6 +232,7 @@ def _newton_step(field, k, cur, g, paired, cfg):
             dy = (hess[:, 0, 0] * gb[:, 1] - hess[:, 1, 0] * gb[:, 0]) / det
         new[rows] = cur[rows] - np.column_stack([dx, dy])
         regular[rows] = np.abs(det) >= det_tol
+        del hess, det, dx, dy  # else they stay alive through the next block's hess
     if regular.all():
         return new, np.empty(0, dtype=np.intp), np.empty((0, 2))
     flat = np.flatnonzero(~regular)
@@ -272,17 +275,16 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
     evaluated as two rows (_evaluate). Where a fallback splits a pair
     (_newton_step), the mate goes on as its own row.
     """
-    mates = max(len(seeds) - 1, 0) if mirror else 0
-    pts = np.empty((mates + len(seeds), 2))
-    pts[mates:] = seeds
+    half = len(seeds)
+    mates = max(half - 1, 0) if mirror else 0
+    cur = np.asarray(seeds, dtype=float)  # never written in place, so the seeds are not copied
     del seeds
-    n = len(pts)
-    converged = np.zeros(n, dtype=bool)
-    gnorm = np.full(n, np.inf)
-    idx = np.arange(mates, n)
-    cur = pts[mates:]  # safe to share: a row of pts is only ever set to its current point
-    paired = (idx > mates) & mirror
-    own = np.ones(mates, dtype=bool)  # mates still 0.0 - their row's point
+    idx = np.arange(half)  # rows of pts: the seeds', then the split mates'
+    paired = (idx > 0) & mirror
+    # set only as a row leaves the loop; the mates' rows are made when it ends
+    pts = np.empty_like(cur)
+    gnorm = np.full(half, np.inf)
+    split = [np.empty(0, dtype=np.intp)]  # the whole lattice's rows of the split mates
     for step in range(cfg.max_newton_steps + 1):
         if idx.size == 0:
             break
@@ -290,15 +292,13 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         for rows in _row_blocks(len(cur)):
             g[rows] = _evaluate(field.grad, k, cur[rows], paired[rows])
         # hypot is never below either component, so only these rows can converge
-        within = np.abs(g) <= cfg.grad_tol
-        done = within[:, 0] & within[:, 1]
+        done = (np.abs(g) <= cfg.grad_tol).all(axis=1)
         gd = g.compress(done, axis=0)
         gn = np.hypot(gd[:, 0], gd[:, 1])
         small = gn <= cfg.grad_tol
         done[done] = small
         if small.any():
             hit = idx.compress(done)
-            converged[hit] = True
             gnorm[hit] = gn.compress(small)
             pts[hit] = cur.compress(done, axis=0)
             live = ~done
@@ -312,9 +312,11 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         new, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
         del g
         if pair.size:
-            own[n - 1 - idx[pair]] = False
+            split.append(mates - idx[pair])
             paired[pair] = False
-            idx = np.concatenate([idx, n - 1 - idx[pair]])
+            idx = np.concatenate([idx, np.arange(len(pts), len(pts) + pair.size)])
+            pts = np.concatenate([pts, np.empty_like(mate)])
+            gnorm = np.concatenate([gnorm, np.full(pair.size, np.inf)])
             cur = np.concatenate([cur, 0.0 - cur[pair]])
             new = np.concatenate([new, mate])
             paired = np.concatenate([paired, np.zeros(pair.size, dtype=bool)])
@@ -326,45 +328,53 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         cur = new
         del new  # else the next compaction keeps the old rows alive
     pts[idx] = cur
-    # the mates, from reversed views of their rows (empty without mirror): no temporaries
-    np.subtract(0.0, pts[n - mates:][::-1], out=pts[:mates], where=own[:, None])
-    np.copyto(converged[:mates], converged[n - mates:][::-1], where=own)
-    np.copyto(gnorm[:mates], gnorm[n - mates:][::-1], where=own)
-    return pts, converged, gnorm
+    # the whole lattice: each mate mirrors its row, but a split mate has a row of its own
+    mirrored, split = slice(half - 1, half - 1 - mates, -1), np.concatenate(split)
+    pts, extra = np.concatenate([0.0 - pts[mirrored], pts[:half]]), pts[half:]
+    pts[split] = extra
+    gnorm, extra = np.concatenate([gnorm[mirrored], gnorm[:half]]), gnorm[half:]
+    gnorm[split] = extra
+    return pts, gnorm < np.inf, gnorm
 
 
-def _cell_keys(cells):
-    """int64 key of each row of cells, an (n, 2) array of whole numbers, and the key width.
+def _cell_keys(columns):
+    """int64 key of each row of cells, given as its two columns of whole numbers (made one
+    at a time when they come from a generator), and the key width.
 
     Equal rows get equal keys, and cell (x + dx, y + dy) has key + dx * width + dy for
     |dx|, |dy| <= 1. A column spanning 2**30 or more cells first has each gap between
     its values that is wider than one cell closed to two, which keeps both facts.
     """
-    cols = []
-    for c in cells.T:
+    key = 0
+    for c in columns:
         c = c - c.min()
         if c.max() >= 2.0 ** 30:
             values, c = np.unique(c, return_inverse=True)
             c = np.concatenate([[0.0], np.cumsum(np.minimum(np.diff(values), 2.0))])[c]
-        cols.append(c.astype(np.int64) + 1)
-    width = int(cols[1].max()) + 2
-    return cols[0] * width + cols[1], width
+        c = c.astype(np.int64) + 1
+        width = int(c.max()) + 2
+        key = key * width + c
+    return key, width
 
 
-def _leaders(rows, group, columns):
-    """Per group, the least value of the last column over the rows that tie for least
-    in each column before it, taken column by column; with the row numbers last, the
-    row first in the lexicographic order of the columns.
+def _floor(a):
+    """np.floor of a float array that nothing else holds, in place."""
+    return np.floor(a, out=a)
 
-    rows come in runs of equal group; == ties -0.0 with 0.0, as a sort does.
+
+def _leaders(rows, starts, columns):
+    """Per run of rows, the runs beginning at starts, the least row number over the rows
+    that tie for least in each column, taken column by column: the row first in the
+    lexicographic order of the columns and then of the row numbers.
+
+    == ties -0.0 with 0.0, as a sort does.
     """
     for column in columns:
-        starts = np.flatnonzero(np.diff(group, prepend=-1))
         v = column[rows]
-        least = np.minimum.reduceat(v, starts)
-        first = v == np.repeat(least, np.diff(starts, append=len(v)))
-        rows, group = rows[first], group[first]
-    return least
+        first = v == np.repeat(np.minimum.reduceat(v, starts), np.diff(starts, append=len(v)))
+        counts = np.add.reduceat(first, starts)
+        rows, starts = rows[first], np.cumsum(counts) - counts
+    return np.minimum.reduceat(rows, starts)
 
 
 def _dedupe(pts, gnorm, dedupe_radius):
@@ -381,28 +391,28 @@ def _dedupe(pts, gnorm, dedupe_radius):
     cells keep; only the rows of the other fine cells go through _greedy_keep.
     """
     h = dedupe_radius
-    fine = np.floor(pts / (0.5 * h))
     # fails only where pts / h is subnormal; then every row goes through the greedy
-    halves = np.array_equal(np.floor(0.5 * fine), np.floor(pts / h))
-    key, _ = _cell_keys(fine)
+    halves = all(np.array_equal(_floor(0.5 * _floor(c / (0.5 * h))), _floor(c / h)) for c in pts.T)
+    key, _ = _cell_keys(_floor(c / (0.5 * h)) for c in pts.T)
     by_cell = np.argsort(key)
     key = key[by_cell]
-    group = np.cumsum(np.diff(key, prepend=key[0]) != 0)  # fine cell of each sorted row
+    first = np.concatenate([[True], key[1:] != key[:-1]])  # each fine cell's first sorted row
     del key
-    leaders = _leaders(by_cell, group, (gnorm, pts[:, 0], pts[:, 1], np.arange(len(pts))))
-    coarse, width = _cell_keys(np.floor(0.5 * fine[leaders]))
-    del fine
+    leaders = _leaders(by_cell, np.flatnonzero(first), (gnorm, pts[:, 0], pts[:, 1]))
+    coarse, width = _cell_keys(_floor(0.5 * _floor(c / (0.5 * h))) for c in pts[leaders].T)
     # occupied fine cells in the 3 x 3 cells of side h around each, its own included
     occupied = np.sort(coarse)
     near = sum(np.searchsorted(occupied, coarse + dx * width + 1, "right")
                - np.searchsorted(occupied, coarse + dx * width - 1, "left") for dx in (-1, 0, 1))
     alone = halves & (near == 1)
-    cell = np.empty(len(pts), dtype=np.intp)
-    cell[by_cell] = group
-    rows = np.sort(by_cell[~alone[group]])
-    del by_cell, group
-    rows = rows[np.lexsort((pts[rows, 1], pts[rows, 0], gnorm[rows]))]
-    kept = np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell[rows], h)]])
+    group = np.cumsum(first)  # fine cell of each sorted row, from 1
+    del first
+    crowded = ~alone[group - 1]
+    rows, cell = by_cell[crowded], group[crowded]
+    del by_cell, group, crowded
+    order = np.lexsort((rows, pts[rows, 1], pts[rows, 0], gnorm[rows]))
+    rows, cell = rows[order], cell[order]
+    kept = np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell, h)]])
     kept.sort()
     return kept[np.lexsort((pts[kept, 1], pts[kept, 0], gnorm[kept]))].tolist()
 
@@ -493,8 +503,9 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     else:
         pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
     keep = converged & _in_domain(pts, cfg)
-    del converged  # with keep, freed before the dedupe, where the search peaks
-    pts, gnorm = pts[keep], gnorm[keep]
+    del converged
+    pts = pts[keep]  # then gnorm, so each old array is freed before the next copy
+    gnorm = gnorm[keep]
     del keep
     if len(pts):
         pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]

@@ -9,9 +9,12 @@ and no third-party drawing dependency.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+_BLOCK_ROWS = 1 << 12  # rows of elements mapped, formatted and held as one text at a time
 
 
 def diverging_colors(values, vmax):
@@ -41,25 +44,29 @@ class SvgCanvas:
             raise ValueError("world_bbox must have positive extent")
         self.size = int(size)
         span = max(xmax - xmin, ymax - ymin)
-        self._scale = (self.size - 2.0 * margin) / span
-        if not math.isfinite(self._scale):
+        self.scale = (self.size - 2.0 * margin) / span
+        if not math.isfinite(self.scale):
             raise ValueError(f"a world span of {span:g} is too small to scale onto the canvas")
         self._cx = 0.5 * (xmin + xmax)
         self._cy = 0.5 * (ymin + ymax)
         self._elements = []
 
     def map_point(self, x, y):
-        px = 0.5 * self.size + self._scale * (x - self._cx)
-        py = 0.5 * self.size - self._scale * (y - self._cy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            px = 0.5 * self.size + self.scale * (x - self._cx)
+            py = 0.5 * self.size - self.scale * (y - self._cy)
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise ValueError("a world point lies too far outside the canvas to map onto it")
         return px, py
 
-    @property
-    def scale(self):
-        return self._scale
-
-    def _map_points(self, xy):
-        """map_point over the trailing axis of an array of world points, same bits."""
-        return np.stack(self.map_point(xy[..., 0], xy[..., 1]), axis=-1)
+    def _add(self, template, xy, extras):
+        """One element per row of xy, world points: template % (mapped row, *next(extras)),
+        and a newline. Held as one text per block of rows, so a drawing is a few long strings."""
+        for start in range(0, len(xy), _BLOCK_ROWS):
+            block = xy[start:start + _BLOCK_ROWS]
+            mapped = np.stack(self.map_point(block[..., 0], block[..., 1]), axis=-1)
+            rows = zip(mapped.reshape(len(block), -1).tolist(), extras)
+            self._elements.append("\n".join(template % (*r, *e) for r, e in rows) + "\n")
 
     def line(self, p0, p1, stroke="#888888", width=1.0, opacity=1.0):
         self.lines([p0], [p1], stroke=stroke, width=width, opacity=opacity)
@@ -71,12 +78,11 @@ class SvgCanvas:
         """
         xy = np.hstack([np.asarray(starts, dtype=float).reshape(-1, 2),
                         np.asarray(ends, dtype=float).reshape(-1, 2)])
-        coords = self._map_points(xy.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
         style = f'stroke="{stroke}" stroke-width="{width:g}" stroke-opacity="{opacity:g}"'
         template = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" {} />'.format(
             style.replace("%", "%%")
         )
-        self._elements.extend(template % tuple(c) for c in coords)
+        self._add(template, xy.reshape(-1, 2, 2), itertools.repeat(()))
 
     def circle(self, center, radius_px, fill="#000000", stroke="none", width=1.0):
         self.circles([center], radius_px, fill=[fill], stroke=stroke, width=width)
@@ -87,13 +93,12 @@ class SvgCanvas:
         fill is one color for all of them or a sequence of n colors. Formatted
         with one template, in the bytes circle() writes.
         """
-        coords = self._map_points(np.asarray(centers, dtype=float).reshape(-1, 2)).tolist()
-        fills = [fill] * len(coords) if isinstance(fill, str) else fill
         style = f'stroke="{stroke}" stroke-width="{width:g}"'
         template = '<circle cx="%.2f" cy="%.2f" r="{:g}" fill="%s" {} />'.format(
             radius_px, style.replace("%", "%%")
         )
-        self._elements.extend(template % (x, y, color) for (x, y), color in zip(coords, fills))
+        fills = itertools.repeat((fill,)) if isinstance(fill, str) else zip(fill)
+        self._add(template, np.asarray(centers, dtype=float).reshape(-1, 2), fills)
 
     def polygon(self, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
         self.polygons([points], fill=fill, stroke=stroke, width=width, opacity=opacity)
@@ -101,46 +106,49 @@ class SvgCanvas:
     def polygons(self, polys, fill="none", stroke="#000000", width=1.0, opacity=1.0):
         """One polygon per row of polys, an (n, m, 2) array of world vertices.
 
-        fill is one color for all of them or a sequence of n colors. All
-        vertices are mapped in one array pass and each element is formatted
-        with one template, in the bytes polygon() writes.
+        fill is one color for all of them or a sequence of n colors. Each
+        element is formatted with one template, in the bytes polygon() writes.
         """
         polys = np.asarray(polys, dtype=float)
         if len(polys) == 0:
             return
-        coords = self._map_points(polys).reshape(len(polys), -1).tolist()
-        fills = [fill] * len(coords) if isinstance(fill, str) else fill
         points = " ".join(["%.2f,%.2f"] * polys.shape[1])
         style = f'fill-opacity="{opacity:g}" stroke="{stroke}" stroke-width="{width:g}"'
         template = '<polygon points="{}" fill="%s" {} />'.format(points, style.replace("%", "%%"))
-        self._elements.extend(template % (*xy, color) for xy, color in zip(coords, fills))
+        fills = itertools.repeat((fill,)) if isinstance(fill, str) else zip(fill)
+        self._add(template, polys, fills)
 
     def text(self, anchor, label, size_px=12, fill="#333333"):
         x, y = self.map_point(*anchor)
         self._elements.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size_px:g}" '
-            f'font-family="monospace" fill="{fill}">{label}</text>'
+            f'font-family="monospace" fill="{fill}">{label}</text>\n'
         )
 
     def world_circle(self, center, radius, stroke="#333333", width=1.0, fill="none"):
         """Circle whose radius is given in world units rather than pixels."""
         x, y = self.map_point(*center)
         self._elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius * self._scale:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{width:g}" />'
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius * self.scale:.2f}" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="{width:g}" />\n'
         )
 
-    def to_string(self):
-        head = (
+    def _pieces(self):
+        """The document's text in order: the head, each text of elements, the tail."""
+        yield (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.size}" '
-            f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">'
+            f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">\n'
+            f'<rect width="{self.size}" height="{self.size}" fill="#ffffff" />\n'
         )
-        background = f'<rect width="{self.size}" height="{self.size}" fill="#ffffff" />'
-        return "\n".join([head, background, *self._elements, "</svg>"]) + "\n"
+        yield from self._elements
+        yield "</svg>\n"
+
+    def to_string(self):
+        return "".join(self._pieces())
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_string())
+            fh.writelines(self._pieces())
 
 
 def clip_line_to_box(point, direction, bbox):

@@ -414,6 +414,19 @@ def test_radius_too_small_to_draw_is_config_error(tmp_path, args):
     assert not list(out.glob("*.svg"))
 
 
+def test_point_too_far_to_draw_is_config_error(tmp_path):
+    # the scale 720 / 2e-300 is finite, but times the 5e299 half-width of the
+    # heatmap cells it overflows: each mapped coordinate is checked, not the scale only
+    out = tmp_path / "o"
+    proc = run_cli("field", "--radius", "1e-300", "--grid-step", "1e300", "--format", "svg",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "pentawave: config error: a world point lies too far outside the canvas to map onto it\n"
+    )
+    assert not list(out.glob("*.svg"))
+
+
 def test_identity_outputs(tmp_path):
     out = tmp_path / "ident"
     proc = run_cli("identity", "--seed", "5", "--out", str(out), "--format", "csv,json")
@@ -541,6 +554,17 @@ def test_seed_spacing_above_quarter_wavelength_is_config_error(tmp_path, command
     proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "pentawave: config error: seed_spacing must not exceed pi/(2k)\n"
+
+
+def test_seed_spacing_that_overflows_is_config_error(tmp_path):
+    # pi/(4k) is inf for a subnormal k; with a finite dedupe radius the seed grid
+    # read inf * 0 = nan, with a RuntimeWarning, and the search exited 0 on no seeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"dedupe_radius": 0.25}}))
+    proc = run_cli("extrema", "--k", "5e-324", "--radius", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == "pentawave: config error: seed_spacing must be finite\n"
 
 
 def _cell_reference(value):

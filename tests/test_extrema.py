@@ -475,7 +475,7 @@ def test_dedupe_matches_greedy_reference_over_more_than_2_30_cells(monkeypatch):
     pts = np.concatenate([pts, pts[:2000] + rng.uniform(-1.2, 1.2, (2000, 2)) * h])
     greedy_rows = _dedupe_checked(monkeypatch, pts, rng.random(len(pts)), h)
     assert 0 < greedy_rows < len(pts)
-    assert ex._cell_keys(np.floor(pts / h))[1] < 2 ** 31
+    assert ex._cell_keys(np.floor(pts / h).T)[1] < 2 ** 31
 
 
 def test_dedupe_memory_stays_linear_on_coincident_rows(monkeypatch):
@@ -899,8 +899,9 @@ def test_find_critical_points_memory_per_seed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 132.4 B per seed with the one-point-at-a-time dedupe, 130.9 B since
-    assert peak / seeds <= 132.4
+    # 132.4 B per seed with the one-point-at-a-time dedupe, 130.9 B since, 89.4 B
+    # with the mirrored Newton loop, 70.9 B with its half-size result table
+    assert peak / seeds <= 72
 
 
 def test_dedupe_memory_per_candidate():
@@ -914,8 +915,9 @@ def test_dedupe_memory_per_candidate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 115.8 B per candidate with the one-point-at-a-time dedupe, 87.6 B since
-    assert peak / len(pts) < 95
+    # 115.8 B per candidate with the one-point-at-a-time dedupe, 87.6 B since, 64.0 B
+    # later, 27.1 B with its columns made one at a time and no row-number column
+    assert peak / len(pts) < 28
 
 
 def test_refine_batch_memory_per_seed():
@@ -927,5 +929,50 @@ def test_refine_batch_memory_per_seed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 137 B per seed
-    assert peak / len(seeds) < 150
+    # measured 137 B per seed, then 131.9 B; 113.4 B with the result table filled as
+    # rows leave the loop
+    assert peak / len(seeds) < 115
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mirrored_refine_batch_memory_per_seed():
+    # the production path: half the lattice, each row standing for its mate too
+    cfg = ex.default_search_config(1.0, 100.0)
+    peak = _traced_peak(lambda: ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_half(cfg), cfg,
+                                                 mirror=True))
+    # 89.4 B per seed of the whole lattice with the whole result table held from
+    # the start; 70.9 B with the mates' rows made as the loop ends
+    assert peak / len(ex._seed_grid(cfg)) < 72
+
+
+def test_find_critical_points_peaks_in_its_newton_loop(monkeypatch):
+    # the traced peak of each phase of the search, in one run: the phases before
+    # the Newton loop, the loop, and everything after it (filter, dedupe, classify)
+    cfg = ex.default_search_config(1.0, 200.0)
+    refine, peaks = ex._refine_batch, []
+
+    def phased(field, k, seeds, cfg, mirror=False):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        held = [seeds]
+        del seeds  # no name holds the seeds, so the loop frees them as in the search
+        result = refine(field, k, held.pop(), cfg, mirror)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(ex, "_refine_batch", phased)
+    peaks.append(_traced_peak(ex.find_critical_points, 1.0, cfg))
+    before, newton, after = peaks
+    # the dedupe set the search's peak at 84.0 B per seed, over the loop's 68.0 B;
+    # now the loop peaks at 49.6 B per seed and nothing else reaches it
+    assert max(before, after) <= newton
+    assert newton / len(ex._seed_grid(cfg)) < 51

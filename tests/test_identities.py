@@ -265,6 +265,9 @@ def test_streamed_sweep_blocks_equal_the_full_draw_bit_for_bit(num_points, k_ran
 def test_identity_sweep_memory_does_not_grow_with_points(monkeypatch):
     # The sweep draws and checks one block at a time.
     monkeypatch.setattr(ident, "_SWEEP_BLOCK", 256)
+    # one worker: with two, the peak counts however many blocks are in flight at
+    # once, which varies from run to run by more than the margin below
+    monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: 1)
 
     def peak(num_points):
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Tests for the batched SVG element writers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_circles_equal_per_element_bytes():
                  for c in centers[:3].tolist()]
         want += [_circle_reference(canvas, tuple(centers[0]), radius),
                  _circle_reference(canvas, (1, -2), 4, fill="#dd8800", **style)]
-        assert canvas._elements == want
+        assert canvas.to_string().splitlines()[2:-1] == want
         assert 'cx="-0.00"' in canvas.to_string() or 'cy="-0.00"' in canvas.to_string()
 
 
@@ -94,7 +95,7 @@ def test_polygons_and_lines_equal_per_element_bytes():
                  for a, b in zip(starts.tolist(), ends.tolist())]
         want += [_polygon_reference(canvas, polys[0].tolist()),
                  _line_reference(canvas, tuple(starts[0]), tuple(ends[0]))]
-        assert canvas._elements == want
+        assert canvas.to_string().splitlines()[2:-1] == want
         assert "-0.00," in canvas.to_string()
 
 
@@ -153,3 +154,20 @@ def test_canvas_refuses_a_span_too_small_to_scale():
     canvas = SvgCanvas((0.0, 5e-306, -5e-306, 0.0))
     assert math.isfinite(canvas.scale)
     assert all(math.isfinite(v) for v in canvas.map_point(5e-306, -5e-306))
+
+
+def test_canvas_refuses_a_point_that_maps_to_no_finite_coordinate():
+    # a finite scale of 3.6e302 times a world offset of 1e10 overflows; so does an inf or nan point
+    canvas = SvgCanvas((-1e-300, 1e-300, -1e-300, 1e-300))
+    assert math.isfinite(canvas.scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((1e10, 0.0), (0.0, -1e10), (math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="too far outside the canvas"):
+                canvas.map_point(x, y)
+            with pytest.raises(ValueError, match="too far outside the canvas"):
+                canvas.circles([(0.0, 0.0), (x, y)], 2.0)
+            with pytest.raises(ValueError, match="too far outside the canvas"):
+                canvas.polygons([[(0.0, 0.0), (x, y), (0.0, 1e-300)]])
+        assert all(math.isfinite(v) for v in canvas.map_point(1e-300, -1e-300))
+    assert canvas.to_string().count("\n") == 3
