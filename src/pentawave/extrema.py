@@ -502,7 +502,8 @@ def find_critical_points(k, cfg, field=S5_FIELD):
         pts, converged, gnorm = _refine_batch(field, k, _seed_half(cfg), cfg, mirror=True)
     else:
         pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
-    keep = converged & _in_domain(pts, cfg)
+    # a block of rows at a time, so the squares of every row are never held
+    keep = np.concatenate([converged[r] & _in_domain(pts[r], cfg) for r in _row_blocks(len(pts))])
     del converged
     pts = pts[keep]  # then gnorm, so each old array is freed before the next copy
     gnorm = gnorm[keep]
