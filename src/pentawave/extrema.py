@@ -292,7 +292,7 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         for rows in _row_blocks(len(cur)):
             g[rows] = _evaluate(field.grad, k, cur[rows], paired[rows])
         # hypot is never below either component, so only these rows can converge
-        done = (np.abs(g) <= cfg.grad_tol).all(axis=1)
+        done = np.logical_and(*(np.abs(g) <= cfg.grad_tol).T)
         gd = g.compress(done, axis=0)
         gn = np.hypot(gd[:, 0], gd[:, 1])
         small = gn <= cfg.grad_tol
