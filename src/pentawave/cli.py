@@ -53,6 +53,7 @@ from .svgout import SvgCanvas, clip_line_to_box, diverging_colors
 from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
+    _disk_lattice,
     _disk_lattice_blocks,
     _map_blocks,
     _sin_prod,
@@ -288,18 +289,12 @@ def _config_checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _disk_blocks(radius, step, size, whole=False):
-    """The blocks of wavefield._disk_lattice_blocks, once the whole grid is within the cap."""
+def _check_disk_grid(radius, step):
+    """Refuse a disk grid whose whole lattice exceeds _MAX_GRID_SAMPLES, before it is made."""
     # counted in floats, so an overflowing grid is refused instead of raising
     side = 2.0 * float(np.floor(radius / step)) + 1.0
     suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
     _check_count(side * side, "disk grid samples", f"--grid-step of at least {suggestion:.6g}")
-    yield from _disk_lattice_blocks(radius, step, size, whole)
-
-
-def _disk_grid(radius, step):
-    """The whole disk grid of _disk_blocks as one array; the block size leaves its rows unchanged."""
-    return np.concatenate(list(_disk_blocks(radius, step, 1 << 16, whole=True)))
 
 
 def _check_count(count, what, remedy="a smaller --radius or --k"):
@@ -332,7 +327,8 @@ def _run_field(cfg):
     lead_k = series_term(cfg.k, 0)[1]
     if not lead_k > 0:
         raise ConfigError("k is too small: the lead wavenumber k/(2*tau) underflows to zero")
-    pts = _disk_grid(cfg.radius, cfg.grid_step)
+    _check_disk_grid(cfg.radius, cfg.grid_step)
+    pts = _disk_lattice(cfg.radius, cfg.grid_step, whole=True)
     s5_vals = np.atleast_1d(s5(cfg.k, pts))
     lead_vals = np.atleast_1d(p5(lead_k, pts))
     series_vals = np.atleast_1d(series_partial(spec, pts))
@@ -453,9 +449,10 @@ def _run_converge(cfg):
         _config_checked(tail_bound, cfg.k, cfg.radius, n).scaled_bound
         for n in range(cfg.terms + 1)
     ]
+    _check_disk_grid(cfg.radius, cfg.grid_step)
     # s5 (a sum of sines) and each term (a product of five) are odd bit for bit, so
     # |s5 - series_N| is the same at p and -p and the half grid has every maximum
-    blocks = _disk_blocks(cfg.radius, cfg.grid_step, _converge_chunk(cfg.terms))
+    blocks = _disk_lattice_blocks(cfg.radius, cfg.grid_step, _converge_chunk(cfg.terms))
     errors, half = _blocked_max_errors(spec, blocks)
     rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
     for n, err, bound in rows:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .wavefield import (
     _block_edges,
-    _disk_lattice_blocks,
+    _disk_lattice,
     grad_s2,
     grad_s5,
     hess_s2,
@@ -88,9 +88,7 @@ class CriticalSet:
 class SearchConfig:
     """Search domain and stopping controls for find_critical_points.
 
-    The domain is the disk of the given radius centered on the origin unless
-    window = (xmin, xmax, ymin, ymax) is set, in which case the axis-aligned
-    rectangle is used for both seeding and the retention filter.
+    The domain is the disk of the given radius centered on the origin.
     eig_degenerate_tol should scale with the Hessian magnitude (k^2); the
     default suits k near 1, default_search_config scales it.
     """
@@ -101,19 +99,14 @@ class SearchConfig:
     dedupe_radius: Optional[float] = None
     max_newton_steps: int = 40
     eig_degenerate_tol: float = 1e-8
-    window: Optional[tuple[float, float, float, float]] = None
 
     def __post_init__(self):
         if self.dedupe_radius is None:
             object.__setattr__(self, "dedupe_radius", self.seed_spacing / 4.0)
         if not (self.seed_spacing > 0):
             raise ValueError("seed_spacing must be positive")
-        if self.window is None and not (self.radius > 0):
+        if not (self.radius > 0):
             raise ValueError("radius must be positive for a disk search")
-        if self.window is not None:
-            xmin, xmax, ymin, ymax = self.window
-            if not (xmin < xmax and ymin < ymax):
-                raise ValueError("window must satisfy xmin < xmax and ymin < ymax")
         if not (self.dedupe_radius < self.seed_spacing):
             raise ValueError("dedupe_radius must be smaller than seed_spacing")
         if not (self.dedupe_radius > 0):
@@ -149,40 +142,8 @@ def seed_count(cfg):
     Computed without allocating, as a float (inf when it does not fit a
     double), so callers can refuse a search too large to hold in memory.
     """
-    s = cfg.seed_spacing
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.window is not None:
-            xmin, xmax, ymin, ymax = cfg.window
-            return float((np.floor((xmax - xmin) / s) + 1) * (np.floor((ymax - ymin) / s) + 1))
-        return float((2 * np.floor(cfg.radius / s) + 1) ** 2)
-
-
-def _seed_half(cfg):
-    """The disk seed lattice from its centre row, the origin, on."""
-    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, cfg.seed_spacing, 1 << 16)))
-
-
-def _seed_grid(cfg):
-    s = cfg.seed_spacing
-    if cfg.window is not None:
-        xmin, xmax, ymin, ymax = cfg.window
-        xs = xmin + s * np.arange(int(math.floor((xmax - xmin) / s)) + 1)
-        ys = ymin + s * np.arange(int(math.floor((ymax - ymin) / s)) + 1)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-    return np.concatenate(list(_disk_lattice_blocks(cfg.radius, s, 1 << 16, whole=True)))
-
-
-def _in_domain(pts, cfg):
-    if cfg.window is not None:
-        xmin, xmax, ymin, ymax = cfg.window
-        return (
-            (pts[:, 0] >= xmin)
-            & (pts[:, 0] <= xmax)
-            & (pts[:, 1] >= ymin)
-            & (pts[:, 1] <= ymax)
-        )
-    return pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2
+    with np.errstate(over="ignore"):
+        return float((2 * np.floor(cfg.radius / cfg.seed_spacing) + 1) ** 2)
 
 
 def _row_blocks(num_rows):
@@ -266,10 +227,10 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
     but any two or more rows round as the same rows of one larger batch do,
     so the bits depend neither on the blocks nor on the order of the rows.
 
-    With mirror, seeds is a lattice from its centre row on (_seed_half), field
+    With mirror, seeds is a lattice from its centre row on (_disk_lattice), field
     is odd, and the results are those of the whole lattice, 0.0 - seeds[:0:-1]
-    then seeds (as _seed_grid), whose row n-1-i mirrors row i. Each row after
-    the centre stands for itself and its mate, whose state is 0.0 - p and
+    then seeds (_disk_lattice with whole), whose row n-1-i mirrors row i. Each
+    row after the centre stands for itself and its mate, whose state is 0.0 - p and
     whose flag and gradient norm are the row's. A one-row batch rounds as a
     lone row only when it is the search's only active seed; a paired one is
     evaluated as two rows (_evaluate). Where a fallback splits a pair
@@ -378,7 +339,7 @@ def _leaders(rows, starts, columns):
 
 
 def _dedupe(pts, gnorm, dedupe_radius):
-    """Greedy dedupe keyed on a spatial hash; returns indices of kept rows in visiting order.
+    """Greedy dedupe keyed on a spatial hash; returns the indices of the kept rows, in any order.
 
     Candidates are visited by ascending gradient norm (ties by x, y, then row), and
     each is kept unless a kept point in its own or an adjacent cell of side h =
@@ -412,9 +373,7 @@ def _dedupe(pts, gnorm, dedupe_radius):
     del by_cell, group, crowded
     order = np.lexsort((rows, pts[rows, 1], pts[rows, 0], gnorm[rows]))
     rows, cell = rows[order], cell[order]
-    kept = np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell, h)]])
-    kept.sort()
-    return kept[np.lexsort((pts[kept, 1], pts[kept, 0], gnorm[kept]))].tolist()
+    return np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell, h)]])
 
 
 def _greedy_keep(pts, cell, h):
@@ -451,14 +410,11 @@ def classify(k, location, cfg, field=S5_FIELD):
 
     Both eigenvalues below -eig_degenerate_tol is a maximum, both above +tol
     a minimum, straddling signs beyond tol a saddle, anything else degenerate.
-    For one location (x, y) returns (kind, (lambda_min, lambda_max)); for an
-    (n, 2) batch returns (kinds, eigenvalues), n int8 codes into KINDS and an
-    (n, 2) array. A batch is evaluated as n stacked single points, so every row
-    rounds exactly as the single-point call does.
+    For an (n, 2) batch of locations returns (kinds, eigenvalues), n int8 codes
+    into KINDS and an (n, 2) array. The batch is evaluated as n stacked single
+    points, so every row rounds exactly as a single (2,) point does.
     """
-    pts = np.asarray(location, dtype=float)
-    single = pts.ndim == 1
-    hess = field.hess(k, pts if single else pts[:, None, :]).reshape(-1, 2, 2)
+    hess = field.hess(k, np.asarray(location, dtype=float)[:, None, :]).reshape(-1, 2, 2)
     a, b, c = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
     half_trace = 0.5 * (a + b)
     # math.hypot, not np.hypot: the two round differently
@@ -466,8 +422,6 @@ def classify(k, location, cfg, field=S5_FIELD):
     lo, hi = half_trace - spread, half_trace + spread
     tol = cfg.eig_degenerate_tol
     codes = np.select([hi < -tol, lo > tol, (lo < -tol) & (hi > tol)], [0, 1, 2], 3)
-    if single:
-        return KINDS[codes[0]], (float(lo[0]), float(hi[0]))
     return codes.astype(np.int8), np.column_stack([lo, hi])
 
 
@@ -478,8 +432,7 @@ def check_search_grid(k, cfg):
     if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
         raise ValueError("seed_spacing must not exceed pi/(2k)")
     # the dedupe divides coordinates by dedupe_radius / 2
-    extent = cfg.radius if cfg.window is None else max(map(abs, cfg.window))
-    cells = 2.0 * extent / cfg.dedupe_radius
+    cells = 2.0 * cfg.radius / cfg.dedupe_radius
     if not math.isfinite(cells):
         raise ValueError("dedupe_radius must cut the domain into finitely many cells")
     # below it a cell index and its neighbours are exact doubles and int64s
@@ -488,22 +441,23 @@ def check_search_grid(k, cfg):
 
 
 def find_critical_points(k, cfg, field=S5_FIELD):
-    """Locate, deduplicate, and classify all critical points in the domain.
+    """Locate, deduplicate, and classify all critical points in the disk.
 
-    Seeds a regular grid, Newton-refines all seeds in lockstep (each step's
-    field work cut into row blocks), keeps converged points inside the
-    domain, deduplicates within dedupe_radius keeping the
+    Seeds the disk lattice, Newton-refines all seeds in lockstep (each step's
+    field work cut into row blocks; of an odd field only the half lattice, each
+    row standing for its mirror too), keeps converged points inside the
+    disk, deduplicates within dedupe_radius keeping the
     smallest-gradient-norm representative, and returns the classified
     points sorted by (x, y) as one CriticalSet.
     """
     check_search_grid(k, cfg)
     # no name holds the seeds, so _refine_batch can free them once copied
-    if field.odd and cfg.window is None:
-        pts, converged, gnorm = _refine_batch(field, k, _seed_half(cfg), cfg, mirror=True)
-    else:
-        pts, converged, gnorm = _refine_batch(field, k, _seed_grid(cfg), cfg)
+    pts, converged, gnorm = _refine_batch(
+        field, k, _disk_lattice(cfg.radius, cfg.seed_spacing, whole=not field.odd), cfg,
+        mirror=field.odd)
     # a block of rows at a time, so the squares of every row are never held
-    keep = np.concatenate([converged[r] & _in_domain(pts[r], cfg) for r in _row_blocks(len(pts))])
+    keep = np.concatenate([converged[r] & (pts[r, 0] ** 2 + pts[r, 1] ** 2 <= cfg.radius ** 2)
+                           for r in _row_blocks(len(pts))])
     del converged
     pts = pts[keep]  # then gnorm, so each old array is freed before the next copy
     gnorm = gnorm[keep]

@@ -286,14 +286,14 @@ class Correspondences:
     __eq__ = _same_columns
 
 
-def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None):
+def matching_correspondences(spec, extrema, disk_radius, boundary_eps=None):
     """Region index and dual vertex of each extremum of a CriticalSet used for matching.
 
     Keeps maxima and minima only, trims extrema within one grid spacing of
-    the disk boundary when disk_radius is given (edge regions are truncated
-    and would bias the fit), and drops those within boundary_eps (default
-    _ON_LINE_SPACINGS * spacing) of any grid line, where the region is
-    undefined. Returns (kept, correspondences, excluded_near_singular): kept
+    the rim of the searched disk of radius disk_radius (edge regions are
+    truncated and would bias the fit), and drops those within boundary_eps
+    (default _ON_LINE_SPACINGS * spacing) of any grid line, where the region
+    is undefined. Returns (kept, correspondences, excluded_near_singular): kept
     holds the rows of the extrema that passed the kind and rim filters, and
     correspondences those of them that were matched. All extrema are indexed
     as stacked single points, so each rounds as region_indices of that one
@@ -302,10 +302,9 @@ def matching_correspondences(spec, extrema, disk_radius=None, boundary_eps=None)
     if boundary_eps is None:
         boundary_eps = _ON_LINE_SPACINGS * spec.spacing
     kept = np.flatnonzero(extrema.of_kind(KIND_MAXIMUM, KIND_MINIMUM))
-    if disk_radius is not None:
-        # math.hypot, not np.hypot: the two round differently
-        x, y = extrema.location[kept].T.tolist()
-        kept = kept[np.array(list(map(math.hypot, x, y))) <= disk_radius - spec.spacing]
+    # math.hypot, not np.hypot: the two round differently
+    x, y = extrema.location[kept].T.tolist()
+    kept = kept[np.array(list(map(math.hypot, x, y))) <= disk_radius - spec.spacing]
     m, margin = region_indices(spec, extrema.location[kept, None, :])
     usable = margin[:, 0] > boundary_eps
     m = m[usable, 0]
@@ -346,7 +345,7 @@ def _median(values):
     return np.mean(np.sort(values)[(n - 1) // 2:n // 2 + 1])
 
 
-def match_report(spec, extrema, disk_radius=None, boundary_eps=None):
+def match_report(spec, extrema, disk_radius, boundary_eps=None):
     """Register dual vertices against the extrema of a CriticalSet and score the correspondence.
 
     Fits the least-squares similarity from dual-vertex positions to extremum

@@ -101,6 +101,11 @@ def _disk_lattice_blocks(radius, step, size, whole=False):
     yield pending
 
 
+def _disk_lattice(radius, step, whole=False):
+    """The rows of _disk_lattice_blocks as one array; the block size leaves them unchanged."""
+    return np.concatenate(list(_disk_lattice_blocks(radius, step, 1 << 16, whole)))
+
+
 def _pool_workers():
     """Threads of the block pool: two, or one where only one core is usable."""
     if hasattr(os, "sched_getaffinity"):

@@ -120,10 +120,15 @@ def test_criterion_3_fibonacci(verdict):
 
 def test_criterion_4_checkerboard_oracle(verdict):
     start = time.perf_counter()
-    window = (0.5, TWO_PI - 0.5, 0.5, TWO_PI - 0.5)
-    cfg = ex.SearchConfig(radius=0.0, seed_spacing=math.pi / 4.0, window=window)
-    found = pw.find_critical_points(1.0, cfg, field=ex.S2_FIELD)
-    oracle = ex.s2_oracle(1.0, window)
+    # the disk of radius 3 holds the four oracle points at (+-pi/2, +-pi/2)
+    radius = 3.0
+    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, radius),
+                                    field=ex.S2_FIELD)
+    # the oracle's square about the disk, clipped to the disk
+    oracle = ex.s2_oracle(1.0, (-radius, radius, -radius, radius))
+    inside = np.hypot(*oracle.location.T) <= radius
+    oracle = ex.CriticalSet(oracle.location[inside], oracle.value[inside], oracle.kind[inside],
+                            oracle.eigenvalues[inside])
     elapsed = time.perf_counter() - start
     ok = len(found) == len(oracle) == 4
     if ok:

@@ -94,6 +94,11 @@ def test_grid_count_overflow_is_config_error(tmp_path, args, remedy):
     )
 
 
+def _disk_grid(radius, step):
+    """The whole disk grid that field samples, as one array."""
+    return pw.wavefield._disk_lattice(radius, step, whole=True)
+
+
 def _old_disk_grid(radius, step):
     """The disk grid as one array, before it was generated block by block, kept verbatim."""
     n = int(math.floor(radius / step))
@@ -132,11 +137,11 @@ def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
         if total // size > 5000:
             continue  # keep the block count small on the large grid
         edges = pw.wavefield._block_edges(total, size)
-        blocks = list(cli._disk_blocks(radius, step, size))
+        blocks = list(pw.wavefield._disk_lattice_blocks(radius, step, size))
         assert [len(block) for block in blocks] == np.diff(edges).tolist()
         for block, start, stop in zip(blocks, edges, edges[1:]):
             assert block.tobytes() == want[start:stop].tobytes()
-    assert cli._disk_grid(radius, step).tobytes() == whole.tobytes()
+    assert _disk_grid(radius, step).tobytes() == whole.tobytes()
 
 
 def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
@@ -158,7 +163,7 @@ def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
         assert code == 0
         return traced
 
-    small, large = (len(cli._disk_grid(radius, step)) for radius in (5.0, 10.0))
+    small, large = (len(_disk_grid(radius, step)) for radius in (5.0, 10.0))
     peak(5.0)  # the first run fills import and allocation caches
     # building the whole grid grew by about 66 B per point
     assert peak(10.0) - peak(5.0) < large - small
@@ -216,7 +221,7 @@ def _chunk_leaving_one_point(num_points):
 ])
 def test_converge_errors_equal_series_partial(tmp_path, monkeypatch, k, radius, step, terms,
                                               several_chunks):
-    pts = cli._disk_grid(radius, step)
+    pts = _disk_grid(radius, step)
     if several_chunks:
         chunk = _chunk_leaving_one_point(len(pts))
         monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
@@ -239,7 +244,7 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
     # per-N errors off it are checked through the helper converge calls.
     out = tmp_path / "conv"
     assert cli.main(["converge", "--radius", "0.1", "--terms", str(terms), "--out", str(out)]) == 0
-    want = _series_errors_one_n_at_a_time(1.0, cli._disk_grid(0.1, 0.25), terms)
+    want = _series_errors_one_n_at_a_time(1.0, _disk_grid(0.1, 0.25), terms)
     assert [float(e) for _, e, _ in read_csv(out / "converge.csv")[1:]] == want
     # Three chunks of 100 points and one more, placed last where it sets the
     # maximum error: numpy projects a lone point through a different BLAS
@@ -255,7 +260,7 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
 
 def test_converge_rounding_violation_reported_at_first_failing_n(tmp_path):
     k, radius, step, terms = 1.0, 10.0, 0.5, 30
-    errors = _series_errors_one_n_at_a_time(k, cli._disk_grid(radius, step), terms)
+    errors = _series_errors_one_n_at_a_time(k, _disk_grid(radius, step), terms)
     bounds = [pw.tail_bound(k, radius, n).scaled_bound for n in range(terms + 1)]
     n = next(n for n in range(terms + 1) if errors[n] > bounds[n])
     proc = run_cli("converge", "--radius", "10", "--grid-step", "0.5", "--terms", "30",
@@ -270,7 +275,7 @@ def test_converge_rounding_violation_reported_at_first_failing_n(tmp_path):
 def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     terms, radius, step = 9, 4.0, 0.25
     # converge evaluates the half of the grid from the origin on
-    num_points = len(cli._disk_grid(radius, step)) // 2 + 1
+    num_points = len(_disk_grid(radius, step)) // 2 + 1
     chunk = _chunk_leaving_one_point(num_points)
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
     calls = {"project": 0, "_sin_sum": 0, "_sin_prod": 0, "s5": 0, "p5": 0, "series_partial": 0}
@@ -299,7 +304,7 @@ def test_outputs_do_not_depend_on_the_block_pool_size(tmp_path, monkeypatch):
     # converge: several chunks and a lone last point; identity: 50,002 points,
     # several sweep blocks and a short last one
     radius, step, terms = 4.0, 0.25, 9
-    pts = cli._disk_grid(radius, step)
+    pts = _disk_grid(radius, step)
     chunk = _chunk_leaving_one_point(len(pts))
     monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
     cfg = tmp_path / "tol.json"

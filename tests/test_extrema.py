@@ -19,8 +19,27 @@ TWO_PI = 2.0 * math.pi
 _Point = namedtuple("_Point", "location value kind eigenvalues")
 
 
-def _window_config(window, spacing=math.pi / 4.0, **overrides):
-    return ex.SearchConfig(radius=0.0, seed_spacing=spacing, window=window, **overrides)
+def _seed_grid(cfg, whole=True):
+    """The disk lattice the search seeds, whole or from its centre row on, as one array."""
+    return pw.wavefield._disk_lattice(cfg.radius, cfg.seed_spacing, whole)
+
+
+def _rectangle_seeds(window, spacing):
+    """Seeds at spacing over the rectangle window = (xmin, xmax, ymin, ymax), from its
+    lower left corner, x-major."""
+    xmin, xmax, ymin, ymax = window
+    xs = xmin + spacing * np.arange(int(math.floor((xmax - xmin) / spacing)) + 1)
+    ys = ymin + spacing * np.arange(int(math.floor((ymax - ymin) / spacing)) + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _s2_oracle_in_disk(k, radius):
+    """s2_oracle over the square about the disk, clipped to the disk."""
+    square = ex.s2_oracle(k, (-radius, radius, -radius, radius))
+    inside = np.hypot(*square.location.T) <= radius
+    return ex.CriticalSet(*(column[inside] for column in (
+        square.location, square.value, square.kind, square.eigenvalues)))
 
 
 def _kinds(points):
@@ -103,14 +122,17 @@ def test_s2_oracle_equals_the_object_building_reference(k):
 
 
 def test_pipeline_matches_s2_oracle():
-    window = (0.5, TWO_PI - 0.5, 0.5, TWO_PI - 0.5)
-    found = pw.find_critical_points(1.0, _window_config(window), field=ex.S2_FIELD)
-    oracle = ex.s2_oracle(1.0, window)
-    assert len(found) == len(oracle) == 4
-    assert _kinds(found) == _kinds(oracle)
-    assert np.all(np.hypot(*(found.location - oracle.location).T) <= 1e-9)
-    assert np.all(np.abs(found.value - oracle.value) <= 1e-9)
-    assert np.allclose(found.eigenvalues, oracle.eigenvalues, atol=1e-8)
+    # oracle points lie as close as 0.039 to the rim of these disks
+    for k, radius, count in ((1.0, 3.0, 4), (1.0, 7.3, 16), (0.93, 14.0, 52), (2.5, 6.0, 76),
+                             (1.0, 40.0, 500)):
+        found = pw.find_critical_points(k, pw.default_search_config(k, radius),
+                                        field=ex.S2_FIELD)
+        oracle = _s2_oracle_in_disk(k, radius)
+        assert len(found) == len(oracle) == count, (k, radius)
+        assert _kinds(found) == _kinds(oracle)
+        assert np.all(np.hypot(*(found.location - oracle.location).T) <= 1e-9)
+        assert np.all(np.abs(found.value - oracle.value) <= 1e-9)
+        assert np.allclose(found.eigenvalues, oracle.eigenvalues, atol=1e-8 * k * k)
 
 
 def _refine_one(k, seed, cfg, field=ex.S5_FIELD):
@@ -120,14 +142,14 @@ def _refine_one(k, seed, cfg, field=ex.S5_FIELD):
 
 
 def test_refine_one_row_fixed_at_exact_critical_point():
-    cfg = _window_config((0.0, TWO_PI, 0.0, TWO_PI))
+    cfg = pw.default_search_config(1.0, TWO_PI)
     seed = (math.pi / 2.0, math.pi / 2.0)
     got = _refine_one(1.0, seed, cfg, field=ex.S2_FIELD)
     assert got == seed
 
 
 def test_refine_one_row_converges_from_offset_seed():
-    cfg = _window_config((0.0, TWO_PI, 0.0, TWO_PI))
+    cfg = pw.default_search_config(1.0, TWO_PI)
     got = _refine_one(1.0, (math.pi / 2 + 0.3, math.pi / 2 - 0.2), cfg, field=ex.S2_FIELD)
     assert got is not None
     assert math.hypot(got[0] - math.pi / 2, got[1] - math.pi / 2) <= 1e-10
@@ -139,8 +161,8 @@ def test_refine_one_row_origin_seed_degenerate():
     cfg = pw.default_search_config(1.0, 1.0)
     got = _refine_one(1.0, (0.0, 0.0), cfg)
     assert got == (0.0, 0.0)
-    kind, _ = ex.classify(1.0, got, cfg)
-    assert kind == ex.KIND_DEGENERATE
+    codes, _ = ex.classify(1.0, np.array([got]), cfg)
+    assert codes.tolist() == [ex.KINDS.index(ex.KIND_DEGENERATE)]
 
 
 def test_tiny_disk_returns_only_origin():
@@ -201,15 +223,18 @@ def test_classification_against_eigenvalues():
 
 
 def test_classify_helper_cases():
-    cfg = _window_config((0.0, TWO_PI, 0.0, TWO_PI))
-    kind, eigs = ex.classify(1.0, (math.pi / 2, math.pi / 2), cfg, field=ex.S2_FIELD)
-    assert kind == ex.KIND_MAXIMUM
-    assert np.allclose(eigs, (-1.0, -1.0), atol=1e-12)
-    kind, eigs = ex.classify(1.0, (3 * math.pi / 2, math.pi / 2), cfg, field=ex.S2_FIELD)
-    assert kind == ex.KIND_SADDLE
-    assert eigs[0] < 0 < eigs[1]
-    kind, _ = ex.classify(1.0, (0.0, 0.0), cfg)
-    assert kind == ex.KIND_DEGENERATE
+    cfg = pw.default_search_config(1.0, TWO_PI)
+    codes, eigs = ex.classify(1.0, np.array([(math.pi / 2, math.pi / 2)]), cfg,
+                              field=ex.S2_FIELD)
+    assert ex.KINDS[codes[0]] == ex.KIND_MAXIMUM
+    assert np.allclose(eigs, [(-1.0, -1.0)], atol=1e-12)
+    codes, eigs = ex.classify(1.0, np.array([(3 * math.pi / 2, math.pi / 2)]), cfg,
+                              field=ex.S2_FIELD)
+    assert ex.KINDS[codes[0]] == ex.KIND_SADDLE
+    assert eigs[0, 0] < 0 < eigs[0, 1]
+    codes, eigs = ex.classify(1.0, np.zeros((1, 2)), cfg)
+    assert ex.KINDS[codes[0]] == ex.KIND_DEGENERATE
+    assert codes.dtype == np.int8 and eigs.shape == (1, 2)
 
 
 def test_field_symmetry_of_critical_set():
@@ -260,9 +285,7 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         ex.SearchConfig(radius=5.0, seed_spacing=0.5, max_newton_steps=0)
     with pytest.raises(ValueError):
-        ex.SearchConfig(radius=0.0, seed_spacing=0.5, window=(1.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        ex.SearchConfig(radius=0.0, seed_spacing=0.5, window=None)
+        ex.SearchConfig(radius=0.0, seed_spacing=0.5)
 
 
 def test_seed_spacing_guard_against_aliasing():
@@ -281,6 +304,11 @@ def test_default_search_config_values():
     assert cfg.max_newton_steps == 40
     over = pw.default_search_config(2.0, 7.5, grad_tol=1e-8)
     assert over.grad_tol == 1e-8
+
+
+def _same_rows(got, want):
+    """Whether the dedupe kept the rows of the reference, in whatever order."""
+    return sorted(np.asarray(got).tolist()) == sorted(want)
 
 
 def _greedy_dedupe_reference(pts, gnorm, dedupe_radius):
@@ -360,7 +388,7 @@ def test_dedupe_squares_with_pow_like_the_reference():
     dx, dy = _pow_straddles_threshold(h)
     pts = np.array([(0.0, 0.0), (dx, dy), (-dx, -dy), (3 * h, 0.0), (3 * h + dx, dy)])
     gnorm = np.arange(len(pts), dtype=float)
-    assert ex._dedupe(pts, gnorm, h) == _greedy_dedupe_reference(pts, gnorm, h)
+    assert _same_rows(ex._dedupe(pts, gnorm, h), _greedy_dedupe_reference(pts, gnorm, h))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -368,16 +396,16 @@ def test_dedupe_squares_with_pow_like_the_reference():
 def test_dedupe_matches_greedy_reference(seed, h):
     rng = np.random.default_rng(seed)
     for pts, gnorm in _dedupe_cases(rng, h):
-        assert ex._dedupe(pts, gnorm, h) == _greedy_dedupe_reference(pts, gnorm, h)
+        assert _same_rows(ex._dedupe(pts, gnorm, h), _greedy_dedupe_reference(pts, gnorm, h))
 
 
 def test_dedupe_matches_greedy_reference_on_converged_seeds():
     cfg = ex.default_search_config(1.0, 30.0)
-    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_grid(cfg), cfg)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
     pts, gnorm = pts[converged], gnorm[converged]
     assert len(pts) > 1000
     want = _greedy_dedupe_reference(pts, gnorm, cfg.dedupe_radius)
-    assert ex._dedupe(pts, gnorm, cfg.dedupe_radius) == want
+    assert _same_rows(ex._dedupe(pts, gnorm, cfg.dedupe_radius), want)
 
 
 def _dedupe_checked(monkeypatch, pts, gnorm, h, traced=False):
@@ -399,12 +427,12 @@ def _dedupe_checked(monkeypatch, pts, gnorm, h, traced=False):
             peak = tracemalloc.get_traced_memory()[1] if traced else 0
         finally:
             tracemalloc.stop()
-    assert got == _greedy_dedupe_reference(pts, gnorm, h)
+    assert _same_rows(got, _greedy_dedupe_reference(pts, gnorm, h))
     return (seen[0], peak / len(pts)) if traced else seen[0]
 
 
 def _converged_seeds(k, cfg):
-    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, ex._seed_grid(cfg), cfg)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, _seed_grid(cfg), cfg)
     return pts[converged], gnorm[converged]
 
 
@@ -535,7 +563,8 @@ def test_batched_classify_and_value_equal_single_points(field, k):
     for p, code, eig in zip(pts.tolist(), codes.tolist(), eigenvalues.tolist()):
         kind = ex.KINDS[code]
         assert _classify_reference(k, p, cfg, field) == (kind, tuple(eig))
-        assert ex.classify(k, p, cfg, field=field) == (kind, tuple(eig))
+        one_code, one_eig = ex.classify(k, np.array([p]), cfg, field=field)
+        assert (one_code.tolist(), one_eig.tolist()) == ([code], [eig])
 
 
 def _find_critical_points_reference(k, cfg, field):
@@ -543,8 +572,8 @@ def _find_critical_points_reference(k, cfg, field):
 
     The batch classify of that version (kind names) is inlined.
     """
-    pts, converged, gnorm = ex._refine_batch(field, k, ex._seed_grid(cfg), cfg)
-    keep = converged & ex._in_domain(pts, cfg)
+    pts, converged, gnorm = ex._refine_batch(field, k, _seed_grid(cfg), cfg)
+    keep = converged & (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2)
     pts, gnorm = pts[keep], gnorm[keep]
     if len(pts) == 0:
         return []
@@ -591,9 +620,9 @@ def _assert_critical_set_equals(got, want):
 def test_critical_set_equals_the_object_building_reference(field, k):
     configs = [
         ex.default_search_config(k, 14.0 / k),
-        ex.default_search_config(k, 0.1),  # the origin alone
-        _window_config((-3.0 / k, 9.5 / k, 0.25 / k, 7.0 / k), spacing=math.pi / (4.0 * k)),
-        _window_config((0.1, 0.2, 0.1, 0.2), spacing=0.05),  # no critical point
+        # the origin alone of s5, no critical point of s2
+        ex.default_search_config(k, 0.1),
+        ex.SearchConfig(radius=9.5 / k, seed_spacing=math.pi / (5.0 * k)),
         ex.default_search_config(k, 6.0 / k, max_newton_steps=2),
     ]
     sizes = []
@@ -603,7 +632,7 @@ def test_critical_set_equals_the_object_building_reference(field, k):
         _assert_critical_set_equals(got, want)
         assert got == ex.find_critical_points(k, cfg, field=field)
         sizes.append(len(got))
-    assert sizes[0] > 20 and sizes[3] == 0
+    assert sizes[0] > 20 and sizes[1] == (field is ex.S5_FIELD)
     assert got != ex.find_critical_points(k, configs[0], field=field)
     with pytest.raises(TypeError):
         hash(got)
@@ -623,10 +652,9 @@ def test_find_critical_points_classifies_in_one_call(monkeypatch):
 
 
 def test_seed_count_is_the_seed_grid_size_before_clipping():
-    for cfg in (ex.default_search_config(1.0, 7.3), _window_config((-1.0, 2.5, 0.3, 4.0))):
-        n = int(math.floor(cfg.radius / cfg.seed_spacing)) if cfg.window is None else None
-        want = (2 * n + 1) ** 2 if n is not None else len(ex._seed_grid(cfg))
-        assert ex.seed_count(cfg) == want
+    for cfg in (ex.default_search_config(1.0, 7.3), ex.SearchConfig(radius=3.0, seed_spacing=0.5)):
+        n = int(math.floor(cfg.radius / cfg.seed_spacing))
+        assert ex.seed_count(cfg) == (2 * n + 1) ** 2
     assert ex.seed_count(ex.default_search_config(1.0, 1e300)) == math.inf
 
 
@@ -695,7 +723,7 @@ def _assert_refine_matches_reference(field, k, seeds, cfg):
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_refine_batch_matches_reference(field, k):
     cfg = ex.default_search_config(k, 20.0 / k)
-    seeds = ex._seed_grid(cfg)
+    seeds = _seed_grid(cfg)
     _, converged, _ = _assert_refine_matches_reference(field, k, seeds, cfg)
     assert converged.sum() > 0.5 * len(seeds)
     # few steps leave rows unconverged when the loop ends
@@ -709,23 +737,24 @@ def test_refine_batch_matches_reference_on_fallback_steps(field):
     # a degeneracy threshold this large sends many rows through the damped
     # gradient branch, next to regular rows in the same step
     cfg = ex.default_search_config(1.0, 15.0, eig_degenerate_tol=0.5)
-    _assert_refine_matches_reference(field, 1.0, ex._seed_grid(cfg), cfg)
+    _assert_refine_matches_reference(field, 1.0, _seed_grid(cfg), cfg)
 
 
 def test_refine_batch_matches_reference_on_window_and_critical_seeds():
     window = (-3.0, 11.5, 0.25, 9.0)
-    cfg = _window_config(window)
+    cfg = pw.default_search_config(1.0, 10.0)
+    rectangle = _rectangle_seeds(window, cfg.seed_spacing)
     exact = ex.s2_oracle(1.0, window).location
-    seeds = np.concatenate([exact, ex._seed_grid(cfg), exact[:1]])
+    seeds = np.concatenate([exact, rectangle, exact[:1]])
     _, converged, _ = _assert_refine_matches_reference(ex.S2_FIELD, 1.0, seeds, cfg)
     assert converged[: len(exact)].all()
     for field in (ex.S5_FIELD, ex.S2_FIELD):
-        _assert_refine_matches_reference(field, 1.0, ex._seed_grid(cfg), cfg)
+        _assert_refine_matches_reference(field, 1.0, rectangle, cfg)
 
 
 def test_refine_batch_matches_reference_on_small_batches():
     cfg = ex.default_search_config(1.0, 10.0)
-    grid = ex._seed_grid(cfg)
+    grid = _seed_grid(cfg)
     rng = np.random.default_rng(11)
     for field in (ex.S5_FIELD, ex.S2_FIELD):
         for seeds in (grid[:0], grid[:1], grid[7:9], grid[[0, -1]], np.zeros((1, 2))):
@@ -751,8 +780,8 @@ def _non_finite_field(field=ex.S5_FIELD):
 
 def test_refine_batch_matches_reference_when_rows_turn_non_finite():
     field = _non_finite_field()
-    cfg = _window_config((0.0, 4.0, -2.0, 2.0), spacing=0.2, eig_degenerate_tol=1e-200)
-    seeds = ex._seed_grid(cfg)
+    cfg = ex.SearchConfig(radius=4.0, seed_spacing=0.2, eig_degenerate_tol=1e-200)
+    seeds = _rectangle_seeds((0.0, 4.0, -2.0, 2.0), cfg.seed_spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         pts, converged, gnorm = _assert_refine_matches_reference(field, 1.0, seeds, cfg)
     moved = ~converged & (pts != seeds).any(axis=1)
@@ -798,8 +827,8 @@ def test_refine_batch_matches_reference_across_blocks(monkeypatch, field, block)
     assert grads.count(block) > 2 and hessians.count(block) > 2
     assert block + 1 in grads and block + 1 in hessians
     assert 1 in grads and 1 in hessians
-    cfg = _window_config((0.0, 4.0, -2.0, 2.0), spacing=0.4, eig_degenerate_tol=1e-200)
-    seeds = ex._seed_grid(cfg)
+    cfg = ex.SearchConfig(radius=4.0, seed_spacing=0.4, eig_degenerate_tol=1e-200)
+    seeds = _rectangle_seeds((0.0, 4.0, -2.0, 2.0), cfg.seed_spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         pts, converged, gnorm = _assert_refine_matches_reference(
             _non_finite_field(field), 1.0, seeds, cfg)
@@ -856,7 +885,7 @@ def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
     # blocks
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
     cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
-    seeds = ex._seed_grid(cfg)
+    seeds = _seed_grid(cfg)
     hess = pw.hess_s2(1.0, seeds)
     assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
     with warnings.catch_warnings():
@@ -866,7 +895,7 @@ def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
 
 
 def _seed_grid_reference(cfg):
-    """The disk branch of _seed_grid before the disk lattice blocks, kept verbatim."""
+    """The disk seed grid as it was built before the disk lattice blocks, kept verbatim."""
     s = cfg.seed_spacing
     n = int(math.floor(cfg.radius / s))
     vals = s * np.arange(-n, n + 1)
@@ -885,14 +914,14 @@ def test_disk_seed_grid_matches_the_meshgrid_reference(k, radius):
     configs.append(ex.default_search_config(k, 12 * s))
     configs += [ex.SearchConfig(radius=radius, seed_spacing=h) for h in (0.25, 0.37, 1.0)]
     for cfg in configs:
-        got, want = ex._seed_grid(cfg), _seed_grid_reference(cfg)
+        got, want = _seed_grid(cfg), _seed_grid_reference(cfg)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
 def test_find_critical_points_memory_per_seed():
     cfg = ex.default_search_config(1.0, 100.0)
-    seeds = len(ex._seed_grid(cfg))
+    seeds = len(_seed_grid(cfg))
     tracemalloc.start()
     try:
         ex.find_critical_points(1.0, cfg)
@@ -906,8 +935,8 @@ def test_find_critical_points_memory_per_seed():
 
 def test_dedupe_memory_per_candidate():
     cfg = ex.default_search_config(1.0, 100.0)
-    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_grid(cfg), cfg)
-    keep = converged & ex._in_domain(pts, cfg)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
+    keep = converged & (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= cfg.radius ** 2)
     pts, gnorm = pts[keep], gnorm[keep]
     tracemalloc.start()
     try:
@@ -922,7 +951,7 @@ def test_dedupe_memory_per_candidate():
 
 def test_refine_batch_memory_per_seed():
     cfg = ex.default_search_config(1.0, 100.0)
-    seeds = ex._seed_grid(cfg)
+    seeds = _seed_grid(cfg)
     tracemalloc.start()
     try:
         ex._refine_batch(ex.S5_FIELD, 1.0, seeds, cfg)
@@ -946,11 +975,11 @@ def _traced_peak(fn, *args):
 def test_mirrored_refine_batch_memory_per_seed():
     # the production path: half the lattice, each row standing for its mate too
     cfg = ex.default_search_config(1.0, 100.0)
-    peak = _traced_peak(lambda: ex._refine_batch(ex.S5_FIELD, 1.0, ex._seed_half(cfg), cfg,
-                                                 mirror=True))
+    peak = _traced_peak(lambda: ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg, whole=False),
+                                                 cfg, mirror=True))
     # 89.4 B per seed of the whole lattice with the whole result table held from
     # the start; 70.9 B with the mates' rows made as the loop ends
-    assert peak / len(ex._seed_grid(cfg)) < 72
+    assert peak / len(_seed_grid(cfg)) < 72
 
 
 def test_find_critical_points_peaks_in_its_newton_loop(monkeypatch):
@@ -975,4 +1004,4 @@ def test_find_critical_points_peaks_in_its_newton_loop(monkeypatch):
     # the dedupe set the search's peak at 84.0 B per seed, over the loop's 68.0 B;
     # now the loop peaks at 49.6 B per seed and nothing else reaches it
     assert max(before, after) <= newton
-    assert newton / len(ex._seed_grid(cfg)) < 51
+    assert newton / len(_seed_grid(cfg)) < 51

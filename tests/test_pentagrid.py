@@ -314,7 +314,8 @@ def test_match_report_recovers_planted_transform():
     extrema, ivs = _planted_scene(spec, planted, 40, seed=67)
     assert len(extrema) >= 30
     extrema = _critical_set(extrema)
-    report = pg.match_report(spec, extrema)
+    # the planted extrema lie within 26 of the origin, clear of the rim trim
+    report = pg.match_report(spec, extrema, 40.0)
     assert report.num_extrema == len(extrema)
     assert report.num_regions_hit == len(extrema)
     assert report.regions_with_exactly_one == len(extrema)
@@ -324,7 +325,7 @@ def test_match_report_recovers_planted_transform():
     assert report.max_residual <= 1e-9
     assert report.mean_residual <= 1e-9
     assert len(report.residuals) == len(extrema)
-    assert pg.match_report(spec, extrema) == report
+    assert pg.match_report(spec, extrema, 40.0) == report
 
 
 def test_match_report_counts_shared_regions():
@@ -343,7 +344,7 @@ def test_match_report_counts_shared_regions():
         _fake_extremum(b1),
         _fake_extremum(b2, KIND_MINIMUM),
     ])
-    report = pg.match_report(spec, extrema)
+    report = pg.match_report(spec, extrema, 20.0)
     assert report.num_extrema == 4
     assert report.num_regions_hit == 2
     assert report.regions_with_exactly_one == 0
@@ -356,11 +357,11 @@ def test_match_report_ignores_saddles_and_requires_two():
         _fake_extremum((4.0, 4.0), KIND_SADDLE),
     ]
     with pytest.raises(ValueError):
-        pg.match_report(spec, _critical_set(saddles))
+        pg.match_report(spec, _critical_set(saddles), 20.0)
     with pytest.raises(ValueError):
-        pg.match_report(spec, _critical_set([]))
+        pg.match_report(spec, _critical_set([]), 20.0)
     with pytest.raises(ValueError):
-        pg.match_report(spec, _critical_set([_fake_extremum((0.5, 0.5))]))
+        pg.match_report(spec, _critical_set([_fake_extremum((0.5, 0.5))]), 20.0)
 
 
 def test_matching_correspondences_filters():
@@ -388,12 +389,13 @@ def test_correspondences_basic():
     spec = pg.PentagridSpec(1.0)
     for points in ([_fake_extremum((0.5, 0.5))], []):
         columns = _critical_set(points)
-        _assert_matching_equals(columns, pg.matching_correspondences(spec, columns),
-                                _matching_reference(spec, points))
-    matched = pg.matching_correspondences(spec, _critical_set([_fake_extremum((0.5, 0.5))]))[1]
+        _assert_matching_equals(columns, pg.matching_correspondences(spec, columns, 20.0),
+                                _matching_reference(spec, points, 20.0))
+    matched = pg.matching_correspondences(
+        spec, _critical_set([_fake_extremum((0.5, 0.5))]), 20.0)[1]
     assert len(matched.rows) == 1
     assert matched.index[0].tolist() == [0, 0, -1, -1, -1]
-    kept, matched, excluded = pg.matching_correspondences(spec, _critical_set([]))
+    kept, matched, excluded = pg.matching_correspondences(spec, _critical_set([]), 20.0)
     assert (kept.tolist(), matched.rows.tolist(), excluded) == ([], [], 0)
     assert matched.index.shape == (0, 5) and matched.position.shape == (0, 2)
 
@@ -511,14 +513,13 @@ def test_crossing_count_overflows_to_inf_without_allocating():
     assert pg.crossing_count(spec, (-1e300, 1e300, -1e300, 1e300)) == math.inf
 
 
-def _matching_reference(spec, extrema, disk_radius=None, boundary_eps=None):
-    """The original per-extremum correspondence loop, kept verbatim as the oracle."""
+def _matching_reference(spec, extrema, disk_radius, boundary_eps=None):
+    """The original per-extremum correspondence loop, kept as the oracle."""
     if boundary_eps is None:
         boundary_eps = 1e-9 * spec.spacing
     kept = [cp for cp in extrema if cp.kind in (KIND_MAXIMUM, KIND_MINIMUM)]
-    if disk_radius is not None:
-        limit = disk_radius - spec.spacing
-        kept = [cp for cp in kept if math.hypot(*cp.location) <= limit]
+    limit = disk_radius - spec.spacing
+    kept = [cp for cp in kept if math.hypot(*cp.location) <= limit]
     trips = []
     excluded = 0
     for cp in kept:
@@ -531,7 +532,7 @@ def _matching_reference(spec, extrema, disk_radius=None, boundary_eps=None):
     return kept, trips, excluded
 
 
-def _report_reference(spec, extrema, disk_radius=None, boundary_eps=None):
+def _report_reference(spec, extrema, disk_radius, boundary_eps=None):
     """The original match_report scoring, on the reference correspondences."""
     kept, trips, excluded = _matching_reference(spec, extrema, disk_radius, boundary_eps)
     occupancy = {}
@@ -611,19 +612,19 @@ def test_batched_correspondences_and_report_match_reference(k):
     spec = pg.PentagridSpec(k / (2.0 * TAU))
     extrema = _registration_extrema(k, 45.0, spec, np.random.default_rng(3))
     columns = _critical_set(extrema)
-    for disk_radius in (None, 45.0):
-        want = _matching_reference(spec, extrema, disk_radius=disk_radius)
-        _assert_matching_equals(
-            columns, pg.matching_correspondences(spec, columns, disk_radius=disk_radius), want)
-        assert want[2] >= 5
-        _assert_report_equals(columns, pg.match_report(spec, columns, disk_radius),
-                              _report_reference(spec, extrema, disk_radius))
+    want = _matching_reference(spec, extrema, disk_radius=45.0)
+    matched = pg.matching_correspondences(spec, columns, disk_radius=45.0)
+    _assert_matching_equals(columns, matched, want)
+    assert want[2] >= 5
+    _assert_report_equals(columns, pg.match_report(spec, columns, 45.0),
+                          _report_reference(spec, extrema, 45.0))
     # an extremum exactly boundary_eps from its nearest line is excluded
-    _, margin = pg.region_indices(spec, np.asarray(extrema[0].location))
-    got = pg.matching_correspondences(spec, columns, boundary_eps=float(margin))
+    row = int(matched[1].rows[0])
+    _, margin = pg.region_indices(spec, np.asarray(extrema[row].location))
+    got = pg.matching_correspondences(spec, columns, 45.0, boundary_eps=float(margin))
     _assert_matching_equals(columns, got,
-                            _matching_reference(spec, extrema, boundary_eps=float(margin)))
-    assert 0 not in got[1].rows
+                            _matching_reference(spec, extrema, 45.0, boundary_eps=float(margin)))
+    assert row not in got[1].rows
 
 
 def _rim_straddlers(limit, rng, count):
@@ -658,10 +659,8 @@ def test_correspondences_of_the_search_output_match_reference():
     spec = pg.PentagridSpec(1.0 / (2.0 * TAU))
     found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 60.0))
     for columns in (found, pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))):
-        for disk_radius in (None, 60.0):
-            want = _matching_reference(spec, _points(columns), disk_radius=disk_radius)
-            _assert_matching_equals(
-                columns, pg.matching_correspondences(spec, columns, disk_radius), want)
+        want = _matching_reference(spec, _points(columns), disk_radius=60.0)
+        _assert_matching_equals(columns, pg.matching_correspondences(spec, columns, 60.0), want)
     _assert_report_equals(found, pg.match_report(spec, found, 60.0),
                           _report_reference(spec, _points(found), 60.0))
 

@@ -16,6 +16,7 @@ import pytest
 import pentawave as pw
 from pentawave import cli
 from pentawave import extrema as ex
+from pentawave.wavefield import _disk_lattice, _disk_lattice_blocks
 
 
 def _samples():
@@ -45,8 +46,8 @@ def test_projection_of_the_mirror_point_is_the_mirrored_projection():
 
 def test_the_whole_lattice_mirrors_its_half():
     for cfg in (ex.default_search_config(1.0, 7.3), ex.default_search_config(0.93, 0.3)):
-        half = ex._seed_half(cfg)
-        whole = ex._seed_grid(cfg)
+        half = _disk_lattice(cfg.radius, cfg.seed_spacing)
+        whole = _disk_lattice(cfg.radius, cfg.seed_spacing, whole=True)
         assert half[0].tolist() == [0.0, 0.0] and len(whole) == 2 * len(half) - 1
         assert whole.tobytes() == (0.0 - whole[::-1]).tobytes()
         assert whole[len(half) - 1:].tobytes() == half.tobytes()
@@ -73,8 +74,10 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
             for overrides in ({}, {"eig_degenerate_tol": 0.5}, {"max_newton_steps": 3},
                               {"grad_tol": 1e-14}):
                 cfg = ex.default_search_config(k, radius, **overrides)
-                got = ex._refine_batch(field, k, ex._seed_half(cfg), cfg, mirror=True)
-                want = ex._refine_batch(field, k, ex._seed_grid(cfg), cfg)
+                half = _disk_lattice(radius, cfg.seed_spacing)
+                whole = _disk_lattice(radius, cfg.seed_spacing, whole=True)
+                got = ex._refine_batch(field, k, half, cfg, mirror=True)
+                want = ex._refine_batch(field, k, whole, cfg)
                 for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
                     assert a.tobytes() == b.tobytes(), (name, k, radius, overrides)
     # fallback ties split pairs, and s5's last active pairs step as lone rows
@@ -129,8 +132,8 @@ def test_one_seed_search_rounds_its_seed_as_a_lone_row(k):
     cfg = ex.default_search_config(k, 0.3)
     origin = np.zeros((1, 2))
     lone = pw.grad_s5(k, origin)
-    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, ex._seed_half(cfg), cfg,
-                                             mirror=True)
+    half = _disk_lattice(cfg.radius, cfg.seed_spacing)
+    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg, mirror=True)
     assert pts.tobytes() == origin.tobytes() and converged.all()
     assert gnorm.tobytes() == np.hypot(lone[:, 0], lone[:, 1]).tobytes()
 
@@ -153,12 +156,12 @@ def test_converge_maxima_on_the_half_grid_are_those_of_the_whole_grid(k):
     spec = pw.SeriesSpec(k, terms)
     # down to a radius below one step, where the grid is the origin alone
     for radius in (20.0 / k, 3.0, 1.0, 0.15, 0.05):
-        whole = cli._disk_grid(radius, step)
+        whole = _disk_lattice(radius, step, whole=True)
         edges = pw.wavefield._block_edges(len(whole), chunk)
         want, count = cli._blocked_max_errors(
             spec, (whole[a:b] for a, b in zip(edges, edges[1:])))
         assert count == len(whole)
-        got, half = cli._blocked_max_errors(spec, cli._disk_blocks(radius, step, chunk))
+        got, half = cli._blocked_max_errors(spec, _disk_lattice_blocks(radius, step, chunk))
         assert got.tobytes() == want.tobytes(), radius
         assert 2 * half - 1 == len(whole)
 
@@ -169,4 +172,4 @@ def test_converge_counts_the_whole_grid(tmp_path, radius, step):
     assert cli.main(["converge", "--radius", repr(radius), "--grid-step", repr(step),
                      "--out", str(out), "--format", "json"]) == 0
     report = json.loads((out / "converge.json").read_text())["report"]
-    assert report["num_samples"] == len(cli._disk_grid(radius, step))
+    assert report["num_samples"] == len(_disk_lattice(radius, step, whole=True))
