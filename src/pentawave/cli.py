@@ -613,10 +613,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"pentawave: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         os.makedirs(cfg.out, exist_ok=True)
         _dump_json(os.path.join(cfg.out, "config.json"), asdict(cfg))
         return _COMMANDS[cfg.command][0](cfg)

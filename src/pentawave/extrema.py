@@ -212,42 +212,31 @@ def _newton_step(field, k, cur, g, paired, cfg):
 
 
 def _refine_batch(field, k, seeds, cfg, mirror=False):
-    """Newton-iterate every seed; returns (points, converged, gradient_norm).
+    """Newton-iterate every seed; returns (points, gradient_norm) of the rows that
+    converge inside the disk of radius cfg.radius, in no set order.
 
-    Convergence is checked before stepping, so a seed already at a critical
-    point is accepted unchanged. The loop keeps a compacted working set of
-    the active rows (idx, cur, g) and writes a row back to the result only
-    when it converges, turns non-finite (it keeps its last finite point) or
-    the steps run out. Rows are gathered with compress, which copies the
-    rows a boolean index does, several times faster on (n, 2) arrays. The
-    gradient norm is taken only on rows whose larger gradient component is
-    within grad_tol. grad sees the active rows and
-    hess the rows not yet converged, cut into the blocks of
-    _row_blocks: numpy rounds a one-row batch differently from a larger one,
-    but any two or more rows round as the same rows of one larger batch do,
-    so the bits depend neither on the blocks nor on the order of the rows.
+    Convergence is checked before stepping, so a seed already at a critical point is
+    accepted unchanged. The working set (cur, g, paired) drops a row as it converges or
+    turns non-finite; compress gathers rows as a boolean index does, several times faster
+    on (n, 2) arrays. The gradient norm is taken only on rows whose larger gradient
+    component is within grad_tol. grad sees the active rows and hess the rows not yet
+    converged, cut into the blocks of _row_blocks: numpy rounds a one-row batch
+    differently from a larger one, but any two or more rows round as the same rows of
+    one larger batch do, so the bits depend neither on the blocks nor on the rows' order.
 
-    With mirror, seeds is a lattice from its centre row on (_disk_lattice), field
-    is odd, and the results are those of the whole lattice, 0.0 - seeds[:0:-1]
-    then seeds (_disk_lattice with whole), whose row n-1-i mirrors row i. Each
-    row after the centre stands for itself and its mate, whose state is 0.0 - p and
-    whose flag and gradient norm are the row's. A one-row batch rounds as a
-    lone row only when it is the search's only active seed; a paired one is
-    evaluated as two rows (_evaluate). Where a fallback splits a pair
-    (_newton_step), the mate goes on as its own row.
+    With mirror, seeds is a lattice from its centre row on (_disk_lattice), field is odd,
+    and the results are those of the whole lattice, 0.0 - seeds[:0:-1] then seeds. Each
+    row after the centre stands for itself and its mate 0.0 - p, with the row's gradient
+    norm, until a fallback splits the pair (_newton_step) and the mate goes on as its own
+    row. A one-row batch rounds as a lone row only when it is the search's only active
+    seed; a paired one is evaluated as two rows (_evaluate).
     """
-    half = len(seeds)
-    mates = max(half - 1, 0) if mirror else 0
     cur = np.asarray(seeds, dtype=float)  # never written in place, so the seeds are not copied
     del seeds
-    idx = np.arange(half)  # rows of pts: the seeds', then the split mates'
-    paired = (idx > 0) & mirror
-    # set only as a row leaves the loop; the mates' rows are made when it ends
-    pts = np.empty_like(cur)
-    gnorm = np.full(half, np.inf)
-    split = [np.empty(0, dtype=np.intp)]  # the whole lattice's rows of the split mates
+    paired = (np.arange(len(cur)) > 0) & mirror
+    found, norms = [np.empty((0, 2))], [np.empty(0)]
     for step in range(cfg.max_newton_steps + 1):
-        if idx.size == 0:
+        if len(cur) == 0:
             break
         g = np.empty_like(cur)
         for rows in _row_blocks(len(cur)):
@@ -259,43 +248,32 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
         small = gn <= cfg.grad_tol
         done[done] = small
         if small.any():
-            hit = idx.compress(done)
-            gnorm[hit] = gn.compress(small)
-            pts[hit] = cur.compress(done, axis=0)
+            p, gn, pair = cur.compress(done, axis=0), gn.compress(small), paired.compress(done)
+            # a mate 0.0 - p has the squares of p, so it lies inside exactly when p does
+            inside = p[:, 0] ** 2 + p[:, 1] ** 2 <= cfg.radius ** 2
+            p, gn, pair = p.compress(inside, axis=0), gn.compress(inside), pair.compress(inside)
+            found += [p, 0.0 - p.compress(pair, axis=0)]
+            norms += [gn, gn.compress(pair)]
             live = ~done
             # one at a time, so each old array is freed before the next copy
-            idx = idx.compress(live)
             cur = cur.compress(live, axis=0)
             g = g.compress(live, axis=0)
             paired = paired.compress(live)
-        if step == cfg.max_newton_steps or idx.size == 0:
+        if step == cfg.max_newton_steps or len(cur) == 0:
             break
         new, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
         del g
         if pair.size:
-            split.append(mates - idx[pair])
             paired[pair] = False
-            idx = np.concatenate([idx, np.arange(len(pts), len(pts) + pair.size)])
-            pts = np.concatenate([pts, np.empty_like(mate)])
-            gnorm = np.concatenate([gnorm, np.full(pair.size, np.inf)])
-            cur = np.concatenate([cur, 0.0 - cur[pair]])
             new = np.concatenate([new, mate])
             paired = np.concatenate([paired, np.zeros(pair.size, dtype=bool)])
-        bad = ~(np.isfinite(new[:, 0]) & np.isfinite(new[:, 1]))
-        if bad.any():
-            pts[idx.compress(bad)] = cur.compress(bad, axis=0)
-            live = ~bad
-            idx, new, paired = idx.compress(live), new.compress(live, axis=0), paired.compress(live)
+        good = np.isfinite(new[:, 0]) & np.isfinite(new[:, 1])
+        if not good.all():
+            new, paired = new.compress(good, axis=0), paired.compress(good)
         cur = new
         del new  # else the next compaction keeps the old rows alive
-    pts[idx] = cur
-    # the whole lattice: each mate mirrors its row, but a split mate has a row of its own
-    mirrored, split = slice(half - 1, half - 1 - mates, -1), np.concatenate(split)
-    pts, extra = np.concatenate([0.0 - pts[mirrored], pts[:half]]), pts[half:]
-    pts[split] = extra
-    gnorm, extra = np.concatenate([gnorm[mirrored], gnorm[:half]]), gnorm[half:]
-    gnorm[split] = extra
-    return pts, gnorm < np.inf, gnorm
+    found = np.concatenate(found)  # then the norms, so the points' pieces are freed first
+    return found, np.concatenate(norms)
 
 
 def _cell_keys(columns):
@@ -426,9 +404,13 @@ def classify(k, location, cfg, field=S5_FIELD):
 
 
 def check_search_grid(k, cfg):
-    """Refuse a seed grid coarser than pi/(2k), which could skip critical points, and a
-    dedupe radius so small that the domain spans 2**52 or more dedupe cells across.
+    """Refuse a k whose Hessian determinant overflows, a seed grid coarser than pi/(2k)
+    (it could skip critical points) and a dedupe radius cutting the domain into 2**52 or
+    more cells across.
     """
+    # s5's Hessian has norm at most 2.5 k^2 (s2's k^2), which bounds each product of det
+    if not math.isfinite((2.5 * k * k) * (2.5 * k * k)):
+        raise ValueError("k is too large: the Hessian determinant (2.5*k*k)**2 overflows")
     if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
         raise ValueError("seed_spacing must not exceed pi/(2k)")
     # the dedupe divides coordinates by dedupe_radius / 2
@@ -443,25 +425,19 @@ def check_search_grid(k, cfg):
 def find_critical_points(k, cfg, field=S5_FIELD):
     """Locate, deduplicate, and classify all critical points in the disk.
 
-    Seeds the disk lattice, Newton-refines all seeds in lockstep (each step's
-    field work cut into row blocks; of an odd field only the half lattice, each
-    row standing for its mirror too), keeps converged points inside the
-    disk, deduplicates within dedupe_radius keeping the
-    smallest-gradient-norm representative, and returns the classified
-    points sorted by (x, y) as one CriticalSet.
+    Seeds the disk lattice, Newton-refines all seeds in lockstep (each step's field work
+    cut into row blocks; of an odd field only the half lattice, each row standing for its
+    mirror too) to the points that converge inside the disk, deduplicates them within
+    dedupe_radius keeping the smallest-gradient-norm representative, and returns the
+    classified points sorted by (x, y) as one CriticalSet. The dedupe breaks ties by row
+    number, but rows equal under == differ only at +-0.0, which the search never makes
+    (its mates are 0.0 - p), so the order of the loop's rows does not matter.
     """
     check_search_grid(k, cfg)
     # no name holds the seeds, so _refine_batch can free them once copied
-    pts, converged, gnorm = _refine_batch(
+    pts, gnorm = _refine_batch(
         field, k, _disk_lattice(cfg.radius, cfg.seed_spacing, whole=not field.odd), cfg,
         mirror=field.odd)
-    # a block of rows at a time, so the squares of every row are never held
-    keep = np.concatenate([converged[r] & (pts[r, 0] ** 2 + pts[r, 1] ** 2 <= cfg.radius ** 2)
-                           for r in _row_blocks(len(pts))])
-    del converged
-    pts = pts[keep]  # then gnorm, so each old array is freed before the next copy
-    gnorm = gnorm[keep]
-    del keep
     if len(pts):
         pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -354,9 +355,14 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
     (("match", "--radius", "1e9"), "extrema seeds exceed"),
     (("match", "--k", "1e300", "--radius", "1e300"), "inf extrema seeds exceed"),
     (("identity", "--radius", "1e300"), "residual allowance"),
+    # the Newton step's Hessian determinant would overflow
+    (("extrema", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
+    (("match", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
 ])
 def test_underflowing_and_oversized_inputs_are_config_errors(tmp_path, capsys, args, message):
-    assert cli.main([*args, "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("pentawave: config error: ")
     assert message in err

@@ -4,7 +4,8 @@ s5 and s2 are sums of sines of projections of p, so under p -> 0.0 - p the
 field is odd, its gradient even and its Hessian odd, bit for bit with numpy's
 sin and cos. The Newton loop therefore runs half of each disk lattice, and
 converge samples half of its grid; these tests hold both to the whole-grid
-results byte for byte (tobytes, which tells -0.0 from 0.0).
+results byte for byte (tobytes, which tells -0.0 from 0.0). The Newton loop
+returns its rows in no set order, so its results are compared as sorted rows.
 """
 
 import json
@@ -17,6 +18,7 @@ import pentawave as pw
 from pentawave import cli
 from pentawave import extrema as ex
 from pentawave.wavefield import _disk_lattice, _disk_lattice_blocks
+from test_extrema import _sorted_rows
 
 
 def _samples():
@@ -78,8 +80,7 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
                 whole = _disk_lattice(radius, cfg.seed_spacing, whole=True)
                 got = ex._refine_batch(field, k, half, cfg, mirror=True)
                 want = ex._refine_batch(field, k, whole, cfg)
-                for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
-                    assert a.tobytes() == b.tobytes(), (name, k, radius, overrides)
+                assert _sorted_rows(*got) == _sorted_rows(*want), (k, radius, overrides)
     # fallback ties split pairs, and s5's last active pairs step as lone rows
     assert events["split"] > 0
     assert events["lone pair"] > 0 or field is ex.S2_FIELD
@@ -88,13 +89,22 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
 def _arc_grad(k, p):
     y = p[..., 1]
     with np.errstate(invalid="ignore"):
-        return np.stack([0.0 * y, np.sqrt(1.0 - y * y)], axis=-1)
+        return np.stack([0.0 * y, np.sqrt(1.0 - y * y) - 0.3], axis=-1)
 
 
-# An odd field on the y axis whose gradient (0, sqrt(1 - y^2)) turns NaN past
-# |y| = 1. Its zero Hessian sends every step through the fallback, and x stays
-# exactly 0.0.
+# An odd field on the y axis whose gradient (0, sqrt(1 - y^2) - 0.3) vanishes at
+# |y| = 0.954 and turns NaN past |y| = 1. Its zero Hessian sends every step
+# through the fallback, and x stays exactly 0.0. The coarse grad_tol lets rows
+# converge on the fallback's fixed steps, split mates among them.
 _ARC_FIELD = ex.FieldTriple(None, _arc_grad, lambda k, p: np.zeros(p.shape + (2,)), odd=True)
+_ARC_SEARCH = ex.default_search_config(1.0, 10.0, grad_tol=0.05)
+_ARC_SEEDS = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.95], [0.0, -0.95], [0.0, 0.97],
+                       [0.0, 1.5]])
+
+
+def _refine_arc(seeds, mirror):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ex._refine_batch(_ARC_FIELD, 1.0, seeds, _ARC_SEARCH, mirror=mirror)
 
 
 def test_split_mates_keep_positive_zeros(monkeypatch):
@@ -111,16 +121,44 @@ def test_split_mates_keep_positive_zeros(monkeypatch):
         return new, split, mate
 
     monkeypatch.setattr(ex, "_newton_step", counted)
-    half = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.95], [0.0, -0.95], [0.0, 0.97],
-                     [0.0, 1.5]])
-    cfg = ex.default_search_config(1.0, 10.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = ex._refine_batch(_ARC_FIELD, 1.0, half, cfg, mirror=True)
-        # the whole lattice of a half, the mirror relation the paired search rests on
-        want = ex._refine_batch(_ARC_FIELD, 1.0, np.concatenate([0.0 - half[:0:-1], half]), cfg)
-    for name, a, b in zip(("pts", "converged", "gnorm"), got, want):
-        assert a.tobytes() == b.tobytes(), name
-    assert sum(splits) == len(half) - 1
+    got = _refine_arc(_ARC_SEEDS, mirror=True)
+    # the whole lattice of a half, the mirror relation the paired search rests on
+    want = _refine_arc(np.concatenate([0.0 - _ARC_SEEDS[:0:-1], _ARC_SEEDS]), mirror=False)
+    assert _sorted_rows(*got) == _sorted_rows(*want)
+    assert sum(splits) == 3
+    # converged pairs come back as two rows and the origin does not converge, so an
+    # odd count holds a split mate that converged without its row
+    assert len(got[0]) % 2 == 1
+
+
+def test_search_does_not_depend_on_the_order_of_the_refined_rows(monkeypatch):
+    # The dedupe breaks a tie in (gradient norm, x, y) by row number, so the rows'
+    # order could matter only between rows that tie under == with other bits: at
+    # -0.0 and 0.0, which the search never makes.
+    refine, rng, returned = ex._refine_batch, np.random.default_rng(8), []
+
+    def reordered(reverse):
+        def refined(*args, **kwargs):
+            pts, gnorm = refine(*args, **kwargs)
+            returned.append(pts)
+            rows = np.arange(len(pts))[::-1] if reverse else rng.permutation(len(pts))
+            return pts[rows], gnorm[rows]
+        return refined
+
+    for k in (1.0, 0.93):
+        for field in (ex.S5_FIELD, ex.S2_FIELD):
+            for overrides in ({}, {"eig_degenerate_tol": 0.5}):
+                cfg = ex.default_search_config(k, 40.0 / k, **overrides)
+                want = ex.find_critical_points(k, cfg, field=field)
+                for reverse in (True, False):
+                    with monkeypatch.context() as patched:
+                        patched.setattr(ex, "_refine_batch", reordered(reverse))
+                        got = ex.find_critical_points(k, cfg, field=field)
+                    for name in ("location", "value", "kind", "eigenvalues"):
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    returned.append(_refine_arc(_ARC_SEEDS, mirror=True)[0])
+    assert len(returned) == 17 and min(map(len, returned)) > 0
+    assert not any((np.signbit(pts) & (pts == 0.0)).any() for pts in returned)
 
 
 @pytest.mark.parametrize("k", [0.93, 1.05])
@@ -133,8 +171,8 @@ def test_one_seed_search_rounds_its_seed_as_a_lone_row(k):
     origin = np.zeros((1, 2))
     lone = pw.grad_s5(k, origin)
     half = _disk_lattice(cfg.radius, cfg.seed_spacing)
-    pts, converged, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg, mirror=True)
-    assert pts.tobytes() == origin.tobytes() and converged.all()
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg, mirror=True)
+    assert pts.tobytes() == origin.tobytes()
     assert gnorm.tobytes() == np.hypot(lone[:, 0], lone[:, 1]).tobytes()
 
 
