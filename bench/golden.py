@@ -13,7 +13,8 @@ the sweep, each with ``--format csv,json,svg``, inside a temporary directory and
 fixed relative ``--out`` (config.json and the JSON reports echo it).
 Every command also runs at the smaller scale and k = 1 once with each format
 alone, and ``match`` once at a radius where registration fails (exit 4 and
-its error envelope) and once at a fixed radius where it succeeds. It also
+its error envelope) and once at a fixed radius where it succeeds, and
+``extrema`` once at a fixed radius whose search spans several bands. It also
 runs ``--help`` at the top level and for each command, and one run per config
 file in BAD_CONFIGS, each holding one value the CLI refuses. Every run has
 ``COLUMNS=80``, so argparse wraps its lines the same way everywhere.
@@ -91,6 +92,8 @@ def invocations(scale):
     # a fixed radius that registers (radii 4 to 16 end in exit 4): at every scale a
     # match that succeeds is digested, with its CSV, JSON and SVG
     runs.append(run("match-r20", "match", "1", 20, FORMATS))
+    # a fixed radius whose search refines four bands of seeds (the scaled runs fit in one)
+    runs.append(run("extrema-r150", "extrema", "0.93", 150, "csv,json"))
     return runs
 
 

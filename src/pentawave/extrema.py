@@ -16,8 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .wavefield import (
-    _block_edges,
-    _disk_lattice,
+    _disk_lattice_blocks,
     grad_s2,
     grad_s5,
     hess_s2,
@@ -33,7 +32,7 @@ KIND_DEGENERATE = "degenerate"
 # A CriticalSet's kind column holds codes into this tuple.
 KINDS = (KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE, KIND_DEGENERATE)
 
-# Rows per block of a Newton step's field work.
+# Seed rows per band of the search, each band Newton-refined on its own.
 _NEWTON_BLOCK = 1 << 14
 
 
@@ -140,25 +139,20 @@ def seed_count(cfg):
     """Number of lattice points the seed grid lays out before the disk clip.
 
     Computed without allocating, as a float (inf when it does not fit a
-    double), so callers can refuse a search too large to hold in memory.
+    double), so callers can refuse a search too large to hold in memory: the
+    search holds one band of seeds at a time, but its converged rows, about one
+    per seed, are held together for the dedupe.
     """
     with np.errstate(over="ignore"):
         return float((2 * np.floor(cfg.radius / cfg.seed_spacing) + 1) ** 2)
 
 
-def _row_blocks(num_rows):
-    """Slices of _block_edges(num_rows, _NEWTON_BLOCK). No block is a lone row
-    unless num_rows is 1, so each block rounds as the same rows of one batch do.
+def _evaluate(fn, k, rows):
+    """fn(k, rows), where a one-row batch is evaluated as two identical rows: numpy
+    rounds a lone row differently from a batch, and any two or more rows round as the
+    same rows of one larger batch do, so each row's bits depend on that row alone.
     """
-    edges = _block_edges(num_rows, _NEWTON_BLOCK)
-    return map(slice, edges[:-1], edges[1:])
-
-
-def _evaluate(fn, k, rows, paired):
-    """fn(k, rows), where a lone row that stands for a pair is evaluated as two
-    identical rows, so it rounds as the pair did in one batch.
-    """
-    if len(rows) == 1 and paired[0]:
+    if len(rows) == 1:
         return fn(k, np.repeat(rows, 2, axis=0))[:1]
     return fn(k, rows)
 
@@ -167,11 +161,11 @@ def _newton_step(field, k, cur, g, paired, cfg):
     """Next point of each row: a Newton step, or where the Hessian determinant
     falls below eig_degenerate_tol^2 a damped gradient step of length
     0.1*seed_spacing in whichever of the +-gradient directions reduces the
-    gradient norm. The Newton step is computed block by block for every row,
-    elementwise, and the fallback, one batch with its own gradient norms,
-    overwrites the degenerate rows;
-    every row is regular on almost every step. A function of its own, so the
-    step's arrays are freed before the caller compacts its rows.
+    gradient norm. The Hessian, its determinant and the Newton step are taken
+    once over all rows, elementwise, and the fallback, one batch with its own
+    gradient norms, overwrites the degenerate rows; every row is regular on
+    almost every step. A function of its own, so the step's arrays are freed
+    before the caller compacts its rows.
 
     Returns (new, split, mate). A paired row's mate steps to 0.0 - its new
     point, except at a fallback whose norms tie (or hold a NaN): the mate's lo
@@ -182,18 +176,13 @@ def _newton_step(field, k, cur, g, paired, cfg):
         det_tol = cfg.eig_degenerate_tol ** 2
     except OverflowError:  # above every finite determinant
         det_tol = math.inf
-    new = np.empty_like(cur)
-    regular = np.empty(len(cur), dtype=bool)
-    for rows in _row_blocks(len(cur)):
-        hess = _evaluate(field.hess, k, cur[rows], paired[rows])
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
-        gb = g[rows]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dx = (hess[:, 1, 1] * gb[:, 0] - hess[:, 0, 1] * gb[:, 1]) / det
-            dy = (hess[:, 0, 0] * gb[:, 1] - hess[:, 1, 0] * gb[:, 0]) / det
-        new[rows] = cur[rows] - np.column_stack([dx, dy])
-        regular[rows] = np.abs(det) >= det_tol
-        del hess, det, dx, dy  # else they stay alive through the next block's hess
+    hess = _evaluate(field.hess, k, cur)
+    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = (hess[:, 1, 1] * g[:, 0] - hess[:, 0, 1] * g[:, 1]) / det
+        dy = (hess[:, 0, 0] * g[:, 1] - hess[:, 1, 0] * g[:, 0]) / det
+    new = cur - np.column_stack([dx, dy])
+    regular = np.abs(det) >= det_tol
     if regular.all():
         return new, np.empty(0, dtype=np.intp), np.empty((0, 2))
     flat = np.flatnonzero(~regular)
@@ -202,8 +191,8 @@ def _newton_step(field, k, cur, g, paired, cfg):
     direction = g / np.hypot(g[:, 0], g[:, 1])[:, None]
     lo = cur - fallback_step * direction
     hi = cur + fallback_step * direction
-    glo = _evaluate(field.grad, k, lo, paired)
-    ghi = _evaluate(field.grad, k, hi, paired)
+    glo = _evaluate(field.grad, k, lo)
+    ghi = _evaluate(field.grad, k, hi)
     nlo, nhi = np.hypot(glo[:, 0], glo[:, 1]), np.hypot(ghi[:, 0], ghi[:, 1])
     take_lo = nlo <= nhi
     new[flat] = np.where(take_lo[:, None], lo, hi)
@@ -220,27 +209,23 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
     turns non-finite; compress gathers rows as a boolean index does, several times faster
     on (n, 2) arrays. The gradient norm is taken only on rows whose larger gradient
     component is within grad_tol. grad sees the active rows and hess the rows not yet
-    converged, cut into the blocks of _row_blocks: numpy rounds a one-row batch
-    differently from a larger one, but any two or more rows round as the same rows of
-    one larger batch do, so the bits depend neither on the blocks nor on the rows' order.
+    converged, each in one call (_evaluate), so every seed's trajectory, and so the
+    result, is the same whichever other seeds share the batch: the search may cut its
+    seeds into bands and refine them one by one.
 
-    With mirror, seeds is a lattice from its centre row on (_disk_lattice), field is odd,
-    and the results are those of the whole lattice, 0.0 - seeds[:0:-1] then seeds. Each
-    row after the centre stands for itself and its mate 0.0 - p, with the row's gradient
-    norm, until a fallback splits the pair (_newton_step) and the mate goes on as its own
-    row. A one-row batch rounds as a lone row only when it is the search's only active
-    seed; a paired one is evaluated as two rows (_evaluate).
+    With mirror, field is odd and seeds rows of a lattice from its centre row on (a band
+    of _disk_lattice_blocks), and the results are those of the rows and their mates
+    0.0 - p together. Each row but the origin stands for itself and its mate, with the
+    row's gradient norm, until a fallback splits the pair (_newton_step) and the mate
+    goes on as its own row.
     """
     cur = np.asarray(seeds, dtype=float)  # never written in place, so the seeds are not copied
-    del seeds
-    paired = (np.arange(len(cur)) > 0) & mirror
+    paired = np.any(cur != 0.0, axis=1) & mirror
     found, norms = [np.empty((0, 2))], [np.empty(0)]
     for step in range(cfg.max_newton_steps + 1):
         if len(cur) == 0:
             break
-        g = np.empty_like(cur)
-        for rows in _row_blocks(len(cur)):
-            g[rows] = _evaluate(field.grad, k, cur[rows], paired[rows])
+        g = _evaluate(field.grad, k, cur)
         # hypot is never below either component, so only these rows can converge
         done = np.logical_and(*(np.abs(g) <= cfg.grad_tol).T)
         gd = g.compress(done, axis=0)
@@ -255,25 +240,18 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
             found += [p, 0.0 - p.compress(pair, axis=0)]
             norms += [gn, gn.compress(pair)]
             live = ~done
-            # one at a time, so each old array is freed before the next copy
-            cur = cur.compress(live, axis=0)
-            g = g.compress(live, axis=0)
-            paired = paired.compress(live)
+            cur, g, paired = (a.compress(live, axis=0) for a in (cur, g, paired))
         if step == cfg.max_newton_steps or len(cur) == 0:
             break
-        new, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
-        del g
+        cur, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
         if pair.size:
             paired[pair] = False
-            new = np.concatenate([new, mate])
+            cur = np.concatenate([cur, mate])
             paired = np.concatenate([paired, np.zeros(pair.size, dtype=bool)])
-        good = np.isfinite(new[:, 0]) & np.isfinite(new[:, 1])
+        good = np.isfinite(cur[:, 0]) & np.isfinite(cur[:, 1])
         if not good.all():
-            new, paired = new.compress(good, axis=0), paired.compress(good)
-        cur = new
-        del new  # else the next compaction keeps the old rows alive
-    found = np.concatenate(found)  # then the norms, so the points' pieces are freed first
-    return found, np.concatenate(norms)
+            cur, paired = cur.compress(good, axis=0), paired.compress(good)
+    return np.concatenate(found), np.concatenate(norms)
 
 
 def _cell_keys(columns):
@@ -425,19 +403,23 @@ def check_search_grid(k, cfg):
 def find_critical_points(k, cfg, field=S5_FIELD):
     """Locate, deduplicate, and classify all critical points in the disk.
 
-    Seeds the disk lattice, Newton-refines all seeds in lockstep (each step's field work
-    cut into row blocks; of an odd field only the half lattice, each row standing for its
-    mirror too) to the points that converge inside the disk, deduplicates them within
-    dedupe_radius keeping the smallest-gradient-norm representative, and returns the
-    classified points sorted by (x, y) as one CriticalSet. The dedupe breaks ties by row
-    number, but rows equal under == differ only at +-0.0, which the search never makes
-    (its mates are 0.0 - p), so the order of the loop's rows does not matter.
+    Seeds the disk lattice band by band, _NEWTON_BLOCK rows at a time, so the whole
+    lattice is never built (of an odd field only the half lattice, each row standing for
+    its mirror too), Newton-refines each band in lockstep to the points that converge
+    inside the disk, joins the bands' points, deduplicates them within dedupe_radius
+    keeping the smallest-gradient-norm representative, and returns the classified points
+    sorted by (x, y) as one CriticalSet. Each seed's trajectory depends on that seed
+    alone (_refine_batch), so the bands leave the bits unchanged. The dedupe breaks ties
+    by row number, but rows equal under == differ only at +-0.0, which the search never
+    makes (its mates are 0.0 - p), so the order of the loop's rows does not matter.
     """
     check_search_grid(k, cfg)
-    # no name holds the seeds, so _refine_batch can free them once copied
-    pts, gnorm = _refine_batch(
-        field, k, _disk_lattice(cfg.radius, cfg.seed_spacing, whole=not field.odd), cfg,
-        mirror=field.odd)
+    bands = [_refine_batch(field, k, seeds, cfg, mirror=field.odd) for seeds in
+             _disk_lattice_blocks(cfg.radius, cfg.seed_spacing, _NEWTON_BLOCK, whole=not field.odd)]
+    pts, gnorm = zip(*bands)
+    del bands
+    pts = np.concatenate(pts)  # then the norms, so the bands' points are freed first
+    gnorm = np.concatenate(gnorm)
     if len(pts):
         pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]

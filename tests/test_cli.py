@@ -477,6 +477,17 @@ def test_extrema_outputs(tmp_path):
     assert (out / "extrema.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("radius", ["1.6e-6", "5e-6"])
+def test_extrema_finds_the_origin_alone_in_a_disk(tmp_path, radius):
+    # at k = 3e5 a radius of 1.6e-6 seeds the origin alone and 5e-6 a 3 x 3 lattice;
+    # as a lone row the origin's gradient norm rounded to 1.167e-10, above
+    # grad_tol = 1e-10, as a row of a batch to 9.10e-11
+    out = tmp_path / "ext"
+    assert cli.main(["extrema", "--k", "300000", "--radius", radius, "--out", str(out),
+                     "--format", "csv"]) == 0
+    assert read_csv(out / "extrema.csv")[1:] == [["0.0", "0.0", "0.0", "degenerate", "-0.0", "0.0"]]
+
+
 def test_tiling_outputs(tmp_path):
     out = tmp_path / "tile"
     proc = run_cli("tiling", "--k", "1", "--radius", "25", "--out", str(out))

@@ -585,11 +585,13 @@ def test_batched_classify_and_value_equal_single_points(field, k):
 
 def _find_critical_points_reference(k, cfg, field):
     """find_critical_points as it built one record per point, kept verbatim as the oracle,
-    on the rows of the whole lattice that _refine_batch_reference converges inside the disk.
+    on the rows of the whole lattice that _refine_batch_reference converges inside the disk,
+    with one-row batches evaluated as two rows.
 
     The batch classify of that version (kind names) is inlined.
     """
-    pts, gnorm = _in_disk(_refine_batch_reference(field, k, _seed_grid(cfg), cfg), cfg)
+    pts, gnorm = _in_disk(
+        _refine_batch_reference(_two_row_batches(field), k, _seed_grid(cfg), cfg), cfg)
     if len(pts) == 0:
         return []
     found = pts[ex._dedupe(pts, gnorm, cfg.dedupe_radius)]
@@ -726,12 +728,30 @@ def _refine_batch_reference(field, k, seeds, cfg):
     return pts, converged, gnorm
 
 
-def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None):
+def _two_row_batches(field):
+    """field, evaluating a one-row batch of grad or hess as two identical rows, as
+    ex._evaluate does, so _refine_batch_reference rounds as the search does."""
+    def two_rows(fn):
+        def evaluated(k, p):
+            if len(p) == 1:
+                return fn(k, np.repeat(p, 2, axis=0))[:1]
+            return fn(k, p)
+        return evaluated
+
+    return ex.FieldTriple(field.value, two_rows(field.grad), two_rows(field.hess), field.odd)
+
+
+def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None, band=None):
     """ex._refine_batch's rows, checked byte for byte against the reference's converged
     rows inside the disk, in any order; returns them and the reference's whole result.
-    traced, a copy of field that records its calls, is the one ex._refine_batch calls."""
-    got = ex._refine_batch(traced or field, k, seeds, cfg)
-    want = _refine_batch_reference(field, k, seeds, cfg)
+    traced, a copy of field that records its calls, is the one ex._refine_batch calls;
+    with band, ex._refine_batch runs on consecutive bands of that many seeds, and
+    their rows are joined."""
+    band = band or max(len(seeds), 1)
+    bands = [ex._refine_batch(traced or field, k, seeds[i:i + band], cfg)
+             for i in range(0, max(len(seeds), 1), band)]
+    got = tuple(map(np.concatenate, zip(*bands)))
+    want = _refine_batch_reference(_two_row_batches(field), k, seeds, cfg)
     assert _sorted_rows(*got) == _sorted_rows(*_in_disk(want, cfg))
     return got, want
 
@@ -819,16 +839,17 @@ def _recording(fn, rows):
     return recorded
 
 
-@pytest.mark.parametrize("block", [2, 3, 5, 64])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
-def test_refine_batch_matches_reference_across_blocks(monkeypatch, field, block):
-    monkeypatch.setattr(ex, "_NEWTON_BLOCK", block)
+def test_refine_batch_matches_reference_across_blocks(field, block):
+    # the seeds refined in bands of block rows each, one band after another, as
+    # find_critical_points refines the disk lattice
     grads, hessians = [], []
     traced = ex.FieldTriple(field.value, _recording(field.grad, grads),
                             _recording(field.hess, hessians))
-    # random seeds converge after different step counts, so the working set
-    # runs through every size down to one row; 61 and 961 are 1 more than a
-    # multiple of the block size, so the first step ends in a lone row
+    # random seeds converge after different step counts, so each band's working
+    # set runs through every size down to one row; 61 and 961 are 1 more than a
+    # multiple of the band size, so the last band is a lone row
     seeds = np.random.default_rng(4).uniform(-8.0, 8.0, (961, 2))[: 961 if block == 64 else 61]
     # a degeneracy threshold this large sends rows through the fallback on the
     # first step already
@@ -840,17 +861,16 @@ def test_refine_batch_matches_reference_across_blocks(monkeypatch, field, block)
         ex.default_search_config(1.0, 8.0, eig_degenerate_tol=0.5),
         ex.default_search_config(1.0, 8.0, max_newton_steps=3),
     ):
-        _assert_refine_matches_reference(field, 1.0, seeds, cfg, traced)
-    # several full blocks, a lone last row joined to the block before, and
-    # one-row steps, which stay a single one-row block
-    assert grads.count(block) > 2 and hessians.count(block) > 2
-    assert block + 1 in grads and block + 1 in hessians
-    assert 1 in grads and 1 in hessians
+        _assert_refine_matches_reference(field, 1.0, seeds, cfg, traced, block)
+    # full bands, and one-row batches, which reach the field as two rows
+    full = max(block, 2)
+    assert grads.count(full) > 2 and hessians.count(full) > 2
+    assert 2 in grads and 2 in hessians and 1 not in grads + hessians
     cfg = ex.SearchConfig(radius=4.0, seed_spacing=0.4, eig_degenerate_tol=1e-200)
     seeds = _rectangle_seeds((0.0, 4.0, -2.0, 2.0), cfg.seed_spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         _, (last, converged, _) = _assert_refine_matches_reference(
-            _non_finite_field(field), 1.0, seeds, cfg)
+            _non_finite_field(field), 1.0, seeds, cfg, band=block)
     assert (~converged & (last != seeds).any(axis=1)).sum() > 10
 
 
@@ -868,12 +888,11 @@ def _band_counting(grad, tol, band):
 
 @pytest.mark.parametrize("block", [2, 3, 5])
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
-def test_refine_batch_matches_reference_with_rows_between_component_and_norm(
-        monkeypatch, field, block):
+def test_refine_batch_matches_reference_with_rows_between_component_and_norm(field, block):
     # the gradient norm is taken only on rows whose larger component is within
     # grad_tol; at these coarse tolerances many rows sit between the two, where
-    # only the norm decides, next to fallback steps and rows that turn non-finite
-    monkeypatch.setattr(ex, "_NEWTON_BLOCK", block)
+    # only the norm decides, next to fallback steps and rows that turn non-finite;
+    # the seeds are refined in bands of block rows
     rng = np.random.default_rng(9)
     exact = ex.s2_oracle(1.0, (-8.0, 8.0, -8.0, 8.0)).location
     for base, tol in ((field, 1e-3), (_non_finite_field(field), 1e-4)):
@@ -886,7 +905,7 @@ def test_refine_batch_matches_reference_with_rows_between_component_and_norm(
         for degenerate in (1e-8, 0.5, 1e-200):
             cfg = ex.default_search_config(1.0, 8.0, grad_tol=tol, eig_degenerate_tol=degenerate)
             with np.errstate(divide="ignore", invalid="ignore"):
-                _, want = _assert_refine_matches_reference(base, 1.0, seeds, cfg, traced)
+                _, want = _assert_refine_matches_reference(base, 1.0, seeds, cfg, traced, block)
         assert sum(band) > 5
     # the last run: the reference stopped rows at their last finite point, unconverged
     last, converged, _ = want
@@ -896,16 +915,16 @@ def test_refine_batch_matches_reference_with_rows_between_component_and_norm(
 def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
     # s2's Hessian is singular where sin(k x) or sin(k y) is 0, as on the seed
     # rows through the origin, so the Newton step divides by zero in several
-    # blocks
+    # bands
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
     cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
-    seeds = _seed_grid(cfg)
+    seeds = _seed_grid(cfg, whole=False)
     hess = pw.hess_s2(1.0, seeds)
     assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pts, _ = ex._refine_batch(ex.S2_FIELD, 1.0, seeds, cfg)
-    assert len(pts)
+        found = ex.find_critical_points(1.0, cfg, field=ex.S2_FIELD)
+    assert len(found)
 
 
 def _seed_grid_reference(cfg):
@@ -944,7 +963,8 @@ def test_find_critical_points_memory_per_seed():
         tracemalloc.stop()
     # 132.4 B per seed with the one-point-at-a-time dedupe, 130.9 B since, 89.4 B
     # with the mirrored Newton loop, 70.9 B with its half-size result table, 56.7 B
-    # with only the rows that converge inside the disk returned
+    # with only the rows that converge inside the disk returned, 51.5 B with the
+    # lattice refined band by band
     assert peak / seeds <= 58
 
 
@@ -962,20 +982,6 @@ def test_dedupe_memory_per_candidate():
     assert peak / len(pts) < 28
 
 
-def test_refine_batch_memory_per_seed():
-    cfg = ex.default_search_config(1.0, 100.0)
-    seeds = _seed_grid(cfg)
-    tracemalloc.start()
-    try:
-        ex._refine_batch(ex.S5_FIELD, 1.0, seeds, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # measured 137 B per seed, then 131.9 B; 113.4 B with the result table filled as
-    # rows leave the loop, 81.4 B with only the rows that converge inside the disk kept
-    assert peak / len(seeds) < 83
-
-
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -985,38 +991,73 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_mirrored_refine_batch_memory_per_seed():
-    # the production path: half the lattice, each row standing for its mate too
-    cfg = ex.default_search_config(1.0, 100.0)
-    peak = _traced_peak(lambda: ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg, whole=False),
-                                                 cfg, mirror=True))
-    # 89.4 B per seed of the whole lattice with the whole result table held from
-    # the start; 70.9 B with the mates' rows made as the loop ends, 56.7 B with only
-    # the rows that converge inside the disk kept
-    assert peak / len(_seed_grid(cfg)) < 58
+def _first_band(cfg, whole):
+    """The first band of seeds find_critical_points refines, of the whole lattice or of
+    its half from the origin on."""
+    return next(pw.wavefield._disk_lattice_blocks(cfg.radius, cfg.seed_spacing,
+                                                  ex._NEWTON_BLOCK, whole))
 
 
-def test_find_critical_points_memory_per_phase(monkeypatch):
-    # the traced peak of each phase of the search, in one run: the phases before
-    # the Newton loop, the loop, and everything after it (dedupe, classify)
+def test_refine_batch_memory_per_seed():
+    # one band of the whole lattice, as the search refines a field not declared odd
     cfg = ex.default_search_config(1.0, 200.0)
+    seeds = _first_band(cfg, whole=True)
+    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg)
+    # on the whole lattice at R = 100: 137 B per seed, then 131.9 B; 113.4 B with the
+    # result table filled as rows leave the loop, 81.4 B with only the rows that
+    # converge inside the disk kept. On one band, which now holds all of each step's
+    # field work at once: 124.2 B per row
+    assert len(seeds) == ex._NEWTON_BLOCK
+    assert peak / len(seeds) < 126
+
+
+def test_mirrored_refine_batch_memory_per_seed():
+    # the production path: one band of the half lattice, each row but the origin
+    # standing for its mate too
+    cfg = ex.default_search_config(1.0, 200.0)
+    seeds = _first_band(cfg, whole=False)
+    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg, True)
+    # on the half lattice at R = 100, per seed of the whole lattice: 89.4 B with the
+    # whole result table held from the start; 70.9 B with the mates' rows made as the
+    # loop ends, 56.7 B with only the rows that converge inside the disk kept. On one
+    # band: 124.2 B per row
+    assert len(seeds) == ex._NEWTON_BLOCK
+    assert peak / len(seeds) < 126
+
+
+def _search_phase_peaks(monkeypatch, radius):
+    """The traced peak of each phase of one search at k = 1, per seed of the whole
+    lattice: the seeding before the first band, the bands (their Newton loops and the
+    seeding between them), and everything after the last band (join, dedupe,
+    classify)."""
+    cfg = ex.default_search_config(1.0, radius)
     refine, peaks = ex._refine_batch, []
 
-    def phased(field, k, seeds, cfg, mirror=False):
+    def phased(*args, **kwargs):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        held = [seeds]
-        del seeds  # no name holds the seeds, so the loop frees them as in the search
-        result = refine(field, k, held.pop(), cfg, mirror)
+        result = refine(*args, **kwargs)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
         return result
 
-    monkeypatch.setattr(ex, "_refine_batch", phased)
-    peaks.append(_traced_peak(ex.find_critical_points, 1.0, cfg))
-    before, newton, after = (peak / len(_seed_grid(cfg)) for peak in peaks)
+    with monkeypatch.context() as patched:
+        patched.setattr(ex, "_refine_batch", phased)
+        peaks.append(_traced_peak(ex.find_critical_points, 1.0, cfg))
+    seeds = len(_seed_grid(cfg))
+    return peaks[0] / seeds, max(peaks[1:-1]) / seeds, peaks[-1] / seeds
+
+
+def test_find_critical_points_memory_per_phase(monkeypatch):
+    before, newton, after = _search_phase_peaks(monkeypatch, 200.0)
     # the dedupe set the search's peak at 84.0 B per seed, over the loop's 68.0 B;
     # then the loop peaked at 49.6 B per seed and the phases after it at 48.7 B.
-    # With only the rows that converge inside the disk returned, the loop peaks at
-    # 38.3 B, the dedupe after it at 48.6 B and the seeding before it at 16.4 B.
-    assert newton <= 40 and after <= 49 and before <= 17
+    # With only the rows that converge inside the disk returned, the loop peaked at
+    # 38.3 B, the dedupe after it at 48.6 B and the seeding before it at 16.4 B. With
+    # the lattice refined band by band, the bands peak at 30.6 B (the last band's
+    # loop, over the rows the others found), the phases after them at 48.6 B, and the
+    # seeding before them, one band, at 5.1 B.
+    assert newton <= 32 and after <= 49 and before <= 6
+    # a band's working set is fixed, so the bands' peak per seed does not grow with
+    # the disk: 25.1 B per seed at R = 400
+    assert _search_phase_peaks(monkeypatch, 400.0)[1] <= newton

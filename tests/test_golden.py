@@ -16,7 +16,7 @@ def test_golden_record_then_check(tmp_path, capsys):
     assert golden.main(["record", str(digest_file)], scale=0.1) == 0
     recorded = json.loads(digest_file.read_text())
     runs = {name for name, _ in golden.invocations(0.1)}
-    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1 + 6 * 3 + 2
+    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1 + 6 * 3 + 3
     assert "identity-blocks/identity.json" in recorded
     messages = {name for name, _ in golden.message_runs()}
     assert len(messages) == 1 + 6 + len(golden.BAD_CONFIGS)
@@ -42,6 +42,8 @@ def test_golden_record_then_check(tmp_path, capsys):
     # every scaled match run may fail here; this fixed radius registers and writes all three
     assert recorded["match-r20/exit"] == 0
     assert all(f"match-r20/match.{fmt}" in recorded for fmt in ("csv", "json", "svg"))
+    # a search of several bands, unscaled
+    assert recorded["extrema-r150/exit"] == 0
     for run in messages:
         # the help exits 0 and prints to stdout; a bad config file exits 2 and
         # prints its one-line message to stderr

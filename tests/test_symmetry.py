@@ -65,9 +65,9 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
         events["split"] += split.size
         return new, split, mate
 
-    def counted_evaluate(fn, k, rows, paired):
-        events["lone pair"] += len(rows) == 1 and bool(paired[0])
-        return evaluate(fn, k, rows, paired)
+    def counted_evaluate(fn, k, rows):
+        events["lone row"] += len(rows) == 1
+        return evaluate(fn, k, rows)
 
     monkeypatch.setattr(ex, "_newton_step", counted_step)
     monkeypatch.setattr(ex, "_evaluate", counted_evaluate)
@@ -81,9 +81,9 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
                 got = ex._refine_batch(field, k, half, cfg, mirror=True)
                 want = ex._refine_batch(field, k, whole, cfg)
                 assert _sorted_rows(*got) == _sorted_rows(*want), (k, radius, overrides)
-    # fallback ties split pairs, and s5's last active pairs step as lone rows
+    # fallback ties split pairs, and s5's last active rows step alone
     assert events["split"] > 0
-    assert events["lone pair"] > 0 or field is ex.S2_FIELD
+    assert events["lone row"] > 0 or field is ex.S2_FIELD
 
 
 def _arc_grad(k, p):
@@ -161,19 +161,46 @@ def test_search_does_not_depend_on_the_order_of_the_refined_rows(monkeypatch):
     assert not any((np.signbit(pts) & (pts == 0.0)).any() for pts in returned)
 
 
-@pytest.mark.parametrize("k", [0.93, 1.05])
-def test_one_seed_search_rounds_its_seed_as_a_lone_row(k):
-    # the origin alone: no pairs, so it is evaluated as a one-row batch; with
-    # OpenBLAS's Haswell kernels its projection then rounds differently from
-    # the same row in a larger batch at these k (gnorm 4.13e-16, not 2.57e-16,
-    # at k = 1.05)
-    cfg = ex.default_search_config(k, 0.3)
+@pytest.mark.parametrize("k", [0.93, 1.05, 3e5])
+def test_one_seed_search_rounds_its_seed_as_a_row_of_a_batch(k):
+    # the origin alone is evaluated as two identical rows: with OpenBLAS's Haswell
+    # kernels a lone row's projection rounds differently at these k (gnorm 4.13e-16,
+    # not 2.57e-16, at k = 1.05), and at k = 3e5 its gnorm 1.167e-10 is above
+    # grad_tol, so the lone row would not converge
+    cfg = ex.default_search_config(k, 0.3 / k)
     origin = np.zeros((1, 2))
-    lone = pw.grad_s5(k, origin)
+    batch = pw.grad_s5(k, np.zeros((2, 2)))[:1]
     half = _disk_lattice(cfg.radius, cfg.seed_spacing)
+    assert half.tobytes() == origin.tobytes()
     pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg, mirror=True)
     assert pts.tobytes() == origin.tobytes()
-    assert gnorm.tobytes() == np.hypot(lone[:, 0], lone[:, 1]).tobytes()
+    assert gnorm.tobytes() == np.hypot(batch[:, 0], batch[:, 1]).tobytes()
+    found = ex.find_critical_points(k, cfg)
+    assert found.location.tobytes() == origin.tobytes()
+
+
+_UNDECLARED_S5 = ex.FieldTriple(pw.s5, pw.grad_s5, pw.hess_s5)
+
+
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD, _UNDECLARED_S5],
+                         ids=["s5", "s2", "s5-undeclared"])
+@pytest.mark.parametrize("k", [1.0, 0.93])
+def test_search_does_not_depend_on_the_band_size(monkeypatch, field, k):
+    # a one-row batch is evaluated as two rows, so each seed's trajectory depends on
+    # that seed alone; bands of one row up to the default give the same bytes. Each
+    # band costs a Python loop of its own, so bands of 1 to 3 rows stop at 12/k: at
+    # 40/k they would take about 3 minutes
+    for radius in (0.3, 3.0, 12.0, 40.0):
+        for overrides in ({}, {"eig_degenerate_tol": 0.5 * k * k}, {"max_newton_steps": 3}):
+            cfg = ex.default_search_config(k, radius / k, **overrides)
+            want = ex.find_critical_points(k, cfg, field=field)
+            for band in (64,) if radius == 40.0 else (1, 2, 3, 64):
+                with monkeypatch.context() as patched:
+                    patched.setattr(ex, "_NEWTON_BLOCK", band)
+                    got = ex.find_critical_points(k, cfg, field=field)
+                for name in ("location", "value", "kind", "eigenvalues"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+                        radius, overrides, band, name)
 
 
 @pytest.mark.parametrize("k", [1.0, 0.93])
