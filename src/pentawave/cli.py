@@ -79,7 +79,7 @@ _MAX_GRID_SAMPLES = 10 ** 8
 # Bytes of the terms x points block of signed series terms that each worker of
 # the block pool holds at once; the disk grid is processed in chunks of points
 # sized to fit it.
-_CONVERGE_BLOCK_BYTES = 1 << 21
+_CONVERGE_BLOCK_BYTES = 1 << 20
 
 # Every top-level setting, set by the flag --name (- for _) or the config-file key
 # name: its type, default and flag help. Each is the RunConfig field of its name,
@@ -416,6 +416,9 @@ def _blocked_max_errors(spec, blocks):
     evaluated from that projection, each term once. The terms are then
     re-added for every N in series_partial's order (from zero, n = N-1 down
     to 0), so each maximum equals the one-N-at-a-time result bit for bit.
+    A block holds its terms x points table, s5 and two rows of points while it
+    re-adds them: the projection is freed first, and |s5 - 16 S_N| is formed in
+    one buffer for every N.
     """
     terms = spec.num_terms
     params = [series_term(spec.k, n) for n in range(terms)]
@@ -425,14 +428,19 @@ def _blocked_max_errors(spec, blocks):
         s5_vals = _sin_sum(spec.k, a)
         block = np.empty((terms, len(a)))
         for n, (coeff, kn) in enumerate(params):
-            block[n] = coeff * _sin_prod(kn, a)
-        total = np.empty(len(a))
+            _sin_prod(kn, a, out=block[n])
+            block[n] *= coeff
+        del a
+        total = np.empty(len(pts))
+        error = np.empty(len(pts))
         errors = []
         for num in range(terms + 1):
             total.fill(0.0)
             for n in range(num - 1, -1, -1):
                 total += block[n]
-            errors.append(np.abs(s5_vals - 16.0 * total).max())
+            np.multiply(16.0, total, out=error)
+            np.subtract(s5_vals, error, out=error)
+            errors.append(np.abs(error, out=error).max())
         return errors, len(pts)
 
     worst = np.zeros(terms + 1)  # every error is an absolute value

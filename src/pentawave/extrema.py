@@ -256,21 +256,26 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
 
 def _cell_keys(columns):
     """int64 key of each row of cells, given as its two columns of whole numbers (made one
-    at a time when they come from a generator), and the key width.
+    at a time when they come from a generator, and overwritten), and the key width.
 
     Equal rows get equal keys, and cell (x + dx, y + dy) has key + dx * width + dy for
     |dx|, |dy| <= 1. A column spanning 2**30 or more cells first has each gap between
     its values that is wider than one cell closed to two, which keeps both facts.
     """
-    key = 0
+    key = None
     for c in columns:
-        c = c - c.min()
+        c -= c.min()
         if c.max() >= 2.0 ** 30:
             values, c = np.unique(c, return_inverse=True)
             c = np.concatenate([[0.0], np.cumsum(np.minimum(np.diff(values), 2.0))])[c]
-        c = c.astype(np.int64) + 1
+        c = c.astype(np.int64)
+        c += 1
         width = int(c.max()) + 2
-        key = key * width + c
+        if key is None:
+            key = c
+        else:
+            key *= width
+            key += c
     return key, width
 
 
@@ -312,21 +317,22 @@ def _dedupe(pts, gnorm, dedupe_radius):
     halves = all(np.array_equal(_floor(0.5 * _floor(c / (0.5 * h))), _floor(c / h)) for c in pts.T)
     key, _ = _cell_keys(_floor(c / (0.5 * h)) for c in pts.T)
     by_cell = np.argsort(key)
-    key = key[by_cell]
+    key.sort()
     first = np.concatenate([[True], key[1:] != key[:-1]])  # each fine cell's first sorted row
     del key
-    leaders = _leaders(by_cell, np.flatnonzero(first), (gnorm, pts[:, 0], pts[:, 1]))
+    starts = np.flatnonzero(first)
+    del first
+    leaders = _leaders(by_cell, starts, (gnorm, pts[:, 0], pts[:, 1]))
     coarse, width = _cell_keys(_floor(0.5 * _floor(c / (0.5 * h))) for c in pts[leaders].T)
     # occupied fine cells in the 3 x 3 cells of side h around each, its own included
     occupied = np.sort(coarse)
     near = sum(np.searchsorted(occupied, coarse + dx * width + 1, "right")
                - np.searchsorted(occupied, coarse + dx * width - 1, "left") for dx in (-1, 0, 1))
     alone = halves & (near == 1)
-    group = np.cumsum(first)  # fine cell of each sorted row, from 1
-    del first
-    crowded = ~alone[group - 1]
-    rows, cell = by_cell[crowded], group[crowded]
-    del by_cell, group, crowded
+    sizes = np.diff(starts, append=len(by_cell))
+    rows = by_cell[np.repeat(~alone, sizes)]
+    del by_cell
+    cell = np.repeat(np.flatnonzero(~alone), sizes[~alone])  # fine cell of each of rows
     order = np.lexsort((rows, pts[rows, 1], pts[rows, 0], gnorm[rows]))
     rows, cell = rows[order], cell[order]
     return np.concatenate([leaders[alone], rows[_greedy_keep(pts[rows], cell, h)]])

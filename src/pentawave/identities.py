@@ -10,6 +10,7 @@ points and wavenumbers and reports the worst absolute residual of each.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -56,7 +57,7 @@ _EXP_SIGNS = np.array([s for _, s in _EXPANSION_TERMS], dtype=float)
 # (rows mod 4) rows of a batch differently when that remainder is 2 or 3,
 # and blocks starting at multiples of 4 leave those rows on the same points
 # as one call over the whole sweep would.
-_SWEEP_BLOCK = 1 << 13
+_SWEEP_BLOCK = 1 << 12
 
 
 def expansion_terms():
@@ -84,24 +85,39 @@ def even_flip_terms():
 
 
 def _expansion(kk, a):
+    """The signed sum of the sixteen sines, for wavenumbers kk broadcast against a's rows.
+
+    The 16 phases of every row are scaled by k and their sines taken in the table
+    they were made in, unless kk broadcasts that table larger.
+    """
     phases = a @ _EXP_SIGNS.T
-    return np.sin(np.expand_dims(kk, -1) * phases) @ _EXP_COEFFS
+    kk = np.expand_dims(kk, -1)
+    owned = np.broadcast_shapes(kk.shape, phases.shape) == phases.shape
+    phases = np.multiply(kk, phases, out=phases if owned else None)
+    return np.sin(phases, out=phases) @ _EXP_COEFFS
 
 
 def _functional(kk, a, p16):
+    """((s5(2k) + s5(2k tau)) - s5(2k / tau)) - p16, accumulated in one array."""
     tau = GOLDEN_RATIO
-    return (
-        _sin_sum(_as_wavenumber(2.0 * kk), a) + _sin_sum(_as_wavenumber(2.0 * tau * kk), a)
-        - _sin_sum(_as_wavenumber(2.0 * kk / tau), a) - p16
-    )
+    out = _sin_sum(_as_wavenumber(2.0 * kk), a)
+    out += _sin_sum(_as_wavenumber(2.0 * tau * kk), a)
+    out -= _sin_sum(_as_wavenumber(2.0 * kk / tau), a)
+    out -= p16
+    return out
 
 
-def _direction_sums(a):
-    i = np.arange(5)
-    total = a.sum(axis=-1, keepdims=True)
-    adjacent = a + a[..., (i + 1) % 5] + GOLDEN_RATIO * a[..., (i + 3) % 5]
-    skipping = a + a[..., (i + 2) % 5] - a[..., (i + 1) % 5] / GOLDEN_RATIO
-    return np.concatenate([total, adjacent, skipping], axis=-1)
+def _direction_relations(a):
+    """Yield the eleven linear relations among projections a, one array of a's rows each.
+
+    Order: the total sum a_0+..+a_4, the five cyclic a_i + a_{i+1} + tau*a_{i+3},
+    and the five cyclic a_i + a_{i+2} - a_{i+1}/tau.
+    """
+    yield a.sum(axis=-1)
+    for i in range(5):
+        yield a[..., i] + a[..., (i + 1) % 5] + GOLDEN_RATIO * a[..., (i + 3) % 5]
+    for i in range(5):
+        yield a[..., i] + a[..., (i + 2) % 5] - a[..., (i + 1) % 5] / GOLDEN_RATIO
 
 
 def expansion_lhs(k, p):
@@ -120,12 +136,9 @@ def functional_residual(k, p):
 
 
 def direction_sum_residuals(p):
-    """The eleven linear relations among the five projections, last axis length 11.
-
-    Order: the total sum a_0+..+a_4, the five cyclic a_i + a_{i+1} + tau*a_{i+3},
-    and the five cyclic a_i + a_{i+2} - a_{i+1}/tau.
-    """
-    return _direction_sums(project(p))
+    """The eleven linear relations among the five projections, last axis length 11,
+    in the order of _direction_relations."""
+    return np.stack(list(_direction_relations(project(p))), axis=-1)
 
 
 def two_wave_residual(k, p):
@@ -169,16 +182,26 @@ def _block_residuals(block):
     """Worst absolute residual of each identity over one (points, wavenumbers) block.
 
     The block is projected once, and its 16*p5 serves both the expansion and
-    the functional check.
+    the functional check. Each residual is made and taken absolute in one array
+    of the block's rows; the direction relations go one at a time into a running
+    maximum (np.maximum, which lets a NaN through as .max() does).
     """
     p, ks = block
     kk = _as_wavenumber(ks)
     a = project(p)
-    p16 = 16.0 * _sin_prod(kk, a)
+    p16 = _sin_prod(kk, a)
+    p16 *= 16.0
+    expansion = _expansion(kk, a)
+    expansion -= p16
+    functional = _functional(kk, a, p16)
+    del p16
+    directions = functools.reduce(
+        np.maximum, (np.abs(r, out=r).max() for r in _direction_relations(a)))
+    del a
     return [
-        np.abs(_expansion(kk, a) - p16).max(),
-        np.abs(_functional(kk, a, p16)).max(),
-        np.abs(_direction_sums(a)).max(),
+        np.abs(expansion, out=expansion).max(),
+        np.abs(functional, out=functional).max(),
+        directions,
         np.abs(two_wave_residual(kk, p)).max(),
     ]
 

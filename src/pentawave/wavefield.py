@@ -151,15 +151,15 @@ def _sin_sum(kk, a):
     return np.sin(np.expand_dims(kk, -1) * a).sum(axis=-1)
 
 
-def _sin_prod(kk, a):
-    """prod_i sin(kk * a_i) over projections a of shape (..., 5).
+def _sin_prod(kk, a, out=None):
+    """prod_i sin(kk * a_i) over projections a of shape (..., 5), into out if given.
 
     Multiplies columns 0..4 left to right, the order (and so the bits) of
     np.prod over the last axis, without its reduction overhead.
     """
     ka = np.expand_dims(kk, -1) * a
     np.sin(ka, out=ka)
-    out = ka[..., 0] * ka[..., 1]
+    out = np.multiply(ka[..., 0], ka[..., 1], out=out)
     for i in range(2, 5):
         out *= ka[..., i]
     return out

@@ -170,6 +170,26 @@ def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
     assert peak(10.0) - peak(5.0) < large - small
 
 
+def test_converge_chunk_memory_is_its_table_and_one_term(monkeypatch):
+    # one worker, so the peak is one chunk's
+    monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: 1)
+    spec = pw.SeriesSpec(1.0, 14)
+    pts = next(pw.wavefield._disk_lattice_blocks(20.0, 0.05, cli._converge_chunk(14)))
+    row = 8 * len(pts)
+    for _ in range(2):  # the first run fills numpy's allocation caches
+        tracemalloc.start()
+        try:
+            cli._blocked_max_errors(spec, [pts])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the terms x points table, and while a term is made the projection (5 rows), s5
+    # (1) and the term's five sines (5), its product going straight into its table
+    # row; 11.2 rows besides the table, 12.2 when the product and its coefficient
+    # were multiplied outside the table
+    assert peak <= (spec.num_terms + 11) * row + 32 * 1024
+
+
 def test_converge_outputs(tmp_path):
     out = tmp_path / "conv"
     proc = run_cli(

@@ -233,7 +233,18 @@ def test_blocked_sweep_equals_full_batch_bit_for_bit(monkeypatch, block, sizes):
             assert ident.suite_residual_breakdown(*args) == _old_suite_residual_breakdown(*args)
 
 
-def test_identity_functions_equal_reference_bit_for_bit():
+# The eleven direction relations, one function of the projections each, in the order
+# of direction_sum_residuals' last axis.
+_RELATIONS = [
+    lambda a: a.sum(axis=-1),
+    *(lambda a, i=i: a[..., i] + a[..., (i + 1) % 5] + TAU * a[..., (i + 3) % 5]
+      for i in range(5)),
+    *(lambda a, i=i: a[..., i] + a[..., (i + 2) % 5] - a[..., (i + 1) % 5] / TAU
+      for i in range(5)),
+]
+
+
+def test_identity_functions_equal_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(31)
     pts = _disk_points(rng, 1003, 15.0)
     ks = rng.uniform(0.1, 10.0, 1003)
@@ -244,11 +255,26 @@ def test_identity_functions_equal_reference_bit_for_bit():
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
     assert np.array_equal(pw.direction_sum_residuals(pts), _old_direction_sum_residuals(pts))
+    # the public relations and the sweep's running maximum hold to one list
+    a = pw.project(pts)
+    want = np.stack([relation(a) for relation in _RELATIONS], axis=-1)
+    assert pw.direction_sum_residuals(pts).tobytes() == want.tobytes()
+    one = pw.project(pts[5])
+    assert pw.direction_sum_residuals(pts[5]).tolist() == [relation(one) for relation in _RELATIONS]
+    worst = ident._block_residuals((pts, ks))[2]
+    assert worst == np.abs(want).max()
+    # the running maximum lets a NaN through as .max() does, wherever it comes
+    for nan_at in range(3):
+        columns = [np.full(len(pts), 1.0), np.full(len(pts), 2.0), np.full(len(pts), 0.5)]
+        columns[nan_at][7] = np.nan
+        monkeypatch.setattr(ident, "_direction_relations", lambda a, c=columns: iter(c))
+        assert np.isnan(ident._block_residuals((pts, ks))[2])
 
 
 @pytest.mark.parametrize("num_points", [
     1, 2, 3, ident._SWEEP_BLOCK - 1, ident._SWEEP_BLOCK + 1,
-    2 * ident._SWEEP_BLOCK - 1, 2 * ident._SWEEP_BLOCK + 1, 4 * ident._SWEEP_BLOCK + 1, 50002,
+    2 * ident._SWEEP_BLOCK - 1, 2 * ident._SWEEP_BLOCK + 1, 4 * ident._SWEEP_BLOCK - 1,
+    4 * ident._SWEEP_BLOCK + 1, 8 * ident._SWEEP_BLOCK + 1, 50002,
 ])
 @pytest.mark.parametrize("k_range", [(0.1, 10.0), (2.5, 2.5)])
 def test_streamed_sweep_blocks_equal_the_full_draw_bit_for_bit(num_points, k_range):
@@ -282,3 +308,19 @@ def test_identity_sweep_memory_does_not_grow_with_points(monkeypatch):
         peak(small), peak(large)
     # drawing the whole sweep before checking it grew by 48 B per point
     assert peak(large) - peak(small) < large - small
+
+
+def test_identity_block_memory_per_point():
+    # one block holds its projection, 16*p5, the 16-phase table its sines are taken
+    # in, and one array of its rows per residual; it held 432 B per point when each
+    # step made a new table and the eleven relations were stacked into one array
+    block = next(ident._sweep_blocks(ident._SWEEP_BLOCK, 0, (0.1, 10.0), 10.0))
+    for _ in range(2):  # the first run fills numpy's allocation caches
+        tracemalloc.start()
+        try:
+            ident._block_residuals(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 192.4 B per point
+    assert peak / ident._SWEEP_BLOCK <= 200
