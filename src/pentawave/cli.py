@@ -35,7 +35,6 @@ from .extrema import (
     check_search_grid,
     default_search_config,
     find_critical_points,
-    seed_count,
 )
 from .identities import suite_residual_breakdown
 # matching_correspondences is unused here but stays importable as
@@ -55,6 +54,7 @@ from .wavefield import (
     SeriesSpec,
     _disk_lattice,
     _disk_lattice_blocks,
+    _disk_lattice_size,
     _map_blocks,
     _sin_prod,
     _sin_sum,
@@ -227,9 +227,12 @@ def resolve_config(args):
     return RunConfig(args.command, **settings, formats=formats, tolerances=resolved)
 
 
-def _cells(column):
-    """CSV cells of one column: floats as repr, the shortest round-trip decimal form."""
-    values = np.asarray(column)
+# Rows of a CSV table converted, joined, checked and written at a time.
+_CSV_CHUNK = 1 << 12
+
+
+def _cells(values):
+    """CSV cells of one column array: floats as repr, the shortest round-trip decimal form."""
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
@@ -238,12 +241,16 @@ def _write_csv(cfg, name, header, columns):
 
     Cells are joined by commas and never quoted: every cell is a float repr,
     an int or a fixed name, none of which holds a comma, a quote or a line
-    break. Rows are checked for that a chunk at a time, by counting.
+    break. Rows are checked for that a chunk at a time, by counting. Only one
+    chunk of each column is converted to cells at a time.
     """
-    rows = itertools.chain([header], zip(*map(_cells, columns)))
+    columns = [np.asarray(column) for column in columns]
+    chunks = (zip(*(_cells(c[start:start + _CSV_CHUNK]) for c in columns))
+              for start in range(0, len(columns[0]), _CSV_CHUNK))
+    rows = itertools.chain([header], itertools.chain.from_iterable(chunks))
     path = os.path.join(cfg.out, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        while lines := [",".join(row) for row in itertools.islice(rows, 1 << 12)]:
+        while lines := [",".join(row) for row in itertools.islice(rows, _CSV_CHUNK)]:
             text = "\n".join(lines) + "\n"
             assert text.count(",") == len(lines) * (len(header) - 1), "a CSV cell holds a comma"
             assert text.count("\n") == len(lines), "a CSV cell holds a line break"
@@ -291,10 +298,9 @@ def _config_checked(fn, *args, **kwargs):
 
 def _check_disk_grid(radius, step):
     """Refuse a disk grid whose whole lattice exceeds _MAX_GRID_SAMPLES, before it is made."""
-    # counted in floats, so an overflowing grid is refused instead of raising
-    side = 2.0 * float(np.floor(radius / step)) + 1.0
     suggestion = radius / (0.5 * (math.sqrt(_MAX_GRID_SAMPLES) - 1.0))
-    _check_count(side * side, "disk grid samples", f"--grid-step of at least {suggestion:.6g}")
+    _check_count(_disk_lattice_size(radius, step), "disk grid samples",
+                 f"--grid-step of at least {suggestion:.6g}")
 
 
 def _check_count(count, what, remedy="a smaller --radius or --k"):
@@ -307,7 +313,9 @@ def _critical_points(cfg):
     search_keys = {field.name for field in fields(SearchConfig)}
     overrides = {key: value for key, value in cfg.tolerances.items() if key in search_keys}
     search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
-    _check_count(seed_count(search), "extrema seeds")
+    # the search holds one band of seeds at a time, but its converged rows, about one
+    # per seed, are held together for the dedupe
+    _check_count(_disk_lattice_size(search.radius, search.seed_spacing), "extrema seeds")
     _config_checked(check_search_grid, cfg.k, search)
     return find_critical_points(cfg.k, search)
 
@@ -329,9 +337,9 @@ def _run_field(cfg):
         raise ConfigError("k is too small: the lead wavenumber k/(2*tau) underflows to zero")
     _check_disk_grid(cfg.radius, cfg.grid_step)
     pts = _disk_lattice(cfg.radius, cfg.grid_step, whole=True)
-    s5_vals = np.atleast_1d(s5(cfg.k, pts))
-    lead_vals = np.atleast_1d(p5(lead_k, pts))
-    series_vals = np.atleast_1d(series_partial(spec, pts))
+    s5_vals = s5(cfg.k, pts)
+    lead_vals = p5(lead_k, pts)
+    series_vals = series_partial(spec, pts)
     deviation = float(np.abs(s5_vals - series_vals).max())
     if deviation > bound:
         raise ContractViolation(
@@ -350,15 +358,12 @@ def _run_field(cfg):
             return None
         canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
         stride = max(1, int(math.ceil(math.sqrt(len(pts) / 20000.0))))
-        vmax = float(np.abs(s5_vals).max()) or 1.0
+        vmax = float(np.abs(s5_vals).max())
         half = 0.5 * cfg.grid_step * stride
         corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]) * half
-        canvas.polygons(
-            pts[::stride, None, :] + corners,
-            fill=diverging_colors(s5_vals[::stride], vmax),
-            stroke="none",
-        )
-        canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
+        canvas.polygons(pts[::stride, None, :] + corners,
+                        diverging_colors(s5_vals[::stride], vmax), "none")
+        canvas.world_circle(cfg.radius)
         return canvas
 
     return _emit(cfg, "field", report, ["x", "y", "s5", "p5_lead", "series_N"], columns, draw)
@@ -486,8 +491,8 @@ def _run_converge(cfg):
 
         for column, color in ((1, "#cc3333"), (2, "#3355cc")):
             chart = [(row[0], chart_y(row[column])) for row in rows]
-            canvas.lines(chart[:-1], chart[1:], stroke=color, width=2.0)
-        canvas.line((0, lo), (cfg.terms, lo), stroke="#222222", width=1.0)
+            canvas.lines(chart[:-1], chart[1:], color, 2.0)
+        canvas.line((0, lo), (cfg.terms, lo), "#222222", 1.0)
         canvas.text((0.0, hi - 0.5), "log10 max_error (red), log10 bound (blue)")
         return canvas
 
@@ -509,8 +514,8 @@ def _run_extrema(cfg):
 
     def draw():
         canvas = SvgCanvas((-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
-        canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
-        canvas.circles(points.location, 3.0, fill=_KIND_COLORS[points.kind].tolist())
+        canvas.world_circle(cfg.radius)
+        canvas.circles(points.location, 3.0, _KIND_COLORS[points.kind].tolist())
         return canvas
 
     header = ["x", "y", "value", "kind", "eig_low", "eig_high"]
@@ -545,8 +550,8 @@ def _run_tiling(cfg):
             (verts[:, 0].min() - pad, verts[:, 0].max() + pad,
              verts[:, 1].min() - pad, verts[:, 1].max() + pad)
         )
-        canvas.polygons(patch.vertices, fill=np.where(patch.thin, "#f0d060", "#6090c0").tolist(),
-                        stroke="#333333", width=0.8, opacity=0.85)
+        canvas.polygons(patch.vertices, np.where(patch.thin, "#f0d060", "#6090c0").tolist(),
+                        "#333333", width=0.8, opacity=0.85)
         return canvas
 
     return _emit(cfg, "tiling", report, header, columns, draw)
@@ -591,15 +596,15 @@ def _run_match(cfg):
                 seg = clip_line_to_box(anchor, tangent, bbox)
                 if seg:
                     segments.append(seg)
-        canvas.lines(*zip(*segments), stroke="#cccccc", width=0.6)
+        canvas.lines(*zip(*segments), "#cccccc", 0.6)
         transform = report_obj.transform
         quads = transform.apply(_tiles(cfg, spec, bbox).vertices)
-        canvas.polygons(quads, fill="none", stroke="#77aa77", width=0.8)
-        canvas.lines(transform.apply(matched.position), locations, stroke="#dd8800", width=1.2)
+        canvas.polygons(quads, ["none"] * len(quads), "#77aa77", width=0.8)
+        canvas.lines(transform.apply(matched.position), locations, "#dd8800", 1.2)
         extrema = critical_points.of_kind(KIND_MAXIMUM, KIND_MINIMUM)
         canvas.circles(critical_points.location[extrema], 2.5,
-                       fill=_KIND_COLORS[critical_points.kind[extrema]].tolist())
-        canvas.world_circle((0.0, 0.0), cfg.radius, stroke="#333333", width=1.5)
+                       _KIND_COLORS[critical_points.kind[extrema]].tolist())
+        canvas.world_circle(cfg.radius)
         return canvas
 
     return _emit(cfg, "match", report, header, columns, draw)

@@ -135,18 +135,6 @@ def default_search_config(k, radius, **overrides):
     return SearchConfig(**base)
 
 
-def seed_count(cfg):
-    """Number of lattice points the seed grid lays out before the disk clip.
-
-    Computed without allocating, as a float (inf when it does not fit a
-    double), so callers can refuse a search too large to hold in memory: the
-    search holds one band of seeds at a time, but its converged rows, about one
-    per seed, are held together for the dedupe.
-    """
-    with np.errstate(over="ignore"):
-        return float((2 * np.floor(cfg.radius / cfg.seed_spacing) + 1) ** 2)
-
-
 def _evaluate(fn, k, rows):
     """fn(k, rows), where a one-row batch is evaluated as two identical rows: numpy
     rounds a lone row differently from a batch, and any two or more rows round as the

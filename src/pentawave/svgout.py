@@ -36,15 +36,21 @@ def diverging_colors(values, vmax):
 
 
 class SvgCanvas:
-    """Accumulates SVG elements in world coordinates and serializes them."""
+    """Accumulates SVG elements in world coordinates and serializes them.
 
-    def __init__(self, world_bbox, size=800, margin=40):
+    Every element is formatted by _add; the styles no command varies are
+    written into the templates.
+    """
+
+    size = 800  # pixels on each side of the square viewport
+    margin = 40  # pixels kept clear around the world bounding box
+
+    def __init__(self, world_bbox):
         xmin, xmax, ymin, ymax = (float(v) for v in world_bbox)
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("world_bbox must have positive extent")
-        self.size = int(size)
         span = max(xmax - xmin, ymax - ymin)
-        self.scale = (self.size - 2.0 * margin) / span
+        self.scale = (self.size - 2.0 * self.margin) / span
         if not math.isfinite(self.scale):
             raise ValueError(f"a world span of {span:g} is too small to scale onto the canvas")
         self._cx = 0.5 * (xmin + xmax)
@@ -62,76 +68,58 @@ class SvgCanvas:
     def _add(self, template, xy, extras):
         """One element per row of xy, world points: template % (mapped row, *next(extras)),
         and a newline. Held as one text per block of rows, so a drawing is a few long strings."""
+        xy, extras = np.asarray(xy, dtype=float), iter(extras)
         for start in range(0, len(xy), _BLOCK_ROWS):
             block = xy[start:start + _BLOCK_ROWS]
             mapped = np.stack(self.map_point(block[..., 0], block[..., 1]), axis=-1)
             rows = zip(mapped.reshape(len(block), -1).tolist(), extras)
             self._elements.append("\n".join(template % (*r, *e) for r, e in rows) + "\n")
 
-    def line(self, p0, p1, stroke="#888888", width=1.0, opacity=1.0):
-        self.lines([p0], [p1], stroke=stroke, width=width, opacity=opacity)
+    def line(self, p0, p1, stroke, width):
+        self.lines([p0], [p1], stroke, width)
 
-    def lines(self, starts, ends, stroke="#888888", width=1.0, opacity=1.0):
-        """One line per row of starts and ends, (n, 2) arrays of world points.
-
-        Formatted with one template, in the bytes line() writes.
-        """
+    def lines(self, starts, ends, stroke, width):
+        """One line per row of starts and ends, (n, 2) arrays of world points."""
         xy = np.hstack([np.asarray(starts, dtype=float).reshape(-1, 2),
                         np.asarray(ends, dtype=float).reshape(-1, 2)])
-        style = f'stroke="{stroke}" stroke-width="{width:g}" stroke-opacity="{opacity:g}"'
-        template = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" {} />'.format(
-            style.replace("%", "%%")
-        )
-        self._add(template, xy.reshape(-1, 2, 2), itertools.repeat(()))
+        template = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                    f'stroke="%s" stroke-width="{width:g}" stroke-opacity="1" />')
+        self._add(template, xy.reshape(-1, 2, 2), itertools.repeat((stroke,)))
 
-    def circle(self, center, radius_px, fill="#000000", stroke="none", width=1.0):
-        self.circles([center], radius_px, fill=[fill], stroke=stroke, width=width)
+    def circle(self, center, radius_px, fill):
+        self.circles([center], radius_px, [fill])
 
-    def circles(self, centers, radius_px, fill="#000000", stroke="none", width=1.0):
-        """One circle of radius_px pixels per row of centers, an (n, 2) array of world points.
+    def circles(self, centers, radius_px, fills):
+        """One circle of radius_px pixels per row of centers, an (n, 2) array of world
+        points, filled with the color of its row in fills."""
+        template = (f'<circle cx="%.2f" cy="%.2f" r="{radius_px:g}" fill="%s" '
+                    'stroke="none" stroke-width="1" />')
+        self._add(template, centers, zip(fills))
 
-        fill is one color for all of them or a sequence of n colors. Formatted
-        with one template, in the bytes circle() writes.
-        """
-        style = f'stroke="{stroke}" stroke-width="{width:g}"'
-        template = '<circle cx="%.2f" cy="%.2f" r="{:g}" fill="%s" {} />'.format(
-            radius_px, style.replace("%", "%%")
-        )
-        fills = itertools.repeat((fill,)) if isinstance(fill, str) else zip(fill)
-        self._add(template, np.asarray(centers, dtype=float).reshape(-1, 2), fills)
+    def polygon(self, points, fill, stroke, width=1.0, opacity=1.0):
+        self.polygons([points], [fill], stroke, width, opacity)
 
-    def polygon(self, points, fill="none", stroke="#000000", width=1.0, opacity=1.0):
-        self.polygons([points], fill=fill, stroke=stroke, width=width, opacity=opacity)
-
-    def polygons(self, polys, fill="none", stroke="#000000", width=1.0, opacity=1.0):
-        """One polygon per row of polys, an (n, m, 2) array of world vertices.
-
-        fill is one color for all of them or a sequence of n colors. Each
-        element is formatted with one template, in the bytes polygon() writes.
-        """
+    def polygons(self, polys, fills, stroke, width=1.0, opacity=1.0):
+        """One polygon per row of polys, an (n, m, 2) array of world vertices, filled
+        with the color of its row in fills."""
         polys = np.asarray(polys, dtype=float)
         if len(polys) == 0:
             return
         points = " ".join(["%.2f,%.2f"] * polys.shape[1])
-        style = f'fill-opacity="{opacity:g}" stroke="{stroke}" stroke-width="{width:g}"'
-        template = '<polygon points="{}" fill="%s" {} />'.format(points, style.replace("%", "%%"))
-        fills = itertools.repeat((fill,)) if isinstance(fill, str) else zip(fill)
-        self._add(template, polys, fills)
+        template = (f'<polygon points="{points}" fill="%s" fill-opacity="{opacity:g}" '
+                    f'stroke="%s" stroke-width="{width:g}" />')
+        self._add(template, polys, zip(fills, itertools.repeat(stroke)))
 
-    def text(self, anchor, label, size_px=12, fill="#333333"):
-        x, y = self.map_point(*anchor)
-        self._elements.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size_px:g}" '
-            f'font-family="monospace" fill="{fill}">{label}</text>\n'
-        )
+    def text(self, anchor, label):
+        template = ('<text x="%.2f" y="%.2f" font-size="12" font-family="monospace" '
+                    'fill="#333333">%s</text>')
+        self._add(template, [anchor], [(label,)])
 
-    def world_circle(self, center, radius, stroke="#333333", width=1.0, fill="none"):
-        """Circle whose radius is given in world units rather than pixels."""
-        x, y = self.map_point(*center)
-        self._elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius * self.scale:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{width:g}" />\n'
-        )
+    def world_circle(self, radius):
+        """The rim: a circle about the world origin whose radius is in world units."""
+        template = ('<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" '
+                    'stroke="#333333" stroke-width="1.5" />')
+        self._add(template, [(0.0, 0.0)], [(radius * self.scale,)])
 
     def _pieces(self):
         """The document's text in order: the head, each text of elements, the tail."""

@@ -101,6 +101,14 @@ def _disk_lattice_blocks(radius, step, size, whole=False):
     yield pending
 
 
+def _disk_lattice_size(radius, step):
+    """Points of the lattice step * (-n..n)^2 before the disk clip, (2n + 1)^2 for
+    n = floor(radius / step): counted in floats without allocating, so a lattice too
+    large to hold is refused before it is made (inf where the count overflows)."""
+    side = 2.0 * float(np.floor(radius / step)) + 1.0
+    return side * side
+
+
 def _disk_lattice(radius, step, whole=False):
     """The rows of _disk_lattice_blocks as one array; the block size leaves them unchanged."""
     return np.concatenate(list(_disk_lattice_blocks(radius, step, 1 << 16, whole)))

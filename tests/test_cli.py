@@ -74,6 +74,23 @@ def test_field_zero_radius_single_sample(tmp_path):
     assert [float(v) for v in rows[1]] == [0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+def test_one_cell_field_svg(tmp_path):
+    # a radius below the grid step samples the origin alone, where s5 is 0: the one
+    # heatmap cell is white, as diverging_colors gives for vmax = 0
+    out = tmp_path / "cell"
+    argv = ["field", "--radius", "0.1", "--grid-step", "0.25", "--format", "svg", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert (out / "field.svg").read_text() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">\n'
+        '<rect width="800" height="800" fill="#ffffff" />\n'
+        '<polygon points="-50.00,850.00 850.00,850.00 850.00,-50.00 -50.00,-50.00" fill="#ffffff" '
+        'fill-opacity="1" stroke="none" stroke-width="1" />\n'
+        '<circle cx="400.00" cy="400.00" r="360.00" fill="none" stroke="#333333" '
+        'stroke-width="1.5" />\n'
+        '</svg>\n'
+    )
+
+
 def test_field_grid_too_fine_is_config_error(tmp_path):
     out = tmp_path / "fine"
     proc = run_cli("field", "--radius", "10", "--grid-step", "1e-6", "--out", str(out))
@@ -168,6 +185,22 @@ def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
     peak(5.0)  # the first run fills import and allocation caches
     # building the whole grid grew by about 66 B per point
     assert peak(10.0) - peak(5.0) < large - small
+
+
+def test_field_memory_per_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: 1)
+    radius, step = 14.0, 0.05
+    tracemalloc.start()
+    try:
+        code = cli.main(["field", "--radius", repr(radius), "--grid-step", repr(step),
+                         "--terms", "12", "--out", str(tmp_path / "field")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # 136 B per point over these 246,245 points (33.6 MB); 207 B (50.9 MB) when the
+    # CSV writer turned whole columns into lists of floats before writing
+    assert peak <= 145 * len(_disk_grid(radius, step))
 
 
 def test_converge_chunk_memory_is_its_table_and_one_term(monkeypatch):
@@ -651,6 +684,24 @@ def test_column_csv_writer_matches_per_cell_formatting(tmp_path):
     for cell in ("a,b", 'x"y', "a\nb", "a\rb"):
         with pytest.raises(AssertionError):
             cli._write_csv(cfg, "bad", ["a", "b"], [[1.0] * 5000, ["ok"] * 4999 + [cell]])
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
+    cfg = cli.RunConfig("field", 1.0, 1.0, 0, 1.0, 0, str(tmp_path), ("csv",), {})
+
+    def peak(rows):
+        columns = [np.linspace(-1.0, 1.0, rows) * math.pi for _ in range(4)] + [np.arange(rows)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(cfg, "t", list("abcde"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(cli._CSV_CHUNK)  # the first run fills import and allocation caches
+    # one chunk of each column is turned into cells at a time: 61 KB more at 80,000
+    # rows than at 20,000; 9.7 MB more when whole columns were turned into lists first
+    assert peak(80_000) - peak(20_000) < 256 * 1024
 
 
 _CSV_RUNS = {

@@ -668,13 +668,6 @@ def test_find_critical_points_classifies_in_one_call(monkeypatch):
     assert calls == [(len(found), 2)]
 
 
-def test_seed_count_is_the_seed_grid_size_before_clipping():
-    for cfg in (ex.default_search_config(1.0, 7.3), ex.SearchConfig(radius=3.0, seed_spacing=0.5)):
-        n = int(math.floor(cfg.radius / cfg.seed_spacing))
-        assert ex.seed_count(cfg) == (2 * n + 1) ** 2
-    assert ex.seed_count(ex.default_search_config(1.0, 1e300)) == math.inf
-
-
 def _refine_batch_reference(field, k, seeds, cfg):
     """The Newton loop before the compacted working set, kept verbatim as the oracle."""
     pts = np.array(seeds, dtype=float)

@@ -1,11 +1,13 @@
 """Tests for the batched SVG element writers."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from pentawave import svgout
 from pentawave.svgout import SvgCanvas, diverging_colors
 
 
@@ -39,64 +41,117 @@ def _circle_reference(canvas, center, radius_px, fill="#000000", stroke="none", 
     )
 
 
-def test_circles_equal_per_element_bytes():
+def _text_reference(canvas, anchor, label, size_px=12, fill="#333333"):
+    """SvgCanvas.text before it was formatted by _add, kept verbatim as the oracle."""
+    x, y = canvas.map_point(*anchor)
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size_px:g}" '
+        f'font-family="monospace" fill="{fill}">{label}</text>'
+    )
+
+
+def _world_circle_reference(canvas, center, radius, stroke="#333333", width=1.0, fill="none"):
+    """SvgCanvas.world_circle before it was formatted by _add, kept verbatim as the oracle."""
+    x, y = canvas.map_point(*center)
+    return (
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius * canvas.scale:.2f}" '
+        f'fill="{fill}" stroke="{stroke}" stroke-width="{width:g}" />'
+    )
+
+
+def _random_canvas(rng):
+    """A canvas over a random bounding box, and the world point at its pixel (0, 0)."""
+    lo = rng.uniform(-50.0, 0.0, 2)
+    span = rng.uniform(0.1, 90.0, 2)
+    canvas = SvgCanvas((lo[0], lo[0] + span[0], lo[1], lo[1] + span[1]))
+    half_view = 0.5 * canvas.size / canvas.scale
+    return canvas, np.array([canvas._cx - half_view, canvas._cy + half_view])
+
+
+def test_circles_equal_per_element_bytes(monkeypatch):
+    # blocks of 7 rows, so the fills of a batch run on across its blocks
+    monkeypatch.setattr(svgout, "_BLOCK_ROWS", 7)
     rng = np.random.default_rng(6)
     for trial in range(20):
-        lo = rng.uniform(-50.0, 0.0, 2)
-        bbox = (lo[0], lo[0] + rng.uniform(0.1, 90.0), lo[1], lo[1] + rng.uniform(0.1, 90.0))
-        canvas = SvgCanvas(bbox, size=int(rng.integers(100, 1200)))
+        canvas, origin = _random_canvas(rng)
         centers = rng.uniform(-200.0, 200.0, (150, 2))
         # points a hair from pixel (0, 0), which format as -0.00 or 0.00
-        half_view = 0.5 * canvas.size / canvas.scale
-        origin = np.array([canvas._cx - half_view, canvas._cy + half_view])
         centers[:10] = origin + rng.uniform(-0.004, 0.004, (10, 2)) / canvas.scale
         fills = rng.choice(["#cc3333", "none", "rgb(10%,20%,30%)"], len(centers)).tolist()
         radius = float(rng.choice([2.5, 3, 1.25e-7]))
-        style = dict(stroke=str(rng.choice(["none", "#33%"])), width=float(rng.choice([1, 0.8])))
-        canvas.circles(centers, radius, fill=fills, **style)
-        canvas.circles(centers[:3], radius, fill="#10%", **style)
-        canvas.circles(np.zeros((0, 2)), radius, **style)
-        canvas.circle(tuple(centers[0]), radius)
-        canvas.circle((1, -2), 4, fill="#dd8800", **style)
-        want = [_circle_reference(canvas, c, radius, fill=f, **style)
+        canvas.circles(centers, radius, fills)
+        canvas.circles(centers[:3], radius, ["#10%"] * 3)
+        canvas.circles(np.zeros((0, 2)), radius, [])
+        canvas.circle(tuple(centers[0]), radius, "#000000")
+        canvas.circle((1, -2), 4, "#dd8800")
+        want = [_circle_reference(canvas, c, radius, fill=f)
                 for c, f in zip(centers.tolist(), fills)]
-        want += [_circle_reference(canvas, c, radius, fill="#10%", **style)
-                 for c in centers[:3].tolist()]
+        want += [_circle_reference(canvas, c, radius, fill="#10%") for c in centers[:3].tolist()]
         want += [_circle_reference(canvas, tuple(centers[0]), radius),
-                 _circle_reference(canvas, (1, -2), 4, fill="#dd8800", **style)]
+                 _circle_reference(canvas, (1, -2), 4, fill="#dd8800")]
         assert canvas.to_string().splitlines()[2:-1] == want
         assert 'cx="-0.00"' in canvas.to_string() or 'cy="-0.00"' in canvas.to_string()
 
 
-def test_polygons_and_lines_equal_per_element_bytes():
+def test_polygons_and_lines_equal_per_element_bytes(monkeypatch):
+    monkeypatch.setattr(svgout, "_BLOCK_ROWS", 7)
     rng = np.random.default_rng(5)
     for trial in range(20):
-        lo = rng.uniform(-50.0, 0.0, 2)
-        bbox = (lo[0], lo[0] + rng.uniform(0.1, 90.0), lo[1], lo[1] + rng.uniform(0.1, 90.0))
-        canvas = SvgCanvas(bbox, size=int(rng.integers(100, 1200)))
+        canvas, origin = _random_canvas(rng)
         polys = rng.uniform(-200.0, 200.0, (150, int(rng.integers(3, 6)), 2))
         # points a hair from pixel (0, 0), which format as -0.00 or 0.00
-        half_view = 0.5 * canvas.size / canvas.scale
-        origin = np.array([canvas._cx - half_view, canvas._cy + half_view])
         polys[:10] = origin + rng.uniform(-0.004, 0.004, (10, polys.shape[1], 2)) / canvas.scale
         fills = rng.choice(["#f0d060", "none", "rgb(10%,20%,30%)"], len(polys)).tolist()
         starts, ends = rng.uniform(-200.0, 200.0, (2, 80, 2))
-        style = dict(stroke="#33%", width=float(rng.choice([0.8, 1, 1.25e-7])), opacity=0.85)
-        canvas.polygons(polys, fill=fills, **style)
-        canvas.polygons(polys[:3], **style)
-        canvas.polygons(np.zeros((0, 4, 2)), **style)
-        canvas.lines(starts, ends, **style)
-        canvas.polygon(polys[0].tolist())
-        canvas.line(tuple(starts[0]), tuple(ends[0]))
-        want = [_polygon_reference(canvas, p, fill=f, **style)
+        stroke, width = "#33%", float(rng.choice([0.8, 1, 1.25e-7]))
+        canvas.polygons(polys, fills, stroke, width=width, opacity=0.85)
+        canvas.polygons(polys[:3], ["none"] * 3, stroke, width=width)
+        canvas.polygons(np.zeros((0, 4, 2)), [], stroke)
+        canvas.lines(starts, ends, stroke, width)
+        canvas.lines([], [], stroke, width)
+        canvas.polygon(polys[0].tolist(), "none", "#000000")
+        canvas.line(tuple(starts[0]), tuple(ends[0]), "#888888", 1.0)
+        want = [_polygon_reference(canvas, p, fill=f, stroke=stroke, width=width, opacity=0.85)
                 for p, f in zip(polys.tolist(), fills)]
-        want += [_polygon_reference(canvas, p, **style) for p in polys[:3].tolist()]
-        want += [_line_reference(canvas, a, b, **style)
+        want += [_polygon_reference(canvas, p, stroke=stroke, width=width)
+                 for p in polys[:3].tolist()]
+        want += [_line_reference(canvas, a, b, stroke=stroke, width=width)
                  for a, b in zip(starts.tolist(), ends.tolist())]
         want += [_polygon_reference(canvas, polys[0].tolist()),
                  _line_reference(canvas, tuple(starts[0]), tuple(ends[0]))]
         assert canvas.to_string().splitlines()[2:-1] == want
         assert "-0.00," in canvas.to_string()
+
+
+def test_text_and_world_circle_equal_their_former_bytes():
+    rng = np.random.default_rng(7)
+    labels = ["log10 max_error (red), log10 bound (blue)", "100% %s %d {} %%", ""]
+    for trial in range(20):
+        canvas, origin = _random_canvas(rng)
+        anchors = rng.uniform(-200.0, 200.0, (20, 2))
+        # anchors a hair from pixel (0, 0), which format as -0.00 or 0.00
+        anchors[:5] = origin + rng.uniform(-0.004, 0.004, (5, 2)) / canvas.scale
+        radii = [0.0, 5e-3 / canvas.scale, *rng.uniform(0.0, 300.0, 5)]
+        want = []
+        for anchor, label in zip(anchors.tolist(), itertools.cycle(labels)):
+            canvas.text(tuple(anchor), label)
+            want.append(_text_reference(canvas, tuple(anchor), label))
+        for radius in radii:
+            canvas.world_circle(radius)
+            want.append(_world_circle_reference(canvas, (0.0, 0.0), radius, width=1.5))
+        assert canvas.to_string().splitlines()[2:-1] == want
+        assert 'x="-0.00"' in canvas.to_string() or 'y="-0.00"' in canvas.to_string()
+
+
+def test_canvas_is_800_pixels_with_a_40_pixel_margin():
+    canvas = SvgCanvas((-3.0, 5.0, 1.0, 2.0))
+    assert canvas.scale == 720.0 / 8.0
+    assert canvas.map_point(-3.0, 1.5) == (40.0, 400.0)
+    assert canvas.map_point(5.0, 1.5) == (760.0, 400.0)
+    assert canvas.to_string() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">\n'
+        '<rect width="800" height="800" fill="#ffffff" />\n</svg>\n'
+    )
 
 
 def _diverging_color_reference(value, vmax):
@@ -166,8 +221,8 @@ def test_canvas_refuses_a_point_that_maps_to_no_finite_coordinate():
             with pytest.raises(ValueError, match="too far outside the canvas"):
                 canvas.map_point(x, y)
             with pytest.raises(ValueError, match="too far outside the canvas"):
-                canvas.circles([(0.0, 0.0), (x, y)], 2.0)
+                canvas.circles([(0.0, 0.0), (x, y)], 2.0, ["none", "none"])
             with pytest.raises(ValueError, match="too far outside the canvas"):
-                canvas.polygons([[(0.0, 0.0), (x, y), (0.0, 1e-300)]])
+                canvas.polygons([[(0.0, 0.0), (x, y), (0.0, 1e-300)]], ["none"], "#000000")
         assert all(math.isfinite(v) for v in canvas.map_point(1e-300, -1e-300))
     assert canvas.to_string().count("\n") == 3

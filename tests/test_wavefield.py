@@ -412,3 +412,12 @@ def test_map_blocks_passes_a_block_error_to_the_caller():
     assert not thread.is_alive()  # no hang
     assert raised == ["block 3"]
     assert seen == [0, 1, 2]
+
+
+def test_disk_lattice_size_is_the_lattice_size_before_clipping():
+    for radius, step in ((7.3, math.pi / 4.0), (3.0, 0.5), (0.1, 0.25), (0.0, 1.0)):
+        n = int(math.floor(radius / step))
+        assert pw.wavefield._disk_lattice_size(radius, step) == (2 * n + 1) ** 2
+    # counted in floats: a count or a ratio that overflows reads inf
+    assert pw.wavefield._disk_lattice_size(1e300, math.pi / 4.0) == math.inf
+    assert pw.wavefield._disk_lattice_size(1.0, 5e-324) == math.inf
