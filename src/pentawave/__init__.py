@@ -35,7 +35,6 @@ from .pentagrid import (
     Correspondences,
     MatchReport,
     PentagridSpec,
-    RhombusTile,
     SimilarityTransform,
     TilingPatch,
     dual_vertices,

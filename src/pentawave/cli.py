@@ -336,7 +336,7 @@ def _run_field(cfg):
     if not lead_k > 0:
         raise ConfigError("k is too small: the lead wavenumber k/(2*tau) underflows to zero")
     _check_disk_grid(cfg.radius, cfg.grid_step)
-    pts = _disk_lattice(cfg.radius, cfg.grid_step, whole=True)
+    pts = _disk_lattice(cfg.radius, cfg.grid_step)
     s5_vals = s5(cfg.k, pts)
     lead_vals = p5(lead_k, pts)
     series_vals = series_partial(spec, pts)

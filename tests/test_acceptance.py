@@ -170,11 +170,7 @@ def test_criterion_6_tiling_geometry(verdict):
     patch = pg.tiles(spec, (-10.0, 10.0, -10.0, 10.0))
     edges_ok = True
     angles_ok = True
-    min_origin = math.inf
-    kinds = set()
-    for tile in patch.tiles:
-        kinds.add(tile.kind)
-        v = np.array(tile.vertices)
+    for v in patch.vertices:
         for c in range(4):
             d1 = v[(c + 1) % 4] - v[c]
             d2 = v[(c - 1) % 4] - v[c]
@@ -185,12 +181,12 @@ def test_criterion_6_tiling_geometry(verdict):
             angles_ok = angles_ok and min(
                 abs(ang - w) for w in (36.0, 72.0, 108.0, 144.0)
             ) <= 1e-10
-        min_origin = min(min_origin, math.hypot(*tile.intersection))
+    min_origin = min(map(math.hypot, *patch.intersection.T.tolist()), default=math.inf)
     ok = (
-        len(patch.tiles) > 0
+        len(patch.vertices) > 0
         and edges_ok
         and angles_ok
-        and kinds == {"thin", "thick"}
+        and set(patch.thin.tolist()) == {True, False}
         and patch.skipped_singular > 0
         and min_origin > 1e-6
     )
@@ -198,7 +194,7 @@ def test_criterion_6_tiling_geometry(verdict):
         6,
         "tiling geometry",
         ok,
-        f"{len(patch.tiles)} tiles, {patch.skipped_singular} singular crossings skipped",
+        f"{len(patch.vertices)} tiles, {patch.skipped_singular} singular crossings skipped",
     )
 
 

@@ -114,7 +114,7 @@ def test_grid_count_overflow_is_config_error(tmp_path, args, remedy):
 
 def _disk_grid(radius, step):
     """The whole disk grid that field samples, as one array."""
-    return pw.wavefield._disk_lattice(radius, step, whole=True)
+    return pw.wavefield._disk_lattice(radius, step)
 
 
 def _old_disk_grid(radius, step):
@@ -139,6 +139,15 @@ def _old_disk_grid(radius, step):
     (2.0, 0.5),  # the edge columns x = -2 and x = 2 hold one point each
     (3.0, 0.1),
     (20 / 0.93, 0.05 / 0.93),  # a k-scaled radius and pitch
+    # the golden field grids at scales 0.1, 1 and 2 (at k = 1 and 0.93 alike)
+    (0.30000000000000004, 0.1),
+    (0.6000000000000001, 0.1),
+    (6.0, 0.1),
+    # the benchmark's field grids at k = 1 and k = 0.93
+    (14.0, 0.05),
+    (14 / 0.93, 0.05 / 0.93),
+    (0.0, 0.1),  # radius 0 at the golden step
+    (0.05, 0.1),  # a radius below the step: the origin alone
 ])
 def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
     # the blocks hold the half of the grid from its middle row, the origin, on

@@ -19,9 +19,23 @@ TWO_PI = 2.0 * math.pi
 _Point = namedtuple("_Point", "location value kind eigenvalues")
 
 
-def _seed_grid(cfg, whole=True):
-    """The disk lattice the search seeds, whole or from its centre row on, as one array."""
-    return pw.wavefield._disk_lattice(cfg.radius, cfg.seed_spacing, whole)
+def _seed_grid(cfg):
+    """The whole disk lattice the search stands for, as one array."""
+    return pw.wavefield._disk_lattice(cfg.radius, cfg.seed_spacing)
+
+
+def _half_grid(cfg):
+    """The seeds the search refines: the disk lattice from its centre row, the origin, on,
+    as one array."""
+    return np.concatenate(list(pw.wavefield._disk_lattice_blocks(cfg.radius, cfg.seed_spacing,
+                                                                 1 << 16)))
+
+
+def _with_mates(seeds):
+    """seeds followed by the mate 0.0 - p of each row but the origin: the rows that
+    ex._refine_batch refines, each mate with its row until a fallback splits them."""
+    seeds = np.asarray(seeds, dtype=float)
+    return np.concatenate([seeds, 0.0 - seeds[np.any(seeds != 0.0, axis=1)]])
 
 
 def _rectangle_seeds(window, spacing):
@@ -423,7 +437,7 @@ def test_dedupe_matches_greedy_reference(seed, h):
 
 def test_dedupe_matches_greedy_reference_on_converged_seeds():
     cfg = ex.default_search_config(1.0, 30.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
     assert len(pts) > 1000
     want = _greedy_dedupe_reference(pts, gnorm, cfg.dedupe_radius)
     assert _same_rows(ex._dedupe(pts, gnorm, cfg.dedupe_radius), want)
@@ -455,13 +469,13 @@ def _dedupe_checked(monkeypatch, pts, gnorm, h, traced=False):
 @pytest.mark.parametrize("k", [0.93, 2.5])
 def test_dedupe_matches_greedy_reference_on_a_search_of_radius_100(monkeypatch, k):
     cfg = ex.default_search_config(k, 100.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, _seed_grid(cfg), cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, _half_grid(cfg), cfg)
     assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
 
 
 def test_dedupe_matches_greedy_reference_with_a_radius_near_the_seed_spacing(monkeypatch):
     cfg = ex.default_search_config(1.0, 100.0, dedupe_radius=0.9 * math.pi / 4.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
     assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
 
 
@@ -537,7 +551,7 @@ def test_dedupe_memory_stays_linear_on_coincident_rows(monkeypatch):
 def test_dedupe_memory_stays_linear_on_a_dense_seed_grid(monkeypatch):
     # nearly every converged seed lands in a fine cell with occupied neighbours
     cfg = ex.default_search_config(1.0, 1.0, seed_spacing=0.01, dedupe_radius=0.002)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
     h = cfg.dedupe_radius
     greedy_rows, per_row = _dedupe_checked(monkeypatch, pts, gnorm, h, traced=True)
     assert greedy_rows > 0.9 * len(pts)
@@ -668,6 +682,30 @@ def test_find_critical_points_classifies_in_one_call(monkeypatch):
     assert calls == [(len(found), 2)]
 
 
+@pytest.mark.parametrize("k", [1.0, 0.93])
+def test_traced_field_triple_takes_the_paired_search(k):
+    # perfbench/trace_child.py times the search through a FieldTriple of three wrapped
+    # S5_FIELD callables; it searches as S5_FIELD does, seeding the half lattice. The
+    # disk holds two bands of it, so the first band is not the whole half lattice.
+    cfg = ex.default_search_config(k, 100.0 / k)
+    first_grad = []
+
+    def grad(kk, p):
+        if not first_grad:
+            first_grad.append(np.array(p))
+        return ex.S5_FIELD.grad(kk, p)
+
+    def wrapped(fn):
+        return lambda kk, p: fn(kk, p)
+
+    traced = ex.FieldTriple(wrapped(ex.S5_FIELD.value), grad, wrapped(ex.S5_FIELD.hess))
+    assert ex.find_critical_points(k, cfg, field=traced) == ex.find_critical_points(k, cfg)
+    band = next(pw.wavefield._disk_lattice_blocks(cfg.radius, cfg.seed_spacing,
+                                                  ex._NEWTON_BLOCK))
+    assert len(band) == ex._NEWTON_BLOCK < len(_half_grid(cfg))
+    assert first_grad[0].tobytes() == band.tobytes()
+
+
 def _refine_batch_reference(field, k, seeds, cfg):
     """The Newton loop before the compacted working set, kept verbatim as the oracle."""
     pts = np.array(seeds, dtype=float)
@@ -731,35 +769,37 @@ def _two_row_batches(field):
             return fn(k, p)
         return evaluated
 
-    return ex.FieldTriple(field.value, two_rows(field.grad), two_rows(field.hess), field.odd)
+    return ex.FieldTriple(field.value, two_rows(field.grad), two_rows(field.hess))
 
 
 def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None, band=None):
-    """ex._refine_batch's rows, checked byte for byte against the reference's converged
-    rows inside the disk, in any order; returns them and the reference's whole result.
-    traced, a copy of field that records its calls, is the one ex._refine_batch calls;
-    with band, ex._refine_batch runs on consecutive bands of that many seeds, and
-    their rows are joined."""
+    """ex._refine_batch's rows, checked byte for byte against the converged rows inside
+    the disk of the reference on the seeds and their mates (_with_mates), in any order;
+    returns them and the reference's result on the seeds' own rows. traced, a copy of
+    field that records its calls, is the one ex._refine_batch calls; with band,
+    ex._refine_batch runs on consecutive bands of that many seeds, and their rows are
+    joined."""
     band = band or max(len(seeds), 1)
     bands = [ex._refine_batch(traced or field, k, seeds[i:i + band], cfg)
              for i in range(0, max(len(seeds), 1), band)]
     got = tuple(map(np.concatenate, zip(*bands)))
-    want = _refine_batch_reference(_two_row_batches(field), k, seeds, cfg)
+    want = _refine_batch_reference(_two_row_batches(field), k, _with_mates(seeds), cfg)
     assert _sorted_rows(*got) == _sorted_rows(*_in_disk(want, cfg))
-    return got, want
+    return got, tuple(column[:len(seeds)] for column in want)
 
 
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_refine_batch_matches_reference(field, k):
+    # the seeds of the search, which with their mates are the whole lattice
     cfg = ex.default_search_config(k, 20.0 / k)
-    seeds = _seed_grid(cfg)
+    seeds = _half_grid(cfg)
     (pts, _), _ = _assert_refine_matches_reference(field, k, seeds, cfg)
-    assert len(pts) > 0.5 * len(seeds)
+    assert len(pts) > 0.5 * len(_seed_grid(cfg))
     # few steps leave rows unconverged when the loop ends
     short = ex.default_search_config(k, 20.0 / k, max_newton_steps=3)
     (pts, _), _ = _assert_refine_matches_reference(field, k, seeds, short)
-    assert 0 < len(pts) < len(seeds)
+    assert 0 < len(pts) < len(_seed_grid(cfg))
 
 
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
@@ -767,7 +807,7 @@ def test_refine_batch_matches_reference_on_fallback_steps(field):
     # a degeneracy threshold this large sends many rows through the damped
     # gradient branch, next to regular rows in the same step
     cfg = ex.default_search_config(1.0, 15.0, eig_degenerate_tol=0.5)
-    _assert_refine_matches_reference(field, 1.0, _seed_grid(cfg), cfg)
+    _assert_refine_matches_reference(field, 1.0, _half_grid(cfg), cfg)
 
 
 def test_refine_batch_matches_reference_on_window_and_critical_seeds():
@@ -789,7 +829,7 @@ def test_refine_batch_matches_reference_on_window_and_critical_seeds():
 
 def test_refine_batch_matches_reference_on_small_batches():
     cfg = ex.default_search_config(1.0, 10.0)
-    grid = _seed_grid(cfg)
+    grid = _half_grid(cfg)
     rng = np.random.default_rng(11)
     for field in (ex.S5_FIELD, ex.S2_FIELD):
         for seeds in (grid[:0], grid[:1], grid[7:9], grid[[0, -1]], np.zeros((1, 2))):
@@ -911,7 +951,7 @@ def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
     # bands
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
     cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
-    seeds = _seed_grid(cfg, whole=False)
+    seeds = _half_grid(cfg)
     hess = pw.hess_s2(1.0, seeds)
     assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
     with warnings.catch_warnings():
@@ -963,7 +1003,7 @@ def test_find_critical_points_memory_per_seed():
 
 def test_dedupe_memory_per_candidate():
     cfg = ex.default_search_config(1.0, 100.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _seed_grid(cfg), cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
     tracemalloc.start()
     try:
         ex._dedupe(pts, gnorm, cfg.dedupe_radius)
@@ -985,32 +1025,17 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def _first_band(cfg, whole):
-    """The first band of seeds find_critical_points refines, of the whole lattice or of
-    its half from the origin on."""
+def _first_band(cfg):
+    """The first band of seeds find_critical_points refines, from the origin on."""
     return next(pw.wavefield._disk_lattice_blocks(cfg.radius, cfg.seed_spacing,
-                                                  ex._NEWTON_BLOCK, whole))
-
-
-def test_refine_batch_memory_per_seed():
-    # one band of the whole lattice, as the search refines a field not declared odd
-    cfg = ex.default_search_config(1.0, 200.0)
-    seeds = _first_band(cfg, whole=True)
-    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg)
-    # on the whole lattice at R = 100: 137 B per seed, then 131.9 B; 113.4 B with the
-    # result table filled as rows leave the loop, 81.4 B with only the rows that
-    # converge inside the disk kept. On one band, which now holds all of each step's
-    # field work at once: 124.2 B per row
-    assert len(seeds) == ex._NEWTON_BLOCK
-    assert peak / len(seeds) < 126
+                                                  ex._NEWTON_BLOCK))
 
 
 def test_mirrored_refine_batch_memory_per_seed():
-    # the production path: one band of the half lattice, each row but the origin
-    # standing for its mate too
+    # one band of the half lattice, each row but the origin standing for its mate too
     cfg = ex.default_search_config(1.0, 200.0)
-    seeds = _first_band(cfg, whole=False)
-    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg, True)
+    seeds = _first_band(cfg)
+    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg)
     # on the half lattice at R = 100, per seed of the whole lattice: 89.4 B with the
     # whole result table held from the start; 70.9 B with the mates' rows made as the
     # loop ends, 56.7 B with only the rows that converge inside the disk kept. On one

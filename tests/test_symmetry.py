@@ -3,9 +3,10 @@
 s5 and s2 are sums of sines of projections of p, so under p -> 0.0 - p the
 field is odd, its gradient even and its Hessian odd, bit for bit with numpy's
 sin and cos. The Newton loop therefore runs half of each disk lattice, and
-converge samples half of its grid; these tests hold both to the whole-grid
-results byte for byte (tobytes, which tells -0.0 from 0.0). The Newton loop
-returns its rows in no set order, so its results are compared as sorted rows.
+converge samples half of its grid; these tests hold the loop to its reference
+on the whole lattice and converge to the whole-grid results, byte for byte
+(tobytes, which tells -0.0 from 0.0). The Newton loop returns its rows in no
+set order, so its results are compared as sorted rows.
 """
 
 import json
@@ -18,7 +19,21 @@ import pentawave as pw
 from pentawave import cli
 from pentawave import extrema as ex
 from pentawave.wavefield import _disk_lattice, _disk_lattice_blocks
-from test_extrema import _sorted_rows
+from test_extrema import (
+    _half_grid,
+    _in_disk,
+    _refine_batch_reference,
+    _seed_grid,
+    _seed_grid_reference,
+    _sorted_rows,
+    _two_row_batches,
+)
+
+
+def _reference(field, k, seeds, cfg):
+    """The reference Newton loop's converged rows inside the disk: the rows that
+    ex._refine_batch returns, without pairs."""
+    return _in_disk(_refine_batch_reference(_two_row_batches(field), k, seeds, cfg), cfg)
 
 
 def _samples():
@@ -48,11 +63,12 @@ def test_projection_of_the_mirror_point_is_the_mirrored_projection():
 
 def test_the_whole_lattice_mirrors_its_half():
     for cfg in (ex.default_search_config(1.0, 7.3), ex.default_search_config(0.93, 0.3)):
-        half = _disk_lattice(cfg.radius, cfg.seed_spacing)
-        whole = _disk_lattice(cfg.radius, cfg.seed_spacing, whole=True)
+        half, whole = _half_grid(cfg), _seed_grid(cfg)
         assert half[0].tolist() == [0.0, 0.0] and len(whole) == 2 * len(half) - 1
         assert whole.tobytes() == (0.0 - whole[::-1]).tobytes()
         assert whole[len(half) - 1:].tobytes() == half.tobytes()
+        # the mirrored half is the lattice built whole from a meshgrid
+        assert whole.tobytes() == _seed_grid_reference(cfg).tobytes()
 
 
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
@@ -76,10 +92,8 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
             for overrides in ({}, {"eig_degenerate_tol": 0.5}, {"max_newton_steps": 3},
                               {"grad_tol": 1e-14}):
                 cfg = ex.default_search_config(k, radius, **overrides)
-                half = _disk_lattice(radius, cfg.seed_spacing)
-                whole = _disk_lattice(radius, cfg.seed_spacing, whole=True)
-                got = ex._refine_batch(field, k, half, cfg, mirror=True)
-                want = ex._refine_batch(field, k, whole, cfg)
+                got = ex._refine_batch(field, k, _half_grid(cfg), cfg)
+                want = _reference(field, k, _seed_grid(cfg), cfg)
                 assert _sorted_rows(*got) == _sorted_rows(*want), (k, radius, overrides)
     # fallback ties split pairs, and s5's last active rows step alone
     assert events["split"] > 0
@@ -96,15 +110,15 @@ def _arc_grad(k, p):
 # |y| = 0.954 and turns NaN past |y| = 1. Its zero Hessian sends every step
 # through the fallback, and x stays exactly 0.0. The coarse grad_tol lets rows
 # converge on the fallback's fixed steps, split mates among them.
-_ARC_FIELD = ex.FieldTriple(None, _arc_grad, lambda k, p: np.zeros(p.shape + (2,)), odd=True)
+_ARC_FIELD = ex.FieldTriple(None, _arc_grad, lambda k, p: np.zeros(p.shape + (2,)))
 _ARC_SEARCH = ex.default_search_config(1.0, 10.0, grad_tol=0.05)
 _ARC_SEEDS = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.95], [0.0, -0.95], [0.0, 0.97],
                        [0.0, 1.5]])
 
 
-def _refine_arc(seeds, mirror):
+def _refine_arc(refine, seeds):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return ex._refine_batch(_ARC_FIELD, 1.0, seeds, _ARC_SEARCH, mirror=mirror)
+        return refine(_ARC_FIELD, 1.0, seeds, _ARC_SEARCH)
 
 
 def test_split_mates_keep_positive_zeros(monkeypatch):
@@ -121,9 +135,9 @@ def test_split_mates_keep_positive_zeros(monkeypatch):
         return new, split, mate
 
     monkeypatch.setattr(ex, "_newton_step", counted)
-    got = _refine_arc(_ARC_SEEDS, mirror=True)
+    got = _refine_arc(ex._refine_batch, _ARC_SEEDS)
     # the whole lattice of a half, the mirror relation the paired search rests on
-    want = _refine_arc(np.concatenate([0.0 - _ARC_SEEDS[:0:-1], _ARC_SEEDS]), mirror=False)
+    want = _refine_arc(_reference, np.concatenate([0.0 - _ARC_SEEDS[:0:-1], _ARC_SEEDS]))
     assert _sorted_rows(*got) == _sorted_rows(*want)
     assert sum(splits) == 3
     # converged pairs come back as two rows and the origin does not converge, so an
@@ -156,7 +170,7 @@ def test_search_does_not_depend_on_the_order_of_the_refined_rows(monkeypatch):
                         got = ex.find_critical_points(k, cfg, field=field)
                     for name in ("location", "value", "kind", "eigenvalues"):
                         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    returned.append(_refine_arc(_ARC_SEEDS, mirror=True)[0])
+    returned.append(_refine_arc(ex._refine_batch, _ARC_SEEDS)[0])
     assert len(returned) == 17 and min(map(len, returned)) > 0
     assert not any((np.signbit(pts) & (pts == 0.0)).any() for pts in returned)
 
@@ -170,20 +184,16 @@ def test_one_seed_search_rounds_its_seed_as_a_row_of_a_batch(k):
     cfg = ex.default_search_config(k, 0.3 / k)
     origin = np.zeros((1, 2))
     batch = pw.grad_s5(k, np.zeros((2, 2)))[:1]
-    half = _disk_lattice(cfg.radius, cfg.seed_spacing)
+    half = _half_grid(cfg)
     assert half.tobytes() == origin.tobytes()
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg, mirror=True)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg)
     assert pts.tobytes() == origin.tobytes()
     assert gnorm.tobytes() == np.hypot(batch[:, 0], batch[:, 1]).tobytes()
     found = ex.find_critical_points(k, cfg)
     assert found.location.tobytes() == origin.tobytes()
 
 
-_UNDECLARED_S5 = ex.FieldTriple(pw.s5, pw.grad_s5, pw.hess_s5)
-
-
-@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD, _UNDECLARED_S5],
-                         ids=["s5", "s2", "s5-undeclared"])
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
 @pytest.mark.parametrize("k", [1.0, 0.93])
 def test_search_does_not_depend_on_the_band_size(monkeypatch, field, k):
     # a one-row batch is evaluated as two rows, so each seed's trajectory depends on
@@ -203,17 +213,6 @@ def test_search_does_not_depend_on_the_band_size(monkeypatch, field, k):
                         radius, overrides, band, name)
 
 
-@pytest.mark.parametrize("k", [1.0, 0.93])
-def test_search_of_an_odd_field_equals_the_undeclared_search(k):
-    cfg = ex.default_search_config(k, 40.0 / k, eig_degenerate_tol=0.5 * k * k)
-    for field in (ex.S5_FIELD, ex.S2_FIELD):
-        undeclared = ex.FieldTriple(field.value, field.grad, field.hess)
-        got = ex.find_critical_points(k, cfg, field=field)
-        want = ex.find_critical_points(k, cfg, field=undeclared)
-        for name in ("location", "value", "kind", "eigenvalues"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_converge_maxima_on_the_half_grid_are_those_of_the_whole_grid(k):
     terms, step = 12, 0.1 / k
@@ -221,7 +220,7 @@ def test_converge_maxima_on_the_half_grid_are_those_of_the_whole_grid(k):
     spec = pw.SeriesSpec(k, terms)
     # down to a radius below one step, where the grid is the origin alone
     for radius in (20.0 / k, 3.0, 1.0, 0.15, 0.05):
-        whole = _disk_lattice(radius, step, whole=True)
+        whole = _disk_lattice(radius, step)
         edges = pw.wavefield._block_edges(len(whole), chunk)
         want, count = cli._blocked_max_errors(
             spec, (whole[a:b] for a, b in zip(edges, edges[1:])))
@@ -237,4 +236,4 @@ def test_converge_counts_the_whole_grid(tmp_path, radius, step):
     assert cli.main(["converge", "--radius", repr(radius), "--grid-step", repr(step),
                      "--out", str(out), "--format", "json"]) == 0
     report = json.loads((out / "converge.json").read_text())["report"]
-    assert report["num_samples"] == len(_disk_lattice(radius, step, whole=True))
+    assert report["num_samples"] == len(_disk_lattice(radius, step))
