@@ -60,6 +60,7 @@ from .wavefield import (
     project,
     s2,
     s5,
+    series_max_errors,
     series_partial,
     tail_bound,
     terms_for_tolerance,

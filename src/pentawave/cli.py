@@ -53,15 +53,11 @@ from .wavefield import (
     GOLDEN_RATIO,
     SeriesSpec,
     _disk_lattice,
-    _disk_lattice_blocks,
     _disk_lattice_size,
-    _map_blocks,
-    _sin_prod,
-    _sin_sum,
     direction_basis,
     p5,
-    project,
     s5,
+    series_max_errors,
     series_partial,
     series_term,
     tail_bound,
@@ -75,11 +71,6 @@ EXIT_CONTRACT = 4
 # Cap on the sample grid, the extrema seed grid and the tiling crossings, each
 # checked before its arrays are allocated.
 _MAX_GRID_SAMPLES = 10 ** 8
-
-# Bytes of the terms x points block of signed series terms that each worker of
-# the block pool holds at once; the disk grid is processed in chunks of points
-# sized to fit it.
-_CONVERGE_BLOCK_BYTES = 1 << 20
 
 # Every top-level setting, set by the flag --name (- for _) or the config-file key
 # name: its type, default and flag help. Each is the RunConfig field of its name,
@@ -407,55 +398,6 @@ def _run_identity(cfg):
     return _emit(cfg, "identity", report, ["check", "max_abs_residual"], columns)
 
 
-def _converge_chunk(terms):
-    """Points per block of converge, sized so terms x points doubles fit _CONVERGE_BLOCK_BYTES."""
-    return max(2, _CONVERGE_BLOCK_BYTES // (8 * max(1, terms)))
-
-
-def _blocked_max_errors(spec, blocks):
-    """(max |s5 - series_partial(SeriesSpec(spec.k, N))| for N = 0..spec.num_terms, points).
-
-    The maxima run over every point of an iterable of point blocks, and the
-    second item counts those points. The blocks run on the block pool
-    (_map_blocks). Each block is projected once; s5 and every series term are
-    evaluated from that projection, each term once. The terms are then
-    re-added for every N in series_partial's order (from zero, n = N-1 down
-    to 0), so each maximum equals the one-N-at-a-time result bit for bit.
-    A block holds its terms x points table, s5 and two rows of points while it
-    re-adds them: the projection is freed first, and |s5 - 16 S_N| is formed in
-    one buffer for every N.
-    """
-    terms = spec.num_terms
-    params = [series_term(spec.k, n) for n in range(terms)]
-
-    def block_errors(pts):
-        a = project(pts)
-        s5_vals = _sin_sum(spec.k, a)
-        block = np.empty((terms, len(a)))
-        for n, (coeff, kn) in enumerate(params):
-            _sin_prod(kn, a, out=block[n])
-            block[n] *= coeff
-        del a
-        total = np.empty(len(pts))
-        error = np.empty(len(pts))
-        errors = []
-        for num in range(terms + 1):
-            total.fill(0.0)
-            for n in range(num - 1, -1, -1):
-                total += block[n]
-            np.multiply(16.0, total, out=error)
-            np.subtract(s5_vals, error, out=error)
-            errors.append(np.abs(error, out=error).max())
-        return errors, len(pts)
-
-    worst = np.zeros(terms + 1)  # every error is an absolute value
-    num_points = 0
-    for errors, size in _map_blocks(block_errors, blocks):
-        num_points += size
-        worst = np.maximum(worst, errors)
-    return worst, num_points
-
-
 def _run_converge(cfg):
     spec = _config_checked(SeriesSpec, cfg.k, cfg.terms)
     bounds = [
@@ -463,10 +405,7 @@ def _run_converge(cfg):
         for n in range(cfg.terms + 1)
     ]
     _check_disk_grid(cfg.radius, cfg.grid_step)
-    # s5 (a sum of sines) and each term (a product of five) are odd bit for bit, so
-    # |s5 - series_N| is the same at p and -p and the half grid has every maximum
-    blocks = _disk_lattice_blocks(cfg.radius, cfg.grid_step, _converge_chunk(cfg.terms))
-    errors, half = _blocked_max_errors(spec, blocks)
+    errors, num_samples = series_max_errors(spec, cfg.radius, cfg.grid_step)
     rows = list(zip(range(cfg.terms + 1), map(float, errors), bounds))
     for n, err, bound in rows:
         if err > bound:
@@ -474,7 +413,7 @@ def _run_converge(cfg):
                 f"max error {err:g} exceeds bound {bound:g} at {n} terms"
             )
     report = {
-        "num_samples": 2 * half - 1,
+        "num_samples": num_samples,
         "rows": [{"N": n, "max_error": e, "bound": b} for n, e, b in rows],
     }
 

@@ -2,8 +2,8 @@
 
 Evaluates the five-wave field s5, its single-product counterpart p5, the
 two-wave checkerboard field s2, their analytic first and second
-derivatives, the golden-ratio series approximant of s5, and the
-closed-form bound on the series truncation error.
+derivatives, the golden-ratio series approximant of s5, its worst error
+over a disk lattice, and the closed-form bound on that error.
 
 Conventions:
     Directions e_i = (cos(2*pi*i/5), sin(2*pi*i/5)) for i = 0..4.
@@ -43,6 +43,10 @@ _FIB_FLOAT_SWITCH = 70
 # tau**1474 is the largest power of the golden ratio below the double range,
 # so term n = 1473 is the last whose coefficient tau**(n+1)/sqrt(5) is finite.
 _MAX_SERIES_TERMS = 1474
+
+# Bytes of the terms x points table of series terms that each worker of the block
+# pool holds at once in series_max_errors, which sizes its blocks of points to fit.
+_SERIES_BLOCK_BYTES = 1 << 20
 
 
 def _as_points(p):
@@ -289,6 +293,61 @@ def series_partial(spec, p):
         coeff, kn = series_term(spec.k, n)
         total = total + coeff * _sin_prod(kn, a)
     return _maybe_scalar(16.0 * total)
+
+
+def _series_block_size(terms):
+    """Points per block of series_max_errors, so terms x points doubles fit _SERIES_BLOCK_BYTES."""
+    return max(2, _SERIES_BLOCK_BYTES // (8 * max(1, terms)))
+
+
+def _blocked_series_max_errors(spec, blocks):
+    """series_max_errors over an iterable of point blocks: (maxima, points counted).
+
+    The blocks run on the block pool (_map_blocks). Each is projected once, and s5
+    and every term are evaluated from that projection. Each partial sum is one
+    reduction over the table's rows, which numpy adds in order, not pairwise: from
+    +0.0, n = N-1 down to 0, as series_partial does, so each maximum equals the
+    one-N-at-a-time result bit for bit. While it sums, a block holds its table, s5
+    and one buffer, in which |s5 - 16 S_N| is formed for every N.
+    """
+    terms = spec.num_terms
+    params = [series_term(spec.k, n) for n in range(terms)]
+
+    def block_errors(pts):
+        a = project(pts)
+        s5_vals = _sin_sum(spec.k, a)
+        block = np.empty((terms, len(a)))
+        for n, (coeff, kn) in enumerate(params):
+            _sin_prod(kn, a, out=block[n])
+            block[n] *= coeff
+        del a
+        error = np.empty(len(pts))
+        errors = []
+        for num in range(terms + 1):
+            np.add.reduce(block[:num][::-1], axis=0, out=error, initial=0.0)
+            error *= 16.0
+            np.subtract(s5_vals, error, out=error)
+            errors.append(np.abs(error, out=error).max())
+        return errors, len(pts)
+
+    worst = np.zeros(terms + 1)  # every error is an absolute value
+    num_points = 0
+    for errors, size in _map_blocks(block_errors, blocks):
+        num_points += size
+        worst = np.maximum(worst, errors)
+    return worst, num_points
+
+
+def series_max_errors(spec, radius, step):
+    """(max |s5 - series_partial(SeriesSpec(spec.k, N))| for N = 0..spec.num_terms,
+    samples) over the disk lattice of _disk_lattice(radius, step), held a block at a time.
+
+    s5 (a sum of sines) and each term (a product of five) are odd bit for bit, so
+    |s5 - series_N| is the same at p and -p and the half lattice has every maximum.
+    """
+    blocks = _disk_lattice_blocks(radius, step, _series_block_size(spec.num_terms))
+    errors, half = _blocked_series_max_errors(spec, blocks)
+    return errors, 2 * half - 1
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
     want = whole[len(whole) // 2:]
     assert want[0].tolist() == [0.0, 0.0]
     total = len(want)
-    sizes = {1, 2, 3, 5, 64, total, total + 1, cli._converge_chunk(14), 1 << 16}
+    sizes = {1, 2, 3, 5, 64, total, total + 1, pw.wavefield._series_block_size(14), 1 << 16}
     if total > 2:
         sizes.add(total - 1)  # a lone last point
     if total > 6:
@@ -174,7 +174,7 @@ def test_disk_blocks_are_the_block_edges_slices_of_the_old_grid(radius, step):
 def test_converge_memory_does_not_grow_with_radius(tmp_path, monkeypatch):
     # converge holds one block of the disk grid at a time.
     terms, step = 8, 0.05
-    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 1024)
+    monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * 1024)
     # one worker: with two, the peak counts however many blocks are in flight at
     # once, which varies from run to run by more than the margin below
     monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: 1)
@@ -216,12 +216,13 @@ def test_converge_chunk_memory_is_its_table_and_one_term(monkeypatch):
     # one worker, so the peak is one chunk's
     monkeypatch.setattr(pw.wavefield, "_pool_workers", lambda: 1)
     spec = pw.SeriesSpec(1.0, 14)
-    pts = next(pw.wavefield._disk_lattice_blocks(20.0, 0.05, cli._converge_chunk(14)))
+    chunk = pw.wavefield._series_block_size(14)
+    pts = next(pw.wavefield._disk_lattice_blocks(20.0, 0.05, chunk))
     row = 8 * len(pts)
     for _ in range(2):  # the first run fills numpy's allocation caches
         tracemalloc.start()
         try:
-            cli._blocked_max_errors(spec, [pts])
+            pw.wavefield._blocked_series_max_errors(spec, [pts])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,11 +265,11 @@ def _series_errors_one_n_at_a_time(k, pts, terms):
 
 
 def _series_max_errors(spec, pts):
-    """The per-N maxima of cli._blocked_max_errors over the converge chunks of an array
-    of points."""
-    edges = pw.wavefield._block_edges(len(pts), cli._converge_chunk(spec.num_terms))
+    """The per-N maxima of series_max_errors over its blocks of an array of points."""
+    chunk = pw.wavefield._series_block_size(spec.num_terms)
+    edges = pw.wavefield._block_edges(len(pts), chunk)
     blocks = (pts[start:stop] for start, stop in zip(edges, edges[1:]))
-    return cli._blocked_max_errors(spec, blocks)[0]
+    return pw.wavefield._blocked_series_max_errors(spec, blocks)[0]
 
 
 def _chunk_leaving_one_point(num_points):
@@ -287,7 +288,7 @@ def test_converge_errors_equal_series_partial(tmp_path, monkeypatch, k, radius, 
     pts = _disk_grid(radius, step)
     if several_chunks:
         chunk = _chunk_leaving_one_point(len(pts))
-        monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+        monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * chunk)
     out = tmp_path / "conv"
     code = cli.main([
         "converge", "--k", repr(k), "--radius", repr(radius), "--grid-step", repr(step),
@@ -316,9 +317,29 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
     s5_vals = pw.s5(1.0, pts)
     worst = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(1.0, 5), pts)).argmax()
     pts = np.vstack([np.delete(pts, worst, axis=0), pts[worst]])
-    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * 100)
+    monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * 100)
     got = _series_max_errors(pw.SeriesSpec(1.0, terms), pts)
     assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, pts, terms)
+
+
+@pytest.mark.parametrize("k, radius, step", [
+    (1.0, 3.25, 0.25),  # a half of 3 * 88 + 1 points: the lone last row joins block 3
+    (0.93, 0.75, 0.1),  # a half of 88 + 1 points: the lone last row joins the one block
+    (1.0, 0.05, 0.1),  # a radius below the step: the origin alone
+])
+def test_converge_errors_equal_series_partial_at_the_term_count_extremes(k, radius, step):
+    # Past about 22 terms double rounding exceeds the bound off the origin, so the CLI
+    # cannot run these; series_max_errors is called as converge calls it. N = 70-72
+    # span the switch of the Fibonacci coefficients to the closed form.
+    terms = pw.wavefield._MAX_SERIES_TERMS
+    assert pw.wavefield._series_block_size(terms) == 88
+    pts = pw.wavefield._disk_lattice(radius, step)
+    s5_vals = pw.s5(k, pts)
+    errors, num_samples = pw.series_max_errors(pw.SeriesSpec(k, terms), radius, step)
+    assert num_samples == len(pts)
+    for n in (0, 1, 70, 71, 72, terms - 1, terms):
+        want = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(k, n), pts)).max()
+        assert errors[n].tobytes() == want.tobytes(), n
 
 
 def test_converge_rounding_violation_reported_at_first_failing_n(tmp_path):
@@ -340,7 +361,7 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
     # converge evaluates the half of the grid from the origin on
     num_points = len(_disk_grid(radius, step)) // 2 + 1
     chunk = _chunk_leaving_one_point(num_points)
-    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+    monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * chunk)
     calls = {"project": 0, "_sin_sum": 0, "_sin_prod": 0, "s5": 0, "p5": 0, "series_partial": 0}
     lock = threading.Lock()  # the blocks run on the block pool's threads
 
@@ -351,8 +372,11 @@ def test_converge_evaluates_each_term_once_per_chunk(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    # the kernel's names in wavefield, and the evaluators cli also binds
+    for module in (pw.wavefield, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code = cli.main(["converge", "--radius", repr(radius), "--grid-step", repr(step),
                      "--terms", str(terms), "--out", str(tmp_path / "conv")])
     assert code == 0
@@ -369,7 +393,7 @@ def test_outputs_do_not_depend_on_the_block_pool_size(tmp_path, monkeypatch):
     radius, step, terms = 4.0, 0.25, 9
     pts = _disk_grid(radius, step)
     chunk = _chunk_leaving_one_point(len(pts))
-    monkeypatch.setattr(cli, "_CONVERGE_BLOCK_BYTES", 8 * terms * chunk)
+    monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * chunk)
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({"tolerances": {"identity_num_points": 50002}}))
     runs = {

@@ -2,10 +2,12 @@
 
 The literals asserted elsewhere in the suite were produced once with mpmath
 at 40 significant digits. This module rederives them from scratch so a
-transcription error in any frozen constant fails loudly.
+transcription error in any frozen constant fails loudly. It also checks the
+paper's truncation bound at 50 digits, past where double precision resolves it.
 """
 
 import mpmath as mp
+import pytest
 
 import pentawave as pw
 
@@ -73,3 +75,38 @@ def test_grad_constant():
     gy = mp.fsum(ey * mp.cos(x * ex + y * ey) for ex, ey in _directions())
     assert abs(float(gx) - GRAD_S5_K1_03_08[0]) <= 1e-18
     assert abs(float(gy) - GRAD_S5_K1_03_08[1]) <= 1e-18
+
+
+def _series_deviations_mp(k, radius, num_terms, num_angles=20):
+    """Worst |s5 - series_N| for N = 0..num_terms at 50 digits, over num_angles points on
+    the rim of the disk, every 360/num_angles degrees from the x axis, and two inside it."""
+    with mp.workdps(50):
+        k, radius = mp.mpf(k), mp.mpf(radius)
+        tau = (1 + mp.sqrt(5)) / 2
+        angles = [2 * mp.pi * j / num_angles for j in range(num_angles)]
+        points = [(radius * mp.cos(t), radius * mp.sin(t)) for t in angles]
+        points += [(radius / 2, mp.mpf(0)), (mp.mpf(0), radius / 3)]
+        worst = [mp.mpf(0)] * (num_terms + 1)
+        for x, y in points:
+            a = [x * ex + y * ey for ex, ey in _directions()]
+            s5 = mp.fsum(mp.sin(k * ai) for ai in a)
+            partial = mp.mpf(0)
+            for n in range(num_terms + 1):
+                worst[n] = max(worst[n], abs(s5 - 16 * partial))
+                if n < num_terms:
+                    kn = k / (2 * tau ** (n + 1))
+                    partial += (-1) ** n * pw.fib(n) * mp.fprod(mp.sin(kn * ai) for ai in a)
+        return [float(w) for w in worst]
+
+
+@pytest.mark.parametrize("k, radius", [(1.0, 10.0), (0.93, 14.0 / 0.93), (2.5, 3.0)])
+def test_series_deviation_is_a_fixed_share_of_the_tail_bound(k, radius):
+    # The paper's uniform convergence on the disk, for N = 8-40 terms: double
+    # precision resolves |s5 - series_N| at R = 10 only up to about N = 22. The worst
+    # deviation lies on the rim, where prod_i a_i peaks every 36 degrees, and stays
+    # 0.0458-0.0466 of the bound (0.0466 once the sines are linear in their small
+    # arguments), so it never exceeds the bound.
+    worst = _series_deviations_mp(k, radius, 40)
+    for n in range(8, 41):
+        ratio = worst[n] / pw.tail_bound(k, radius, n).scaled_bound
+        assert 0.0455 <= ratio <= 0.047, (n, ratio)

@@ -18,7 +18,12 @@ import pytest
 import pentawave as pw
 from pentawave import cli
 from pentawave import extrema as ex
-from pentawave.wavefield import _disk_lattice, _disk_lattice_blocks
+from pentawave.wavefield import (
+    _blocked_series_max_errors,
+    _disk_lattice,
+    _disk_lattice_blocks,
+    _series_block_size,
+)
 from test_extrema import (
     _half_grid,
     _in_disk,
@@ -216,16 +221,16 @@ def test_search_does_not_depend_on_the_band_size(monkeypatch, field, k):
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_converge_maxima_on_the_half_grid_are_those_of_the_whole_grid(k):
     terms, step = 12, 0.1 / k
-    chunk = cli._converge_chunk(terms)
+    chunk = _series_block_size(terms)
     spec = pw.SeriesSpec(k, terms)
     # down to a radius below one step, where the grid is the origin alone
     for radius in (20.0 / k, 3.0, 1.0, 0.15, 0.05):
         whole = _disk_lattice(radius, step)
         edges = pw.wavefield._block_edges(len(whole), chunk)
-        want, count = cli._blocked_max_errors(
+        want, count = _blocked_series_max_errors(
             spec, (whole[a:b] for a, b in zip(edges, edges[1:])))
         assert count == len(whole)
-        got, half = cli._blocked_max_errors(spec, _disk_lattice_blocks(radius, step, chunk))
+        got, half = _blocked_series_max_errors(spec, _disk_lattice_blocks(radius, step, chunk))
         assert got.tobytes() == want.tobytes(), radius
         assert 2 * half - 1 == len(whole)
 

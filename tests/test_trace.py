@@ -4,7 +4,7 @@ The child wraps pentawave names from outside, so it fails at once when one of th
 deleted or changes its signature. Some names are kept only for it: TilingPatch.tiles,
 which it counts with len, the one-element SvgCanvas.circle and polygon,
 cli.matching_correspondences, and the three-argument FieldTriple it times the search
-through. Each run must exit 0 and write a spans file that parses.
+through. All six commands run; each must exit 0 and write a spans file that parses.
 """
 
 import json
@@ -22,6 +22,9 @@ RUNS = {
     "tiling": ["tiling", "--radius", "60", "--format", "json"],
     "field": ["field", "--radius", "1.4", "--grid-step", "0.05", "--terms", "12",
               "--format", "csv,json,svg"],
+    "extrema": ["extrema", "--radius", "5", "--format", "csv,json,svg"],
+    "identity": ["identity", "--radius", "2", "--format", "csv,json"],
+    "converge": ["converge", "--radius", "2", "--terms", "10", "--format", "csv,json,svg"],
 }
 
 
@@ -55,3 +58,11 @@ def test_trace_child_runs_each_command(tmp_path, command):
         assert counts["extrema.critical_points"] > report["num_extrema"] > 0
     if command == "field":
         assert {"wavefield.eval", "wavefield.series", "svgout.write"} <= kinds
+    if command == "extrema":
+        report = json.loads((out / "extrema.json").read_text(encoding="utf-8"))["report"]
+        assert counts["extrema.critical_points"] == report["num_points"] > 0
+    if command == "identity":
+        report = json.loads((out / "identity.json").read_text(encoding="utf-8"))["report"]
+        assert counts["identities.points"] == report["num_points"] > 0
+    if command == "converge":
+        assert "svgout.write" in kinds
