@@ -160,7 +160,8 @@ def project(p):
 
 def _sin_sum(kk, a):
     """sum_i sin(kk * a_i) over projections a of shape (..., 5)."""
-    return np.sin(np.expand_dims(kk, -1) * a).sum(axis=-1)
+    ka = np.expand_dims(kk, -1) * a
+    return np.sin(ka, out=ka).sum(axis=-1)
 
 
 def _sin_prod(kk, a, out=None):
@@ -283,16 +284,16 @@ def series_term(k, n):
 def series_partial(spec, p):
     """Partial sum of the golden-ratio series approximating s5.
 
-    Evaluates 16 * sum_{n=0}^{num_terms-1} (-1)^n F_n prod_i sin(k a_i / (2 tau^(n+1))).
-    Terms are added smallest first (n descending) to limit cancellation;
-    num_terms = 0 returns 0.
+    Evaluates 16 * sum_{n=0}^{num_terms-1} (-1)^n F_n prod_i sin(k a_i / (2 tau^(n+1)))
+    by _series_sums, _series_block_size rows at a time; num_terms = 0 returns 0. The
+    input is projected once on its own shape, so a stacked batch keeps its rounding.
     """
     a = project(p)
-    total = np.zeros(a.shape[:-1])
-    for n in range(spec.num_terms - 1, -1, -1):
-        coeff, kn = series_term(spec.k, n)
-        total = total + coeff * _sin_prod(kn, a)
-    return _maybe_scalar(16.0 * total)
+    rows, size = a.reshape(-1, 5), _series_block_size(spec.num_terms)
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), size):
+        out[i:i + size] = next(_series_sums(spec, rows[i:i + size], [spec.num_terms]))
+    return _maybe_scalar(out.reshape(a.shape[:-1]))
 
 
 def _series_block_size(terms):
@@ -300,37 +301,40 @@ def _series_block_size(terms):
     return max(2, _SERIES_BLOCK_BYTES // (8 * max(1, terms)))
 
 
-def _blocked_series_max_errors(spec, blocks):
-    """series_max_errors over an iterable of point blocks: (maxima, points counted).
+def _series_sums(spec, a, nums):
+    """Yield 16 * S_N, the sum of terms n < N, over projections a (m, 5) for each N in nums.
 
-    The blocks run on the block pool (_map_blocks). Each is projected once, and s5
-    and every term are evaluated from that projection. Each partial sum is one
-    reduction over the table's rows, which numpy adds in order, not pairwise: from
-    +0.0, n = N-1 down to 0, as series_partial does, so each maximum equals the
-    one-N-at-a-time result bit for bit. While it sums, a block holds its table, s5
-    and one buffer, in which |s5 - 16 S_N| is formed for every N.
+    The one place that orders series terms. Each S_N is one reduction of the terms' table,
+    first N rows reversed, which numpy adds in order from +0.0 (n = N-1 down to 0); a lone
+    row is tabled twice, as numpy sums one column pairwise. All N share one buffer.
     """
-    terms = spec.num_terms
-    params = [series_term(spec.k, n) for n in range(terms)]
+    m = len(a)
+    a = np.concatenate([a, a]) if m == 1 else a
+    table = np.empty((spec.num_terms, len(a)))
+    for n, row in enumerate(table):
+        coeff, kn = series_term(spec.k, n)
+        _sin_prod(kn, a, out=row)
+        row *= coeff
+    total = np.empty(len(a))
+    del a
+    for num in nums:
+        np.add.reduce(table[:num][::-1], axis=0, out=total, initial=0.0)
+        total *= 16.0
+        yield total[:m]
+
+
+def _blocked_series_max_errors(spec, blocks):
+    """series_max_errors over an iterable of point blocks: (maxima, points counted), each
+    block projected once for s5 and _series_sums, on the block pool (_map_blocks)."""
 
     def block_errors(pts):
         a = project(pts)
         s5_vals = _sin_sum(spec.k, a)
-        block = np.empty((terms, len(a)))
-        for n, (coeff, kn) in enumerate(params):
-            _sin_prod(kn, a, out=block[n])
-            block[n] *= coeff
+        sums = _series_sums(spec, a, range(spec.num_terms + 1))
         del a
-        error = np.empty(len(pts))
-        errors = []
-        for num in range(terms + 1):
-            np.add.reduce(block[:num][::-1], axis=0, out=error, initial=0.0)
-            error *= 16.0
-            np.subtract(s5_vals, error, out=error)
-            errors.append(np.abs(error, out=error).max())
-        return errors, len(pts)
+        return [np.abs(np.subtract(s5_vals, t, out=t), out=t).max() for t in sums], len(pts)
 
-    worst = np.zeros(terms + 1)  # every error is an absolute value
+    worst = np.zeros(spec.num_terms + 1)  # every error is an absolute value
     num_points = 0
     for errors, size in _map_blocks(block_errors, blocks):
         num_points += size

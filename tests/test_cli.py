@@ -207,9 +207,23 @@ def test_field_memory_per_point(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # 136 B per point over these 246,245 points (33.6 MB); 207 B (50.9 MB) when the
-    # CSV writer turned whole columns into lists of floats before writing
-    assert peak <= 145 * len(_disk_grid(radius, step))
+    # 112.9 B per point over these 246,245 points (27.8 MB), set by s5 on the whole grid
+    assert peak <= 120 * len(_disk_grid(radius, step))
+
+
+def test_series_partial_memory_per_point():
+    pts = _disk_grid(14.0, 0.05)
+    spec = pw.SeriesSpec(1.0, 12)
+    for _ in range(2):  # the first run fills numpy's allocation caches
+        tracemalloc.start()
+        try:
+            pw.series_partial(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 54 B per point above its input: the projection (40 B per point), the result
+    # (8 B) and one block's table of terms (1 MB)
+    assert peak <= 60 * len(pts)
 
 
 def test_converge_chunk_memory_is_its_table_and_one_term(monkeypatch):
@@ -255,11 +269,46 @@ def test_converge_outputs(tmp_path):
     assert report["num_samples"] > 0
 
 
+def _series_partial_reference(spec, p):
+    """series_partial before it summed through wavefield._series_sums, kept verbatim."""
+    a = pw.project(p)
+    total = np.zeros(a.shape[:-1])
+    for n in range(spec.num_terms - 1, -1, -1):
+        coeff, kn = pw.wavefield.series_term(spec.k, n)
+        total = total + coeff * pw.wavefield._sin_prod(kn, a)
+    return pw.wavefield._maybe_scalar(16.0 * total)
+
+
+def _assert_series_partial_is_its_reference(spec, pts):
+    got, want = pw.series_partial(spec, pts), _series_partial_reference(spec, pts)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (spec, np.shape(pts))
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93, 2.5, 1e-3])
+def test_series_partial_equals_its_reference_byte_for_byte(monkeypatch, k):
+    rng = np.random.default_rng(23)
+    small = [(2,), (1, 2), (2, 2), (5, 1, 2), (3, 4, 2)]
+    for terms in [*range(31), 70, 71, 72, 200, 1474]:
+        # stacked shapes keep the rounding of their own projection; 1,474 terms on small inputs
+        for shape in small + [(1000, 2)] * (terms <= 72):
+            pts = rng.uniform(-10.0, 10.0, shape)
+            _assert_series_partial_is_its_reference(pw.SeriesSpec(k, terms), pts)
+    # 20,000 rows in five blocks, the golden field grids at scale 1, and the benchmark's
+    grids = [(rng.uniform(-10.0, 10.0, (20000, 2)), 30), (_disk_grid(3.0, 0.1), 8),
+             (_disk_grid(6.0, 0.1), 8), (_disk_grid(14.0, 0.05), 12)]
+    for pts, terms in grids:
+        _assert_series_partial_is_its_reference(pw.SeriesSpec(k, terms), pts)
+    # blocks of 100 rows and a lone last row
+    monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * 9 * 100)
+    _assert_series_partial_is_its_reference(pw.SeriesSpec(k, 9), rng.uniform(-10.0, 10.0, (301, 2)))
+
+
 def _series_errors_one_n_at_a_time(k, pts, terms):
-    """converge's per-N maximum error, computed with series_partial for each N."""
+    """converge's per-N maximum error, computed with the series_partial reference for each N."""
     s5_vals = pw.s5(k, pts)
     return [
-        float(np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(k, n), pts)).max())
+        float(np.abs(s5_vals - _series_partial_reference(pw.SeriesSpec(k, n), pts)).max())
         for n in range(terms + 1)
     ]
 
@@ -315,11 +364,15 @@ def test_converge_errors_equal_series_partial_past_fib_switch(tmp_path, monkeypa
     # call, whose rounding shows unless that point shares a chunk.
     pts = np.random.default_rng(1).uniform(-3.0, 3.0, (301, 2))
     s5_vals = pw.s5(1.0, pts)
-    worst = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(1.0, 5), pts)).argmax()
+    worst = np.abs(s5_vals - _series_partial_reference(pw.SeriesSpec(1.0, 5), pts)).argmax()
     pts = np.vstack([np.delete(pts, worst, axis=0), pts[worst]])
     monkeypatch.setattr(pw.wavefield, "_SERIES_BLOCK_BYTES", 8 * terms * 100)
     got = _series_max_errors(pw.SeriesSpec(1.0, terms), pts)
     assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, pts, terms)
+    # a block of one row off the origin: numpy would sum a one-column table pairwise
+    row = pts[-1:]
+    got = pw.wavefield._blocked_series_max_errors(pw.SeriesSpec(1.0, terms), [row])[0]
+    assert list(map(float, got)) == _series_errors_one_n_at_a_time(1.0, row, terms)
 
 
 @pytest.mark.parametrize("k, radius, step", [
@@ -338,7 +391,7 @@ def test_converge_errors_equal_series_partial_at_the_term_count_extremes(k, radi
     errors, num_samples = pw.series_max_errors(pw.SeriesSpec(k, terms), radius, step)
     assert num_samples == len(pts)
     for n in (0, 1, 70, 71, 72, terms - 1, terms):
-        want = np.abs(s5_vals - pw.series_partial(pw.SeriesSpec(k, n), pts)).max()
+        want = np.abs(s5_vals - _series_partial_reference(pw.SeriesSpec(k, n), pts)).max()
         assert errors[n].tobytes() == want.tobytes(), n
 
 

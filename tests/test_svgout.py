@@ -226,3 +226,35 @@ def test_canvas_refuses_a_point_that_maps_to_no_finite_coordinate():
                 canvas.polygons([[(0.0, 0.0), (x, y), (0.0, 1e-300)]], ["none"], "#000000")
         assert all(math.isfinite(v) for v in canvas.map_point(1e-300, -1e-300))
     assert canvas.to_string().count("\n") == 3
+
+
+_BOX = (-1.0, 2.0, -3.0, 4.0)
+
+
+def test_clip_axis_parallel_line_spans_the_box_or_misses_it():
+    # a zero direction component takes the abs(d) < 1e-15 branch
+    assert svgout.clip_line_to_box((0.5, 0.0), (0.0, 1.0), _BOX) == ((0.5, -3.0), (0.5, 4.0))
+    assert svgout.clip_line_to_box((0.0, 1.0), (2.0, 1e-16), _BOX) == ((-1.0, 1.0), (2.0, 1.0))
+    assert svgout.clip_line_to_box((3.0, 0.0), (0.0, 1.0), _BOX) is None
+    assert svgout.clip_line_to_box((0.0, -3.5), (1.0, 0.0), _BOX) is None
+
+
+def test_clip_line_touching_a_corner_or_missing_the_box_is_none():
+    assert svgout.clip_line_to_box((2.0, 4.0), (1.0, -1.0), _BOX) is None
+    assert svgout.clip_line_to_box((6.0, 0.0), (1.0, 1.0), _BOX) is None
+
+
+def test_clip_diagonal_line_ends_on_the_box_either_way():
+    point, direction = (0.5, 0.25), (0.3, 0.7)
+    ends = svgout.clip_line_to_box(point, direction, _BOX)
+    xmin, xmax, ymin, ymax = _BOX
+    for x, y in ends:
+        assert xmin - 1e-12 <= x <= xmax + 1e-12 and ymin - 1e-12 <= y <= ymax + 1e-12
+        on_edge = min(abs(x - xmin), abs(x - xmax), abs(y - ymin), abs(y - ymax))
+        assert on_edge <= 1e-12
+        # on the line through point along direction
+        assert abs((x - point[0]) * direction[1] - (y - point[1]) * direction[0]) <= 1e-12
+    # it enters through the bottom edge and leaves through the right one
+    assert ends[0][1] == ymin and ends[1][0] == xmax
+    reversed_ends = svgout.clip_line_to_box(point, (-0.3, -0.7), _BOX)
+    assert reversed_ends == ends[::-1]
