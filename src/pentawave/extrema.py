@@ -17,6 +17,7 @@ import numpy as np
 
 from .wavefield import (
     _disk_lattice_blocks,
+    _in_disk,
     grad_s2,
     grad_s5,
     hess_s2,
@@ -221,7 +222,7 @@ def _refine_batch(field, k, seeds, cfg):
         if small.any():
             p, gn, pair = cur.compress(done, axis=0), gn.compress(small), paired.compress(done)
             # a mate 0.0 - p has the squares of p, so it lies inside exactly when p does
-            inside = p[:, 0] ** 2 + p[:, 1] ** 2 <= cfg.radius ** 2
+            inside = _in_disk(p[:, 0], p[:, 1], cfg.radius)
             p, gn, pair = p.compress(inside, axis=0), gn.compress(inside), pair.compress(inside)
             found += [p, 0.0 - p.compress(pair, axis=0)]
             norms += [gn, gn.compress(pair)]

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrema import KIND_MAXIMUM, KIND_MINIMUM, _same_columns
-from .wavefield import _as_points, direction_basis
-
-_E = direction_basis()
+from .wavefield import _DIRECTIONS, _combine, project
 
 THIN = "thin"
 THICK = "thick"
@@ -41,6 +39,8 @@ class PentagridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError("c must be finite and positive")
+        if not math.isfinite(self.spacing):
+            raise ValueError("c is too small: the line spacing pi/c overflows")
 
     @property
     def spacing(self):
@@ -49,7 +49,7 @@ class PentagridSpec:
 
 def _strip_coords(spec, pts):
     """Projections in units of the line spacing: t_i = c * a_i / pi."""
-    return spec.c * (_as_points(pts) @ _E.T) / math.pi
+    return spec.c * project(pts) / math.pi
 
 
 def region_indices(spec, pts):
@@ -74,10 +74,10 @@ def region_sign(iv):
 def dual_vertices(m):
     """Tiling-space vertices sum_i m_i e_i of region indices m (..., 5), as (..., 2).
 
-    Each index vector is projected as a stacked single row, so a batch rounds
+    Each index vector is combined as a stacked single row, so a batch rounds
     row by row as one index vector does.
     """
-    return (np.asarray(m, dtype=float)[..., None, :] @ _E)[..., 0, :]
+    return _combine(np.asarray(m, dtype=float)[..., None, :])[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +118,8 @@ def _line_ranges(spec, window):
         math.isfinite(v) for v in (xmin, xmax, ymin, ymax)
     ):
         raise ValueError("window must be a finite rectangle with positive area")
-    corners = np.array(
-        [[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]]
-    )
-    corner_t = corners @ _E.T / spec.spacing
+    corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
+    corner_t = project(corners) / spec.spacing
     return np.ceil(corner_t.min(axis=0) - 1e-12), np.floor(corner_t.max(axis=0) + 1e-12)
 
 
@@ -156,7 +154,7 @@ def tiles(spec, window, singular_eps=None):
     skipped = 0
     for i, j in itertools.combinations(range(5), 2):
         others = [l for l in range(5) if l != i and l != j]
-        inv = np.linalg.inv(np.array([_E[i], _E[j]]))
+        inv = np.linalg.inv(_DIRECTIONS[[i, j]])
         rr, ss = np.meshgrid(np.arange(line_lo[i], line_hi[i] + 1),
                              np.arange(line_lo[j], line_hi[j] + 1), indexing="ij")
         line_ids = np.column_stack([rr.ravel(), ss.ravel()]).astype(float)
@@ -166,13 +164,12 @@ def tiles(spec, window, singular_eps=None):
             & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
         )
         pts, line_ids = pts[in_window], line_ids[in_window]
-        t_other = spec.c * (pts @ _E[others].T) / math.pi
-        dist_other = spacing * np.abs(t_other - np.round(t_other))
-        singular = dist_other.min(axis=1) <= singular_eps
+        t = _strip_coords(spec, pts)
+        t_other = t[:, others]
+        singular = spacing * np.abs(t_other - np.round(t_other)).min(axis=1) <= singular_eps
         skipped += int(singular.sum())
         pts, line_ids = pts[~singular], line_ids[~singular]
-        base = np.zeros((len(pts), 5))
-        base[:, others] = np.floor(t_other[~singular])
+        base = np.floor(t[~singular])
         base[:, [i, j]] = line_ids - 1.0
         corners = np.repeat(base[:, None, :], len(_QUADRANTS), axis=1)
         corners[:, :, [i, j]] += _QUADRANTS

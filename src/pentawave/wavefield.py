@@ -89,7 +89,7 @@ def _disk_lattice_blocks(radius, step, size):
     pending = np.empty((0, 2))
     for first in range(n, len(vals), cols):
         xs = vals[first:first + cols, None]
-        keep = xs ** 2 + vals ** 2 <= radius ** 2
+        keep = _in_disk(xs, vals, radius)
         if first == n:
             keep[0, :n] = False  # the column x = 0 from the origin on
         band = np.column_stack([np.broadcast_to(xs, keep.shape)[keep],
@@ -100,6 +100,18 @@ def _disk_lattice_blocks(radius, step, size):
             yield pending[:size]
             pending = pending[size:]
     yield pending
+
+
+def _in_disk(x, y, radius):
+    """x**2 + y**2 <= radius**2, elementwise. Where radius**2 leaves the normal doubles, x, y
+    and radius are scaled by 2**-e, e the exponent of radius (math.frexp), which is exact;
+    only there, as C pow (** on a float) can round a scaled radius's square differently."""
+    m, e = math.frexp(radius)
+    if -510 <= e <= 512:  # 2**-1022 <= radius**2 < 2**1024
+        m, e = radius, 0
+    with np.errstate(over="ignore"):  # a point whose square overflows lies outside
+        x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+        return x ** 2 + y ** 2 <= m ** 2
 
 
 def _disk_lattice_size(radius, step):
@@ -158,6 +170,11 @@ def project(p):
     return _as_points(p) @ _DIRECTIONS.T
 
 
+def _combine(c):
+    """sum_i c_i e_i of coefficients c (..., 5), shape (..., 2): the adjoint of project."""
+    return c @ _DIRECTIONS
+
+
 def _sin_sum(kk, a):
     """sum_i sin(kk * a_i) over projections a of shape (..., 5)."""
     ka = np.expand_dims(kk, -1) * a
@@ -201,7 +218,7 @@ def grad_s5(k, p):
     ka = kk * project(p)
     np.cos(ka, out=ka)
     ka *= kk
-    return ka @ _DIRECTIONS
+    return _combine(ka)
 
 
 def hess_s5(k, p):

@@ -497,6 +497,9 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
     # the Newton step's Hessian determinant would overflow
     (("extrema", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
     (("match", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
+    # beside the --k 5e-324 cases above: c = k/(2*tau) is positive, but pi/c overflows
+    (("tiling", "--k", "1e-310", "--radius", "1e150"), "the line spacing pi/c overflows"),
+    (("match", "--k", "1e-310"), "the line spacing pi/c overflows"),
 ])
 def test_underflowing_and_oversized_inputs_are_config_errors(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
@@ -506,6 +509,21 @@ def test_underflowing_and_oversized_inputs_are_config_errors(tmp_path, capsys, a
     assert err.startswith("pentawave: config error: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("field", "--k", "1e-160", "--radius", "1e160", "--grid-step", "1e159"),
+    ("converge", "--k", "1e-160", "--radius", "1e160", "--grid-step", "1e159"),
+    ("extrema", "--k", "1e-154", "--radius", "2e154"),
+    ("match", "--k", "1e-154", "--radius", "2e154"),
+    ("tiling", "--k", "1e-310", "--radius", "1e150"),
+])
+def test_disk_squares_that_overflow_end_in_a_documented_exit_code(tmp_path, args):
+    # x**2 + y**2 <= radius**2 overflows on these disks unless it is scaled
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "pentawave.cli", *args,
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_tiling_crossing_cap_is_checked_before_tiles(tmp_path, monkeypatch):

@@ -11,7 +11,10 @@ is refused by a count check before it allocates; these commands never use the
 block pool. field, identity and converge are drawn with radii up to 4, grid
 steps from 0.05, at most 20 series terms and at most 2 * 10^4 identity points,
 or values refused before they allocate; converge and identity run their blocks
-on the two-worker block pool, and no value asks it for more threads.
+on the two-worker block pool, and no value asks it for more threads. A third test
+draws moderate disks (kR <= 20, at most 20 grid steps per radius) and scales k by
+2**-e and the radius and step by 2**e, for e from -1000 to 1000, so field, converge,
+extrema and match meet disks whose squares overflow or underflow a double.
 """
 
 import contextlib
@@ -157,6 +160,41 @@ def test_series_commands_end_in_a_documented_exit_code(command, k, radius, grid_
     assert code in (0, 2, 3, 4), (code, err)
     if code == 0:
         assert err in ("", _IDENTITY_SVG_NOTE), err
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+
+
+@st.composite
+def _scaled_disk(draw):
+    """(k, radius, grid step): k in [0.2, 4], kR in [0, 20] and the radius cut into 1 to 20
+    steps (a disk of radius 0 takes a step of 1/k), then k scaled by 2**-e and the radius
+    and step by 2**e, exactly, for e in [-1000, 1000]."""
+    k = draw(st.floats(0.2, 4.0))
+    radius = draw(st.floats(0.0, 20.0)) / k
+    step = (radius or 1.0 / k) / draw(st.floats(1.0, 20.0))
+    e = draw(st.one_of(st.integers(-1000, 1000), st.sampled_from([-1000, -600, 0, 600, 1000])))
+    return math.ldexp(k, -e), math.ldexp(radius, e), math.ldexp(step, e)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["field", "converge", "extrema", "match"]),
+    disk=_scaled_disk(),
+    terms=st.integers(0, 12),
+    fmt=_FORMATS,
+)
+def test_scaled_disks_end_in_a_documented_exit_code(command, disk, terms, fmt):
+    k, radius, grid_step = disk
+    argv = [command, f"--k={k!r}", f"--radius={radius!r}", f"--grid-step={grid_step!r}",
+            f"--format={fmt}"]
+    if command in ("field", "converge"):
+        argv.append(f"--terms={terms}")
+    code, err = _run(argv, None, None)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code == 0:
+        assert err == ""
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err

@@ -3,8 +3,11 @@
 The literals asserted elsewhere in the suite were produced once with mpmath
 at 40 significant digits. This module rederives them from scratch so a
 transcription error in any frozen constant fails loudly. It also checks the
-paper's truncation bound at 50 digits, past where double precision resolves it.
+paper's truncation bound at 50 digits, past where double precision resolves it,
+and criterion 8's pinned registration residuals against their 50-digit values.
 """
+
+import math
 
 import mpmath as mp
 import pytest
@@ -110,3 +113,45 @@ def test_series_deviation_is_a_fixed_share_of_the_tail_bound(k, radius):
     for n in range(8, 41):
         ratio = worst[n] / pw.tail_bound(k, radius, n).scaled_bound
         assert 0.0455 <= ratio <= 0.047, (n, ratio)
+
+
+def _registration_mp(index, targets):
+    """Criterion 8's similarity fit and residuals at 50 digits: the sources are the dual
+    vertices sum_i m_i e_i of the region indices, computed exactly, the targets the
+    extremum locations as doubles. Returns (mean, median, max) of the residuals in units
+    of the fitted scale, as fit_similarity and match_report define them."""
+    with mp.workdps(50):
+        basis = _directions()
+        zs = [mp.mpc(mp.fsum(m * ex for m, (ex, _) in zip(row, basis)),
+                     mp.fsum(m * ey for m, (_, ey) in zip(row, basis))) for row in index]
+        zt = [mp.mpc(mp.mpf(x), mp.mpf(y)) for x, y in targets]
+        ms, mt = mp.fsum(zs) / len(zs), mp.fsum(zt) / len(zt)
+        alpha = (mp.fsum(mp.conj(s - ms) * (t - mt) for s, t in zip(zs, zt))
+                 / mp.fsum(abs(s - ms) ** 2 for s in zs))
+        shift = mt - alpha * ms
+        residuals = sorted(abs(alpha * s + shift - t) / abs(alpha) for s, t in zip(zs, zt))
+        n = len(residuals)
+        median = (residuals[(n - 1) // 2] + residuals[n // 2]) / 2
+        return mp.fsum(residuals) / n, median, residuals[-1]
+
+
+def test_pinned_registration_lies_within_16_ulp_of_its_50_digit_value():
+    # The yardstick for moving the registration's rounding (ROADMAP item 2). Measured
+    # distances, in ulps of each 50-digit value: 4.9 (mean), 17.8 (median), 7.6 (max). A
+    # residual is a difference of points up to 40 from the origin over the fitted scale, so
+    # its rounding error is absolute: the median, a quarter of the largest residual's binade
+    # below it, is held to 16 ulp of the largest residual (4.4 of them measured).
+    from test_acceptance import PINNED_MATCH
+
+    cfg = pw.default_search_config(1.0, 40.0)
+    found = pw.find_critical_points(1.0, cfg)
+    spec = pw.PentagridSpec(1.0 / (2.0 * pw.wavefield.GOLDEN_RATIO))  # as cli builds it
+    report = pw.match_report(spec, found, disk_radius=40.0)
+    assert report.mean_residual == PINNED_MATCH["mean_residual"]
+    matched = report.correspondences
+    mean, median, largest = _registration_mp(matched.index.tolist(),
+                                             found.location[matched.rows].tolist())
+    for key, ref, unit in (("mean_residual", mean, mean), ("median_residual", median, largest),
+                           ("max_residual", largest, largest)):
+        ulps = abs(mp.mpf(PINNED_MATCH[key]) - ref) / math.ulp(float(unit))
+        assert ulps <= 16, (key, float(ulps))

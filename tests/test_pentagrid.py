@@ -668,3 +668,102 @@ def test_median_is_numpy_median_bit_for_bit(n):
     for values in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n) * 1e-3,
                    np.repeat(rng.uniform(0.0, 1.0, (n + 1) // 2), 2)[:n]):
         assert pg._median(values).tobytes() == np.median(values).tobytes()
+
+
+# The pentagrid's products with the basis as they were written before wavefield owned them
+# (project and its adjoint _combine), kept verbatim as oracles with their own copy _E.
+
+def _local_basis_strip_coords(spec, pts):
+    return spec.c * (pw.wavefield._as_points(pts) @ _E.T) / math.pi
+
+
+def _local_basis_region_indices(spec, pts):
+    t = _local_basis_strip_coords(spec, pts)
+    margin = spec.spacing * np.abs(t - np.round(t)).min(axis=-1)
+    return np.floor(t).astype(np.int64), margin
+
+
+def _local_basis_dual_vertices(m):
+    return (np.asarray(m, dtype=float)[..., None, :] @ _E)[..., 0, :]
+
+
+def _local_basis_grad_s5(k, p):
+    kk = pw.wavefield._as_wavenumber(k)[..., None]
+    ka = kk * pw.project(p)
+    np.cos(ka, out=ka)
+    ka *= kk
+    return ka @ pw.wavefield._DIRECTIONS
+
+
+def _local_basis_tiles(spec, window, singular_eps=None):
+    import itertools
+
+    if singular_eps is None:
+        singular_eps = pg._ON_LINE_SPACINGS * spec.spacing
+    xmin, xmax, ymin, ymax = (float(v) for v in window)
+    spacing = spec.spacing
+    corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
+    corner_t = corners @ _E.T / spec.spacing
+    line_lo = np.ceil(corner_t.min(axis=0) - 1e-12).astype(int)
+    line_hi = np.floor(corner_t.max(axis=0) + 1e-12).astype(int)
+
+    columns = []
+    skipped = 0
+    for i, j in itertools.combinations(range(5), 2):
+        others = [l for l in range(5) if l != i and l != j]
+        inv = np.linalg.inv(np.array([_E[i], _E[j]]))
+        rr, ss = np.meshgrid(np.arange(line_lo[i], line_hi[i] + 1),
+                             np.arange(line_lo[j], line_hi[j] + 1), indexing="ij")
+        line_ids = np.column_stack([rr.ravel(), ss.ravel()]).astype(float)
+        pts = (line_ids * spacing) @ inv.T
+        in_window = (
+            (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
+            & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
+        )
+        pts, line_ids = pts[in_window], line_ids[in_window]
+        t_other = spec.c * (pts @ _E[others].T) / math.pi
+        dist_other = spacing * np.abs(t_other - np.round(t_other))
+        singular = dist_other.min(axis=1) <= singular_eps
+        skipped += int(singular.sum())
+        pts, line_ids = pts[~singular], line_ids[~singular]
+        base = np.zeros((len(pts), 5))
+        base[:, others] = np.floor(t_other[~singular])
+        base[:, [i, j]] = line_ids - 1.0
+        corners = np.repeat(base[:, None, :], len(pg._QUADRANTS), axis=1)
+        corners[:, :, [i, j]] += pg._QUADRANTS
+        columns.append((
+            _local_basis_dual_vertices(corners),
+            np.full(len(pts), (j - i) in (2, 3)),
+            np.tile((i, j), (len(pts), 1)),
+            pts,
+        ))
+    vertices, thin, families, intersection = map(np.concatenate, zip(*columns))
+    return pg.TilingPatch(vertices, thin, families, intersection, skipped)
+
+
+def _golden_windows():
+    """Half-widths of the square windows the golden tiling and match runs tile, at scales
+    0.1, 1 and 3 (bench/golden.py: tiling radius 30 and match radius 40, at sizes 1 and 2,
+    and match at the fixed radii 10 and 20)."""
+    return sorted({r * size * scale for scale in (0.1, 1, 3) for size in (1, 2) for r in (30, 40)}
+                  | {10, 20})
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93])
+def test_geometry_through_wavefield_equals_the_local_basis_expressions_byte_for_byte(k):
+    spec = pg.PentagridSpec(k / (2.0 * TAU))
+    for half in _golden_windows():
+        window = (-half, half, -half, half)
+        got, want = pg.tiles(spec, window), _local_basis_tiles(spec, window)
+        assert got.skipped_singular == want.skipped_singular
+        for name in ("vertices", "thin", "families", "intersection"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (half, name)
+        # the crossings lie on grid lines, the vertices and the lattice anywhere
+        lattice = np.stack(np.meshgrid(*[np.linspace(-half, half, 21)] * 2), -1).reshape(-1, 2)
+        pts = np.concatenate([got.intersection, got.vertices.reshape(-1, 2), lattice])
+        for p in (pts, pts[:, None, :], pts[:1], pts[0], pts[:2]):
+            for a, b in zip(pg.region_indices(spec, p), _local_basis_region_indices(spec, p)):
+                assert _bits(a) == _bits(b), half
+            m = pg.region_indices(spec, p)[0]
+            assert _bits(pg.dual_vertices(m)) == _bits(_local_basis_dual_vertices(m)), half
+            assert _bits(pw.grad_s5(k, p)) == _bits(_local_basis_grad_s5(k, p)), half

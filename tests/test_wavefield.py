@@ -1,8 +1,12 @@
 """Tests for the field evaluators, Fibonacci helpers, series, and tail bound."""
 
+import importlib.util
 import math
 import threading
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 import pentawave as pw
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
+ROOT = Path(__file__).resolve().parent.parent
 
 # Reference values computed independently with mpmath at 40 significant
 # digits, then rounded to the nearest double.
@@ -421,3 +426,101 @@ def test_disk_lattice_size_is_the_lattice_size_before_clipping():
     # counted in floats: a count or a ratio that overflows reads inf
     assert pw.wavefield._disk_lattice_size(1e300, math.pi / 4.0) == math.inf
     assert pw.wavefield._disk_lattice_size(1.0, 5e-324) == math.inf
+
+
+@pytest.mark.parametrize("e", [-600, -300, 0, 300, 600])
+def test_disk_lattice_scales_by_powers_of_two(e):
+    # squares of these lattices overflow (e = 600) or underflow (e = -600) unscaled
+    want = np.ldexp(pw.wavefield._disk_lattice(3.0, 0.1), e)
+    got = pw.wavefield._disk_lattice(math.ldexp(3.0, e), math.ldexp(0.1, e))
+    assert got.shape == want.shape and len(got) < 61 * 61
+    assert got.tobytes() == want.tobytes()
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def _golden_and_benchmark_disks():
+    """(radius, step) of every disk lattice the golden runs (bench/golden.py, at scales 0.1,
+    1 and 3) and the benchmark (perfbench/run.py, seeds 0-9) sample or seed."""
+    golden = _load("golden", "bench/golden.py")
+    disks = set()
+    for scale in (0.1, 1.0, 3.0):
+        for _, argv in golden.invocations(scale):
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            if argv[0] not in ("field", "converge", "extrema", "match"):
+                continue
+            k, radius = float(flags["--k"]), float(flags["--radius"])
+            step = float(flags["--grid-step"]) if "--grid-step" in flags else math.pi / (4.0 * k)
+            disks.add((radius, step))
+    bench = _load("perfbench_run", "perfbench/run.py")
+    for seed in range(10):
+        k = bench.wavenumber(seed)
+        disks |= {(14 / k, 0.05 / k), (20 / k, 0.05 / k), (200 / k, math.pi / (4.0 * k))}
+    return sorted(disks)
+
+
+def test_in_disk_decides_as_the_unscaled_squares_on_every_golden_and_benchmark_lattice():
+    for radius, step in _golden_and_benchmark_disks():
+        n = int(np.floor(radius / step))
+        vals = step * np.arange(-n, n + 1)
+        x, y = vals[:, None], vals[None, :]
+        want = x ** 2 + y ** 2 <= radius ** 2  # the disk test before _in_disk
+        assert np.array_equal(pw.wavefield._in_disk(x, y, radius), want), (radius, step)
+
+
+def _pow_sensitive_radii(rng, count):
+    """Radii whose square, by ** (C pow), is not that of the radius scaled to [0.5, 1)
+    scaled back: a disk test that scaled every radius would move their rims."""
+    found = []
+    while len(found) < count:
+        r = float(rng.uniform(0.5, 1.0)) * 2.0 ** int(rng.integers(-500, 500))
+        m, e = math.frexp(r)
+        if r ** 2 != math.ldexp(m ** 2, 2 * e):
+            found.append(r)
+    return found
+
+
+def test_in_disk_decides_as_the_unscaled_squares_on_rows_straddling_the_rim():
+    rng = np.random.default_rng(25)
+    radii = [r for r, _ in _golden_and_benchmark_disks()]
+    radii += [float(r) for r in rng.uniform(0.5, 1.0, 40) * 2.0 ** rng.integers(-500, 500, 40)]
+    radii += _pow_sensitive_radii(rng, 20)
+    for radius in radii:
+        angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        x, y = radius * np.cos(angle), radius * np.sin(angle)
+        nudge = rng.integers(-3, 4, (2, len(angle)))
+        x, y = x + nudge[0] * np.spacing(x), y + nudge[1] * np.spacing(y)
+        want = x ** 2 + y ** 2 <= radius ** 2
+        got = pw.wavefield._in_disk(x, y, radius)
+        assert want.any() and not want.all()
+        assert np.array_equal(got, want), radius
+        # numpy radius: ** is numpy's square, as before
+        want = x ** 2 + y ** 2 <= np.float64(radius) ** 2
+        assert np.array_equal(pw.wavefield._in_disk(x, y, np.float64(radius)), want), radius
+
+
+@pytest.mark.parametrize("radius", [1e-170, 1e160, 1e308])
+def test_in_disk_decides_where_the_squares_leave_the_doubles(radius):
+    # rows at 0.999 and 1.001 of the radius along the axes and the diagonals
+    s = 1.0 / math.sqrt(2.0)
+    directions = np.array([[1.0, 0.0], [0.0, -1.0], [s, s], [-s, s]])
+    inner, outer = (np.float64(f * radius) * directions for f in (0.999, 1.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pw.wavefield._in_disk(inner[:, 0], inner[:, 1], radius).all()
+        assert not pw.wavefield._in_disk(outer[:, 0], outer[:, 1], radius).any()
+        far = pw.wavefield._in_disk(np.array([0.0, 1e308]), np.array([0.0, 1e308]), radius)
+    assert far.tolist() == [True, False]
+
+
+def test_in_disk_decides_on_the_least_subnormal_radius():
+    tiny = 5e-324
+    got = pw.wavefield._in_disk(np.array([tiny, 0.0, tiny, 2 * tiny]),
+                                np.array([0.0, -tiny, tiny, 0.0]), tiny)
+    assert got.tolist() == [True, True, False, False]
