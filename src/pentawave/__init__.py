@@ -52,13 +52,10 @@ from .wavefield import (
     direction_basis,
     fib,
     fib_closed_form,
-    grad_s2,
     grad_s5,
-    hess_s2,
     hess_s5,
     p5,
     project,
-    s2,
     s5,
     series_max_errors,
     series_partial,

@@ -3,8 +3,8 @@
 Batched Newton iteration from a regular seed grid, with a damped gradient
 fallback wherever the Hessian is near singular. The search is generic
 over a (value, gradient, Hessian) triple, so the exactly solvable
-checkerboard field s2 drives the same pipeline as the fivefold field s5
-and serves as a closed-form oracle for it.
+checkerboard field s2, the sine sum over the two axes, drives the same
+pipeline as the fivefold field s5 and serves as a closed-form oracle for it.
 """
 
 from __future__ import annotations
@@ -15,16 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .wavefield import (
-    _disk_lattice_blocks,
-    _in_disk,
-    grad_s2,
-    grad_s5,
-    hess_s2,
-    hess_s5,
-    s2,
-    s5,
-)
+from .wavefield import _SineSum, _disk_lattice_blocks, _in_disk, grad_s5, hess_s5, s5
 
 KIND_MAXIMUM = "maximum"
 KIND_MINIMUM = "minimum"
@@ -41,7 +32,8 @@ _NEWTON_BLOCK = 1 << 14
 class FieldTriple:
     """Value, gradient, and Hessian evaluators sharing the signature (k, points); the search
     takes the value and Hessian to be odd and the gradient even under p -> 0.0 - p, bit for
-    bit, as for S5_FIELD and S2_FIELD, sums of sines (numpy's sin is odd and cos even)."""
+    bit. S5_FIELD and S2_FIELD are sine sums (wavefield._SineSum), which hold this by
+    construction."""
 
     value: Callable
     grad: Callable
@@ -49,7 +41,8 @@ class FieldTriple:
 
 
 S5_FIELD = FieldTriple(s5, grad_s5, hess_s5)
-S2_FIELD = FieldTriple(s2, grad_s2, hess_s2)
+_S2 = _SineSum(np.eye(2))
+S2_FIELD = FieldTriple(_S2.value, _S2.grad, _S2.hess)
 
 
 def _same_columns(a, b):

@@ -1,16 +1,15 @@
 """Scalar standing-wave superpositions with fivefold symmetry.
 
-Evaluates the five-wave field s5, its single-product counterpart p5, the
-two-wave checkerboard field s2, their analytic first and second
-derivatives, the golden-ratio series approximant of s5, its worst error
-over a disk lattice, and the closed-form bound on that error.
+Evaluates the five-wave field s5, the sine sum (_SineSum) over five
+directions, with its analytic first and second derivatives, its
+single-product counterpart p5, the golden-ratio series approximant of s5,
+its worst error over a disk lattice, and the closed-form bound on that error.
 
 Conventions:
     Directions e_i = (cos(2*pi*i/5), sin(2*pi*i/5)) for i = 0..4.
     Projections a_i = p . e_i.
     s5(k, p) = sum_i sin(k * a_i)
     p5(k, p) = prod_i sin(k * a_i)
-    s2(k, p) = sin(k*x) + sin(k*y)
     Fibonacci numbers use the shifted convention F0 = F1 = 1, one index
     ahead of the common F0 = 0 convention.
 
@@ -29,12 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-
-_ANGLES = 2.0 * np.pi * np.arange(5) / 5.0
-_DIRECTIONS = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
-_DIRECTIONS.setflags(write=False)
-_OUTER = np.einsum("ia,ib->iab", _DIRECTIONS, _DIRECTIONS)
-_OUTER.setflags(write=False)
 
 # Shifted Fibonacci numbers stay exactly representable as doubles up to
 # n = 77 (F_77 < 2**53); the series switches to the closed form before that.
@@ -103,12 +96,13 @@ def _disk_lattice_blocks(radius, step, size):
 
 
 def _in_disk(x, y, radius):
-    """x**2 + y**2 <= radius**2, elementwise. Where radius**2 leaves the normal doubles, x, y
-    and radius are scaled by 2**-e, e the exponent of radius (math.frexp), which is exact;
-    only there, as C pow (** on a float) can round a scaled radius's square differently."""
+    """x**2 + y**2 <= radius**2, elementwise, radius taken as a float, so ** squares it by C
+    pow whatever its type. Where radius**2 leaves the normal doubles, x, y and radius are
+    scaled by 2**-e, e the exponent of radius (math.frexp), which is exact; only there, as
+    pow can round a scaled radius's square differently."""
     m, e = math.frexp(radius)
     if -510 <= e <= 512:  # 2**-1022 <= radius**2 < 2**1024
-        m, e = radius, 0
+        m, e = float(radius), 0
     with np.errstate(over="ignore"):  # a point whose square overflows lies outside
         x, y = np.ldexp(x, -e), np.ldexp(y, -e)
         return x ** 2 + y ** 2 <= m ** 2
@@ -160,23 +154,8 @@ def _map_blocks(fn, blocks):
             yield pending.popleft().result()
 
 
-def direction_basis():
-    """The five unit direction vectors e_i = (cos(2*pi*i/5), sin(2*pi*i/5))."""
-    return _DIRECTIONS.copy()
-
-
-def project(p):
-    """Projections a_i = p . e_i onto the five directions, shape (..., 5)."""
-    return _as_points(p) @ _DIRECTIONS.T
-
-
-def _combine(c):
-    """sum_i c_i e_i of coefficients c (..., 5), shape (..., 2): the adjoint of project."""
-    return c @ _DIRECTIONS
-
-
 def _sin_sum(kk, a):
-    """sum_i sin(kk * a_i) over projections a of shape (..., 5)."""
+    """sum_i sin(kk * a_i) over projections a of shape (..., m)."""
     ka = np.expand_dims(kk, -1) * a
     return np.sin(ka, out=ka).sum(axis=-1)
 
@@ -195,63 +174,63 @@ def _sin_prod(kk, a, out=None):
     return out
 
 
-def s5(k, p):
-    """Sum of the five standing waves: sum_i sin(k * a_i)."""
-    return _maybe_scalar(_sin_sum(_as_wavenumber(k), project(p)))
+class _SineSum:
+    """The field sum_i sin(k * p . d_i) over the unit directions d_i, the rows of an
+    (m, 2) array, with its analytic gradient and Hessian. Each is a sum of sines or
+    cosines of the projections, so the value and Hessian are odd and the gradient even
+    under p -> 0.0 - p, bit for bit (numpy's sin is odd and cos even)."""
+
+    def __init__(self, directions):
+        self.directions = np.array(directions, dtype=float)
+        self.directions.setflags(write=False)
+        self.outer = np.einsum("ia,ib->iab", self.directions, self.directions)
+        self.outer.setflags(write=False)
+
+    def project(self, p):
+        """Projections a_i = p . d_i onto the directions, shape (..., m)."""
+        return _as_points(p) @ self.directions.T
+
+    def combine(self, c):
+        """sum_i c_i d_i of coefficients c (..., m), shape (..., 2): the adjoint of project."""
+        return c @ self.directions
+
+    def value(self, k, p):
+        """The sum of the standing waves: sum_i sin(k * a_i)."""
+        return _maybe_scalar(_sin_sum(_as_wavenumber(k), self.project(p)))
+
+    def grad(self, k, p):
+        """Analytic gradient: sum_i k * cos(k * a_i) * d_i, shape (..., 2)."""
+        kk = _as_wavenumber(k)[..., None]
+        ka = kk * self.project(p)
+        np.cos(ka, out=ka)
+        ka *= kk
+        return self.combine(ka)
+
+    def hess(self, k, p):
+        """Analytic Hessian: -k^2 * sum_i sin(k * a_i) d_i d_i^T, shape (..., 2, 2)."""
+        kk = _as_wavenumber(k)
+        ka = kk[..., None] * self.project(p)
+        np.sin(ka, out=ka)
+        out = np.einsum("...i,iab->...ab", ka, self.outer)
+        out *= -((kk ** 2)[..., None, None])
+        return out
+
+
+_ANGLES = 2.0 * np.pi * np.arange(5) / 5.0
+_S5 = _SineSum(np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)]))
+_DIRECTIONS = _S5.directions
+s5, grad_s5, hess_s5 = _S5.value, _S5.grad, _S5.hess
+project, _combine = _S5.project, _S5.combine
+
+
+def direction_basis():
+    """The five unit direction vectors e_i = (cos(2*pi*i/5), sin(2*pi*i/5))."""
+    return _DIRECTIONS.copy()
 
 
 def p5(k, p):
     """Product of the five standing waves: prod_i sin(k * a_i)."""
     return _maybe_scalar(_sin_prod(_as_wavenumber(k), project(p)))
-
-
-def s2(k, p):
-    """Two perpendicular standing waves: sin(k*x) + sin(k*y)."""
-    kk = _as_wavenumber(k)
-    arr = _as_points(p)
-    return _maybe_scalar(np.sin(kk * arr[..., 0]) + np.sin(kk * arr[..., 1]))
-
-
-def grad_s5(k, p):
-    """Analytic gradient of s5: sum_i k * cos(k * a_i) * e_i, shape (..., 2)."""
-    kk = _as_wavenumber(k)[..., None]
-    ka = kk * project(p)
-    np.cos(ka, out=ka)
-    ka *= kk
-    return _combine(ka)
-
-
-def hess_s5(k, p):
-    """Analytic Hessian of s5: -k^2 * sum_i sin(k * a_i) e_i e_i^T, shape (..., 2, 2)."""
-    kk = _as_wavenumber(k)
-    ka = kk[..., None] * project(p)
-    np.sin(ka, out=ka)
-    out = np.einsum("...i,iab->...ab", ka, _OUTER)
-    out *= -((kk ** 2)[..., None, None])
-    return out
-
-
-def grad_s2(k, p):
-    """Analytic gradient of s2: (k cos(k*x), k cos(k*y))."""
-    kk = _as_wavenumber(k)
-    arr = _as_points(p)
-    gx = kk * np.cos(kk * arr[..., 0])
-    gy = kk * np.cos(kk * arr[..., 1])
-    return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
-
-
-def hess_s2(k, p):
-    """Analytic Hessian of s2: -k^2 diag(sin(k*x), sin(k*y))."""
-    kk = _as_wavenumber(k)
-    arr = _as_points(p)
-    d0, d1 = np.broadcast_arrays(
-        -(kk ** 2) * np.sin(kk * arr[..., 0]),
-        -(kk ** 2) * np.sin(kk * arr[..., 1]),
-    )
-    out = np.zeros(d0.shape + (2, 2))
-    out[..., 0, 0] = d0
-    out[..., 1, 1] = d1
-    return out
 
 
 def fib(n):

@@ -14,10 +14,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "pentawave"
 
 ALLOWED = Counter({
-    ("wavefield", "_OUTER"): 1,  # the outer products e_i e_i^T, once at import
-    ("wavefield", "project"): 1,  # p . e_i
-    ("wavefield", "_combine"): 1,  # sum_i c_i e_i, the adjoint of project
-    ("wavefield", "hess_s5"): 1,  # the einsum over _OUTER
+    ("wavefield", "__init__"): 1,  # a sine sum's outer products d_i d_i^T, once per field
+    ("wavefield", "project"): 1,  # p . d_i
+    ("wavefield", "combine"): 1,  # sum_i c_i d_i, the adjoint of project
+    ("wavefield", "hess"): 1,  # the einsum over the outer products
     ("identities", "_expansion"): 2,  # the phases and the weighted sum of their sines
     ("pentagrid", "tiles"): 2,  # the inverse of a family pair's normals, and the solve
 })

@@ -952,7 +952,7 @@ def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
     cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
     seeds = _half_grid(cfg)
-    hess = pw.hess_s2(1.0, seeds)
+    hess = ex.S2_FIELD.hess(1.0, seeds)
     assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,4 +1,5 @@
-"""Tests for the exact algebraic identities linking s5, p5, and s2."""
+"""Tests for the exact algebraic identities linking s5, p5, and the two-wave sum
+sin(kx) + sin(ky)."""
 
 import math
 import tracemalloc

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pentawave as pw
+from pentawave import extrema as ex
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,9 +121,10 @@ def test_p5_odd_and_rotation_invariant():
 
 
 def test_s2_values():
-    assert abs(pw.s2(1.0, (math.pi / 2.0, math.pi / 2.0)) - 2.0) <= 1e-15
-    assert pw.s2(1.0, (0.0, 0.0)) == 0.0
-    got = pw.s2(2.0, (0.3, -0.4))
+    s2 = ex.S2_FIELD.value
+    assert abs(s2(1.0, (math.pi / 2.0, math.pi / 2.0)) - 2.0) <= 1e-15
+    assert s2(1.0, (0.0, 0.0)) == 0.0
+    got = s2(2.0, (0.3, -0.4))
     want = math.sin(0.6) + math.sin(-0.8)
     assert abs(got - want) <= 1e-15
 
@@ -299,6 +301,23 @@ def test_hess_s5_matches_finite_differences():
             assert abs(hess[i, j] - (gp[j] - gm[j]) / (2 * h)) <= 1e-5
 
 
+def test_grad_hess_s2_match_finite_differences():
+    s2, grad_s2, hess_s2 = ex.S2_FIELD.value, ex.S2_FIELD.grad, ex.S2_FIELD.hess
+    rng = np.random.default_rng(104)
+    pts = _disk_points(rng, 100, 3.0)
+    h = 1e-6
+    for p in pts:
+        g = grad_s2(1.0, p)
+        fx = (s2(1.0, p + [h, 0]) - s2(1.0, p - [h, 0])) / (2 * h)
+        fy = (s2(1.0, p + [0, h]) - s2(1.0, p - [0, h])) / (2 * h)
+        assert abs(g[0] - fx) <= 1e-6
+        assert abs(g[1] - fy) <= 1e-6
+        hess = hess_s2(1.0, p)
+        assert hess[0, 1] == 0.0 and hess[1, 0] == 0.0
+        assert abs(hess[0, 0] + math.sin(p[0])) <= 1e-15
+        assert abs(hess[1, 1] + math.sin(p[1])) <= 1e-15
+
+
 def test_hess_s5_trace_identity():
     # trace H = -k^2 * s5 because each direction is a unit vector
     rng = np.random.default_rng(103)
@@ -308,28 +327,62 @@ def test_hess_s5_trace_identity():
         assert abs(np.trace(hess) + 1.3**2 * pw.s5(1.3, p)) <= 1e-12
 
 
-def test_grad_hess_s2_match_finite_differences():
-    rng = np.random.default_rng(104)
-    pts = _disk_points(rng, 100, 3.0)
-    h = 1e-6
-    for p in pts:
-        g = pw.grad_s2(1.0, p)
-        fx = (pw.s2(1.0, p + [h, 0]) - pw.s2(1.0, p - [h, 0])) / (2 * h)
-        fy = (pw.s2(1.0, p + [0, h]) - pw.s2(1.0, p - [0, h])) / (2 * h)
-        assert abs(g[0] - fx) <= 1e-6
-        assert abs(g[1] - fy) <= 1e-6
-        hess = pw.hess_s2(1.0, p)
-        assert hess[0, 1] == 0.0 and hess[1, 0] == 0.0
-        assert abs(hess[0, 0] + math.sin(p[0])) <= 1e-15
-        assert abs(hess[1, 1] + math.sin(p[1])) <= 1e-15
-
-
-def test_grad_batch_shapes():
+@pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
+def test_grad_batch_shapes(field):
     pts = np.zeros((6, 2)) + 0.3
-    assert pw.grad_s5(1.0, pts).shape == (6, 2)
-    assert pw.hess_s5(1.0, pts).shape == (6, 2, 2)
-    assert pw.grad_s2(1.0, pts).shape == (6, 2)
-    assert pw.hess_s2(1.0, pts).shape == (6, 2, 2)
+    assert field.grad(1.0, pts).shape == (6, 2)
+    assert field.hess(1.0, pts).shape == (6, 2, 2)
+
+
+# The two-wave field's evaluators as they were written out before it became the sine sum
+# over the two axes (extrema.S2_FIELD), kept verbatim, with wavefield's helpers named
+# through the module, as its reference.
+
+def s2(k, p):
+    """Two perpendicular standing waves: sin(k*x) + sin(k*y)."""
+    kk = pw.wavefield._as_wavenumber(k)
+    arr = pw.wavefield._as_points(p)
+    return pw.wavefield._maybe_scalar(np.sin(kk * arr[..., 0]) + np.sin(kk * arr[..., 1]))
+
+
+def grad_s2(k, p):
+    """Analytic gradient of s2: (k cos(k*x), k cos(k*y))."""
+    kk = pw.wavefield._as_wavenumber(k)
+    arr = pw.wavefield._as_points(p)
+    gx = kk * np.cos(kk * arr[..., 0])
+    gy = kk * np.cos(kk * arr[..., 1])
+    return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+
+
+def hess_s2(k, p):
+    """Analytic Hessian of s2: -k^2 diag(sin(k*x), sin(k*y))."""
+    kk = pw.wavefield._as_wavenumber(k)
+    arr = pw.wavefield._as_points(p)
+    d0, d1 = np.broadcast_arrays(
+        -(kk ** 2) * np.sin(kk * arr[..., 0]),
+        -(kk ** 2) * np.sin(kk * arr[..., 1]),
+    )
+    out = np.zeros(d0.shape + (2, 2))
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
+
+
+@pytest.mark.parametrize("k", [1.0, 0.93, 1e5, 1e-8])
+def test_s2_field_equals_the_written_out_s2(k):
+    # value and gradient bit for bit; the Hessian under ==, as its off-diagonal zeros are
+    # sums of sin * 0.0 scaled by -k^2, so mostly -0.0 where the written-out form has 0.0
+    rng = np.random.default_rng(107)
+    pts = _disk_points(rng, 20001, 1.0)
+    for p in (pts, 80.0 * pts, 1e6 * pts[:, None, :], pts[5], tuple(80.0 * pts[9])):
+        got, want = ex.S2_FIELD.value(k, p), s2(k, p)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got, want = ex.S2_FIELD.grad(k, p), grad_s2(k, p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = ex.S2_FIELD.hess(k, p), hess_s2(k, p)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert type(ex.S2_FIELD.value(k, (0.3, -0.4))) is float
 
 
 def _grad_s5_reference(k, p):
@@ -341,11 +394,14 @@ def _grad_s5_reference(k, p):
 
 
 def _hess_s5_reference(k, p):
-    """hess_s5 before its temporaries were reused in place, kept verbatim."""
+    """hess_s5 before its temporaries were reused in place, kept verbatim but for the outer
+    products e_i e_i^T, made here as they were made at import."""
     kk = pw.wavefield._as_wavenumber(k)
     a = pw.project(p)
     s = np.sin(kk[..., None] * a)
-    return -((kk ** 2)[..., None, None]) * np.einsum("...i,iab->...ab", s, pw.wavefield._OUTER)
+    e = pw.direction_basis()
+    outer = np.einsum("ia,ib->iab", e, e)
+    return -((kk ** 2)[..., None, None]) * np.einsum("...i,iab->...ab", s, outer)
 
 
 def test_grad_hess_s5_equal_reference_bit_for_bit():
@@ -500,9 +556,9 @@ def test_in_disk_decides_as_the_unscaled_squares_on_rows_straddling_the_rim():
         got = pw.wavefield._in_disk(x, y, radius)
         assert want.any() and not want.all()
         assert np.array_equal(got, want), radius
-        # numpy radius: ** is numpy's square, as before
-        want = x ** 2 + y ** 2 <= np.float64(radius) ** 2
-        assert np.array_equal(pw.wavefield._in_disk(x, y, np.float64(radius)), want), radius
+        # the type of the radius does not move the rim
+        for typed in (np.float64(radius), np.array(radius)):
+            assert np.array_equal(pw.wavefield._in_disk(x, y, typed), got), (radius, typed)
 
 
 @pytest.mark.parametrize("radius", [1e-170, 1e160, 1e308])
