@@ -92,8 +92,6 @@ _TOLERANCES = {
     "seed_spacing": float,
     "dedupe_radius": float,
     "max_newton_steps": int,
-    "singular_eps": float,
-    "boundary_eps": float,
     "identity_num_points": int,
     "identity_k_min": float,
     "identity_k_max": float,
@@ -315,9 +313,9 @@ def _pentagrid_spec(cfg):
     return _config_checked(PentagridSpec, cfg.k / (2.0 * GOLDEN_RATIO))
 
 
-def _tiles(cfg, spec, window):
+def _tiles(spec, window):
     _check_count(crossing_count(spec, window), "tiling line crossings")
-    return tiles(spec, window, singular_eps=cfg.tolerances.get("singular_eps"))
+    return tiles(spec, window)
 
 
 def _run_field(cfg):
@@ -465,7 +463,7 @@ def _run_tiling(cfg):
     if cfg.radius <= 0:
         raise ConfigError("tiling requires a positive radius")
     spec = _pentagrid_spec(cfg)
-    patch = _tiles(cfg, spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
+    patch = _tiles(spec, (-cfg.radius, cfg.radius, -cfg.radius, cfg.radius))
     header = ["kind", "family_i", "family_j", "cross_x", "cross_y",
               "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
     columns = [np.where(patch.thin, THIN, THICK), *patch.families.T,
@@ -502,8 +500,7 @@ def _run_match(cfg):
     spec = _pentagrid_spec(cfg)
     critical_points = _critical_points(cfg)
     try:
-        report_obj = match_report(spec, critical_points, disk_radius=cfg.radius,
-                                  boundary_eps=cfg.tolerances.get("boundary_eps"))
+        report_obj = match_report(spec, critical_points, disk_radius=cfg.radius)
     except ValueError as exc:
         payload = {
             "config": asdict(cfg),
@@ -537,7 +534,7 @@ def _run_match(cfg):
                     segments.append(seg)
         canvas.lines(*zip(*segments), "#cccccc", 0.6)
         transform = report_obj.transform
-        quads = transform.apply(_tiles(cfg, spec, bbox).vertices)
+        quads = transform.apply(_tiles(spec, bbox).vertices)
         canvas.polygons(quads, ["none"] * len(quads), "#77aa77", width=0.8)
         canvas.lines(transform.apply(matched.position), locations, "#dd8800", 1.2)
         extrema = critical_points.of_kind(KIND_MAXIMUM, KIND_MINIMUM)

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .extrema import KIND_MAXIMUM, KIND_MINIMUM, _same_columns
-from .wavefield import _DIRECTIONS, _combine, project
+from .wavefield import _DIRECTIONS, GOLDEN_RATIO, _combine, project
 
 THIN = "thin"
 THICK = "thick"
 
-# Distance from a grid line, in grid spacings, within which tiles and
-# matching_correspondences treat a point as on the line unless given their own.
+# Grid spacings from a line within which matching_correspondences treats an extremum as on it.
 _ON_LINE_SPACINGS = 1e-9
 
 
@@ -47,11 +45,6 @@ class PentagridSpec:
         return math.pi / self.c
 
 
-def _strip_coords(spec, pts):
-    """Projections in units of the line spacing: t_i = c * a_i / pi."""
-    return spec.c * project(pts) / math.pi
-
-
 def region_indices(spec, pts):
     """Vectorized strip indices and line margins for a batch of points.
 
@@ -59,7 +52,7 @@ def region_indices(spec, pts):
     margin is the distance from each point to the nearest grid line of any
     family. No boundary check is applied; callers filter on margin.
     """
-    t = _strip_coords(spec, pts)
+    t = spec.c * project(pts) / math.pi
     margin = spec.spacing * np.abs(t - np.round(t)).min(axis=-1)
     return np.floor(t).astype(np.int64), margin
 
@@ -105,10 +98,26 @@ class TilingPatch:
         return self.vertices
 
 
-# Quadrant visit order around an intersection that walks the rhombus
-# perimeter (not its diagonals): lower-lower, upper-lower, upper-upper,
-# lower-upper in the (i, j) strip coordinates.
-_QUADRANTS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# Quadrant visit order around an intersection that walks the rhombus perimeter (not its
+# diagonals): lower-lower, upper-lower, upper-upper, lower-upper in the (i, j) strip
+# coordinates, as offsets from the strips (r, s) above lines r and s.
+_QUADRANTS = ((-1, -1), (0, -1), (0, 0), (-1, 0))
+
+
+def _crossing_table(i, j):
+    """Integers a, b (2, 5): at the crossing of line r of family i < j with line s of family j,
+    family l's strip coordinate is A + B*tau with A = a[0, l] r + a[1, l] s, B = b[0, l] r +
+    b[1, l] s. Dotting e_l = lam e_i + mu e_j with e_j and e_i turned by a right angle gives lam
+    and mu in Z[tau], each snapped to a + b*tau, a and b in {-1, 0, 1}; the unpack fails unless
+    exactly one fits."""
+    across = project(_DIRECTIONS[[j, i], ::-1] * (1.0, -1.0))
+    ratios = across / [[across[0, i]], [across[1, j]]]
+    snapped = [[(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                if abs(x - a - b * GOLDEN_RATIO) < 1e-9] for x in ratios.flat]
+    return np.array([ab for [ab] in snapped]).T.reshape(2, 2, 5)
+
+
+_CROSSING_TABLES = {pair: _crossing_table(*pair) for pair in itertools.combinations(range(5), 2)}
 
 
 def _line_ranges(spec, window):
@@ -134,43 +143,40 @@ def crossing_count(spec, window):
         return float(sum(lines[i] * lines[j] for i, j in itertools.combinations(range(5), 2)))
 
 
-def tiles(spec, window, singular_eps=None):
+def tiles(spec, window):
     """Dualize every transverse pair intersection inside the window.
 
-    Intersections within singular_eps (default _ON_LINE_SPACINGS * spacing)
-    of a line from a third family are singular in de Bruijn's sense (three or
-    more lines meet, as at the origin of this zero-offset grid); they produce
-    no tile and are tallied in skipped_singular. Thin tiles come from family
-    pairs at cyclic distance 2 or 3, thick tiles from distance 1 or 4.
-    Each family pair is dualized as one batch, its vertices by dual_vertices.
+    A crossing where a third family has B = 0 (_CROSSING_TABLES) is singular in de
+    Bruijn's sense: three or more lines meet, as at the origin of this zero-offset grid.
+    It produces no tile and is tallied in skipped_singular; the others take the strip
+    indices A + floor(B*tau). Thin tiles come from family pairs at cyclic distance 2 or
+    3, thick tiles from distance 1 or 4. Each family pair is dualized as one batch, its
+    vertices by dual_vertices. Raises ValueError if the line indices reach 2**24, so that
+    |B| <= |r| + |s| < 2**25, where np.floor(B * GOLDEN_RATIO) is the floor of B*tau
+    exactly (B*tau lies about 1/(sqrt(5)|B|) or more from an integer, beyond the rounding).
     """
-    if singular_eps is None:
-        singular_eps = _ON_LINE_SPACINGS * spec.spacing
     xmin, xmax, ymin, ymax = (float(v) for v in window)
-    spacing = spec.spacing
-    line_lo, line_hi = (v.astype(int) for v in _line_ranges(spec, window))
+    line_lo, line_hi = _line_ranges(spec, window)
+    if not np.abs([line_lo, line_hi]).max() < 1 << 24:
+        raise ValueError("window reaches line index 2**24 or beyond")
 
     columns = []
     skipped = 0
-    for i, j in itertools.combinations(range(5), 2):
-        others = [l for l in range(5) if l != i and l != j]
+    for (i, j), (a, b) in _CROSSING_TABLES.items():
         inv = np.linalg.inv(_DIRECTIONS[[i, j]])
         rr, ss = np.meshgrid(np.arange(line_lo[i], line_hi[i] + 1),
                              np.arange(line_lo[j], line_hi[j] + 1), indexing="ij")
-        line_ids = np.column_stack([rr.ravel(), ss.ravel()]).astype(float)
-        pts = (line_ids * spacing) @ inv.T
+        line_ids = np.column_stack([rr.ravel(), ss.ravel()])
+        pts = (line_ids * spec.spacing) @ inv.T
         in_window = (
             (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax)
             & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
         )
-        pts, line_ids = pts[in_window], line_ids[in_window]
-        t = _strip_coords(spec, pts)
-        t_other = t[:, others]
-        singular = spacing * np.abs(t_other - np.round(t_other)).min(axis=1) <= singular_eps
-        skipped += int(singular.sum())
-        pts, line_ids = pts[~singular], line_ids[~singular]
-        base = np.floor(t[~singular])
-        base[:, [i, j]] = line_ids - 1.0
+        pts, r, s = pts[in_window], line_ids[in_window, :1], line_ids[in_window, 1:]
+        big_b = r * b[0] + s * b[1]
+        regular = np.count_nonzero(big_b, axis=1) == 3
+        skipped += len(pts) - int(regular.sum())
+        pts, base = pts[regular], (r * a[0] + s * a[1] + np.floor(big_b * GOLDEN_RATIO))[regular]
         corners = np.repeat(base[:, None, :], len(_QUADRANTS), axis=1)
         corners[:, :, [i, j]] += _QUADRANTS
         columns.append((
@@ -249,27 +255,24 @@ class Correspondences:
     __eq__ = _same_columns
 
 
-def matching_correspondences(spec, extrema, disk_radius, boundary_eps=None):
+def matching_correspondences(spec, extrema, disk_radius):
     """Region index and dual vertex of each extremum of a CriticalSet used for matching.
 
     Keeps maxima and minima only, trims extrema within one grid spacing of
     the rim of the searched disk of radius disk_radius (edge regions are
-    truncated and would bias the fit), and drops those within boundary_eps
-    (default _ON_LINE_SPACINGS * spacing) of any grid line, where the region
-    is undefined. Returns (kept, correspondences, excluded_near_singular): kept
-    holds the rows of the extrema that passed the kind and rim filters, and
-    correspondences those of them that were matched. All extrema are indexed
-    as stacked single points, so each rounds as region_indices of that one
-    point does.
+    truncated and would bias the fit), and drops those within _ON_LINE_SPACINGS
+    grid spacings of any grid line, where the region is undefined. Returns
+    (kept, correspondences, excluded_near_singular): kept holds the rows of the
+    extrema that passed the kind and rim filters, and correspondences those of
+    them that were matched. All extrema are indexed as stacked single points,
+    so each rounds as region_indices of that one point does.
     """
-    if boundary_eps is None:
-        boundary_eps = _ON_LINE_SPACINGS * spec.spacing
     kept = np.flatnonzero(extrema.of_kind(KIND_MAXIMUM, KIND_MINIMUM))
     # math.hypot, not np.hypot: the two round differently
     x, y = extrema.location[kept].T.tolist()
     kept = kept[np.array(list(map(math.hypot, x, y))) <= disk_radius - spec.spacing]
     m, margin = region_indices(spec, extrema.location[kept, None, :])
-    usable = margin[:, 0] > boundary_eps
+    usable = margin[:, 0] > _ON_LINE_SPACINGS * spec.spacing
     m = m[usable, 0]
     matched = Correspondences(kept[usable], m, dual_vertices(m))
     return kept, matched, len(kept) - len(matched.rows)
@@ -308,7 +311,7 @@ def _median(values):
     return np.mean(np.sort(values)[(n - 1) // 2:n // 2 + 1])
 
 
-def match_report(spec, extrema, disk_radius, boundary_eps=None):
+def match_report(spec, extrema, disk_radius):
     """Register dual vertices against the extrema of a CriticalSet and score the correspondence.
 
     Fits the least-squares similarity from dual-vertex positions to extremum
@@ -317,14 +320,13 @@ def match_report(spec, extrema, disk_radius, boundary_eps=None):
     occupancy counts, and exclusion tallies. Deterministic for fixed inputs.
     Raises ValueError when fewer than two usable correspondences remain.
     """
-    kept, matched, excluded = matching_correspondences(spec, extrema, disk_radius, boundary_eps)
+    kept, matched, excluded = matching_correspondences(spec, extrema, disk_radius)
     if len(matched.rows) < 2:
         raise ValueError("insufficient extrema for registration (need at least 2)")
     sources, targets = matched.position, extrema.location[matched.rows]
-    _, first, occupancy = np.unique(matched.index, axis=0, return_index=True,
-                                    return_counts=True)
-    # Python's round, not np.round: the two can differ in the last place.
-    groups = Counter((round(x, 6), round(y, 6)) for x, y in sources[first].tolist())
+    regions, occupancy = np.unique(matched.index, axis=0, return_counts=True)
+    # sum_i m_i e_i = sum_i m'_i e_i exactly when m - m' is a multiple of (1, 1, 1, 1, 1)
+    _, shared = np.unique(regions - regions[:, :1], axis=0, return_counts=True)
     transform = fit_similarity(np.stack([sources, targets], axis=1))
     residuals = np.hypot(*(transform.apply(sources) - targets).T) / transform.scale
     return MatchReport(
@@ -336,7 +338,7 @@ def match_report(spec, extrema, disk_radius, boundary_eps=None):
         median_residual=float(_median(residuals)),
         max_residual=float(np.max(residuals)),
         excluded_near_singular=excluded,
-        dual_position_collisions=sum(n for n in groups.values() if n > 1),
+        dual_position_collisions=int(shared[shared > 1].sum()),
         transform=transform,
         correspondences=matched,
     )

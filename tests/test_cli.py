@@ -868,7 +868,7 @@ def test_config_file_search_tolerances_reach_the_search(tmp_path, monkeypatch):
               "max_newton_steps": 30, "eig_degenerate_tol": 1e-7}
     assert set(search) == {f.name for f in fields(cli.SearchConfig)} & set(cli._TOLERANCES)
     cfg = tmp_path / "tol.json"
-    cfg.write_text(json.dumps({"tolerances": {**search, "singular_eps": 1e-6}}))
+    cfg.write_text(json.dumps({"tolerances": search}))
     seen = []
     find_critical_points = cli.find_critical_points
 
@@ -910,11 +910,9 @@ def test_resolve_config_leaves_the_loaded_tolerances_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("command, tolerance", [
     ("extrema", '"max_newton_steps": Infinity'),
-    ("tiling", '"singular_eps": NaN'),
-    ("match", '"boundary_eps": NaN'),
     ("identity", '"identity_k_max": 1e400'),  # parsed as inf
     ("identity", '"identity_num_points": 1%s' % ("0" * 400)),  # an int beyond the doubles
-], ids=["inf-steps", "nan-singular", "nan-boundary", "inf-k-max", "huge-points"])
+], ids=["inf-steps", "inf-k-max", "huge-points"])
 def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, tolerance):
     cfg = tmp_path / "tol.json"
     cfg.write_text('{"tolerances": {%s}}' % tolerance)
@@ -923,6 +921,16 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys, command, toleran
     err = capsys.readouterr().err
     assert err.startswith("pentawave: config error: tolerance ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key", [("tiling", "singular_eps"), ("match", "boundary_eps")])
+def test_removed_tolerance_keys_are_refused(tmp_path, capsys, command, key):
+    # tiles decides singular crossings exactly, and the on-line margin of the match is fixed
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tolerances": {key: 1e-9}}))
+    assert cli.main([command, "--radius", "40", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"pentawave: config error: unknown tolerance keys: {key}\n"
 
 
 @pytest.mark.parametrize("value, message", [

@@ -60,8 +60,6 @@ _TOLERANCES = {
     "dedupe_radius": _mostly(st.floats(1e-6, 0.3), _ANY_NUMBER),
     # the Newton loop runs as many steps as asked for, so the count stays small
     "max_newton_steps": _mostly(st.integers(1, 60), st.sampled_from([0, -2, 2.5, -0.5, "3"])),
-    "singular_eps": _mostly(st.floats(-1e-3, 1.0), _ANY_NUMBER),
-    "boundary_eps": _mostly(st.floats(-1e-3, 1.0), _ANY_NUMBER),
     "identity_num_points": _ANY_NUMBER,
     "identity_k_min": _ANY_NUMBER,
     "unknown_key": _ANY_NUMBER,

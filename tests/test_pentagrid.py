@@ -479,12 +479,50 @@ def test_tiles_match_reference_loop(c, window):
     assert got == pg.tiles(spec, window)
 
 
-def test_tiles_match_reference_loop_with_wide_singular_eps():
-    spec = pg.PentagridSpec(0.4)
-    window = (-40.0, 40.0, -40.0, 40.0)
-    got = pg.tiles(spec, window, singular_eps=0.05 * spec.spacing)
-    assert got.skipped_singular > 1
-    _assert_patch_equals(got, _tiles_reference(spec, window, singular_eps=0.05 * spec.spacing))
+@pytest.mark.parametrize("k", [1.0, 0.93])
+@pytest.mark.parametrize("radius", [600.0, 1500.0])
+def test_tiles_match_reference_loop_on_large_windows(k, radius):
+    # the integer strip indices and singular test against the float ones of the reference,
+    # on centred windows of up to about 7,600 lines a family at k = 1
+    spec = pg.PentagridSpec(k / (2.0 * TAU))
+    window = (-radius, radius, -radius, radius)
+    got = pg.tiles(spec, window)
+    _assert_patch_equals(got, _tiles_reference(spec, window))
+    assert got.skipped_singular > 10
+
+
+def _isqrt(n):
+    """math.isqrt of every entry of an int64 array below 2**53."""
+    root = np.floor(np.sqrt(n.astype(float))).astype(np.int64)
+    root -= root * root > n
+    root += (root + 1) * (root + 1) <= n
+    assert (root * root <= n).all() and ((root + 1) * (root + 1) > n).all()
+    return root
+
+
+def test_floor_tau_is_exact_for_every_b_up_to_2_22():
+    # floor(b tau) = floor((b + floor(b sqrt 5)) / 2), and floor(b sqrt 5) is isqrt(5 b^2)
+    # for b >= 0 and -isqrt(5 b^2) - 1 for b < 0, as 5 b^2 is no square unless b = 0
+    limit = 1 << 22
+    for start in range(-limit, limit + 1, 1 << 20):
+        b = np.arange(start, min(start + (1 << 20), limit + 1), dtype=np.int64)
+        root = _isqrt(5 * b * b)
+        want = (b + np.where(b >= 0, root, -root - 1)) // 2
+        assert (np.floor(b * pw.wavefield.GOLDEN_RATIO) == want).all(), start
+    for n in (0, 1, 2, 4, 5, 5 * limit * limit, 5 * limit * limit - 1):
+        assert _isqrt(np.array([n]))[0] == math.isqrt(n)
+
+
+def test_tiles_refuses_a_window_at_line_index_2_24():
+    spec = pg.PentagridSpec(1.0)
+    far = (1 << 24) * spec.spacing
+    with pytest.raises(ValueError, match="line index"):
+        pg.tiles(spec, (far, far + 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="line index"):
+        pg.tiles(spec, (-1e300, 1e300, -1e300, 1e300))
+    near = far - 4.0 * spec.spacing
+    patch = pg.tiles(spec, (near - 3.0 * spec.spacing, near, 0.0, 3.0 * spec.spacing))
+    assert len(patch.tiles) > 0 and patch.skipped_singular == 0
 
 
 def test_empty_tiling_patch():
@@ -605,7 +643,7 @@ def _registration_extrema(k, radius, spec, rng):
 
 
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
-def test_batched_correspondences_and_report_match_reference(k):
+def test_batched_correspondences_and_report_match_reference(k, monkeypatch):
     spec = pg.PentagridSpec(k / (2.0 * TAU))
     extrema = _registration_extrema(k, 45.0, spec, np.random.default_rng(3))
     columns = _critical_set(extrema)
@@ -615,10 +653,13 @@ def test_batched_correspondences_and_report_match_reference(k):
     assert want[2] >= 5
     _assert_report_equals(columns, pg.match_report(spec, columns, 45.0),
                           _report_reference(spec, extrema, 45.0))
-    # an extremum exactly boundary_eps from its nearest line is excluded
+    # an extremum exactly _ON_LINE_SPACINGS spacings from its nearest line is excluded
     row = int(matched[1].rows[0])
     _, margin = pg.region_indices(spec, np.asarray(extrema[row].location))
-    got = pg.matching_correspondences(spec, columns, 45.0, boundary_eps=float(margin))
+    on_line = float(margin) / spec.spacing
+    assert on_line * spec.spacing == margin
+    monkeypatch.setattr(pg, "_ON_LINE_SPACINGS", on_line)
+    got = pg.matching_correspondences(spec, columns, 45.0)
     _assert_matching_equals(columns, got,
                             _matching_reference(spec, extrema, 45.0, boundary_eps=float(margin)))
     assert row not in got[1].rows
@@ -695,11 +736,15 @@ def _local_basis_grad_s5(k, p):
     return ka @ pw.wavefield._DIRECTIONS
 
 
+# the oracle's own quadrant order, offsets from the strips (r - 1, s - 1) below lines r and s
+_LOCAL_QUADRANTS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
 def _local_basis_tiles(spec, window, singular_eps=None):
     import itertools
 
     if singular_eps is None:
-        singular_eps = pg._ON_LINE_SPACINGS * spec.spacing
+        singular_eps = 1e-9 * spec.spacing
     xmin, xmax, ymin, ymax = (float(v) for v in window)
     spacing = spec.spacing
     corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
@@ -729,8 +774,8 @@ def _local_basis_tiles(spec, window, singular_eps=None):
         base = np.zeros((len(pts), 5))
         base[:, others] = np.floor(t_other[~singular])
         base[:, [i, j]] = line_ids - 1.0
-        corners = np.repeat(base[:, None, :], len(pg._QUADRANTS), axis=1)
-        corners[:, :, [i, j]] += pg._QUADRANTS
+        corners = np.repeat(base[:, None, :], len(_LOCAL_QUADRANTS), axis=1)
+        corners[:, :, [i, j]] += _LOCAL_QUADRANTS
         columns.append((
             _local_basis_dual_vertices(corners),
             np.full(len(pts), (j - i) in (2, 3)),
