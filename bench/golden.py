@@ -14,7 +14,9 @@ fixed relative ``--out`` (config.json and the JSON reports echo it).
 Every command also runs at the smaller scale and k = 1 once with each format
 alone, and ``match`` once at a radius where registration fails (exit 4 and
 its error envelope) and once at a fixed radius where it succeeds, and
-``extrema`` once at a fixed radius whose search spans several bands. It also
+``extrema`` once at a fixed radius whose search spans several bands; ``extrema``
+and ``match`` also run at k = 1e-8 and k = 1e5 over fixed disks of kR = 20 and
+kR = 40. It also
 runs ``--help`` at the top level and for each command, and one run per config
 file in BAD_CONFIGS, each holding one value the CLI refuses. Every run has
 ``COLUMNS=80``, so argparse wraps its lines the same way everywhere.
@@ -39,6 +41,7 @@ from unittest import mock
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 WAVENUMBERS = ("1", "0.93")
+EXTREME_WAVENUMBERS = ("1e-8", "1e5")
 SCALES = (1, 2)
 FORMATS = "csv,json,svg"
 # Radius of each command at scale 1, and its other flags.
@@ -94,6 +97,10 @@ def invocations(scale):
     runs.append(run("match-r20", "match", "1", 20, FORMATS))
     # a fixed radius whose search refines four bands of seeds (the scaled runs fit in one)
     runs.append(run("extrema-r150", "extrema", "0.93", 150, "csv,json"))
+    # extreme wavenumbers at fixed kR (20 for extrema, 40 for match, criterion 8's disk):
+    # the search runs in u = k p, so these give k = 1's points, mapped back
+    runs += [run(f"{command}-k{k}", command, k, kr / float(k), FORMATS)
+             for k in EXTREME_WAVENUMBERS for command, kr in (("extrema", 20), ("match", 40))]
     return runs
 
 

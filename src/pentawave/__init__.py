@@ -18,7 +18,6 @@ from .extrema import (
     FieldTriple,
     SearchConfig,
     classify,
-    default_search_config,
     find_critical_points,
     s2_oracle,
 )

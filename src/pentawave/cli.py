@@ -32,8 +32,6 @@ from .extrema import (
     KIND_MINIMUM,
     KINDS,
     SearchConfig,
-    check_search_grid,
-    default_search_config,
     find_critical_points,
 )
 from .identities import suite_residual_breakdown
@@ -301,12 +299,18 @@ def _check_count(count, what, remedy="a smaller --radius or --k"):
 def _critical_points(cfg):
     search_keys = {field.name for field in fields(SearchConfig)}
     overrides = {key: value for key, value in cfg.tolerances.items() if key in search_keys}
-    search = _config_checked(default_search_config, cfg.k, cfg.radius, **overrides)
+    # the search runs in u = k p, over the disk of radius k * radius, with the overrides
+    # in those units
+    radius = cfg.k * cfg.radius
+    spacing = overrides.get("seed_spacing", SearchConfig.seed_spacing)
     # the search holds one band of seeds at a time, but its converged rows, about one
-    # per seed, are held together for the dedupe
-    _check_count(_disk_lattice_size(search.radius, search.seed_spacing), "extrema seeds")
-    _config_checked(check_search_grid, cfg.k, search)
-    return find_critical_points(cfg.k, search)
+    # per seed, are held together for the dedupe. They are counted before SearchConfig
+    # counts the dedupe's cells, of which a radius that overflows has no finite number;
+    # a spacing that is not positive SearchConfig refuses.
+    if spacing > 0:
+        _check_count(_disk_lattice_size(radius, spacing), "extrema seeds")
+    search = _config_checked(SearchConfig, radius, **overrides)
+    return _config_checked(find_critical_points, cfg.k, search)
 
 
 def _pentagrid_spec(cfg):

@@ -30,9 +30,9 @@ _NEWTON_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class FieldTriple:
-    """Value, gradient, and Hessian evaluators sharing the signature (k, points); the search
-    takes the value and Hessian to be odd and the gradient even under p -> 0.0 - p, bit for
-    bit. S5_FIELD and S2_FIELD are sine sums (wavefield._SineSum), which hold this by
+    """Value, gradient, and Hessian evaluators sharing the signature (k, points), which the
+    search calls at k = 1; it takes the value and Hessian to be odd and the gradient even
+    under p -> 0.0 - p, bit for bit. S5_FIELD and S2_FIELD are sine sums (wavefield._SineSum), which hold this by
     construction."""
 
     value: Callable
@@ -78,15 +78,18 @@ class CriticalSet:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search domain and stopping controls for find_critical_points.
+    """Search domain and stopping controls for find_critical_points, in the k-free units
+    u = k p in which the search runs: the field at k and p is the field at 1 and u.
 
-    The domain is the disk of the given radius centered on the origin.
-    eig_degenerate_tol should scale with the Hessian magnitude (k^2); the
-    default suits k near 1, default_search_config scales it.
+    The domain is the disk of the given radius, k times the radius in p, centered on the
+    origin. Seed spacing pi/4 puts eight seeds per field wavelength 2 pi; one coarser
+    than pi/2 could skip critical points. The dedupe cuts the domain into cells of side
+    dedupe_radius / 2, which must be finitely many, and fewer than 2**52 across, so that
+    a cell index and its neighbours are exact doubles and int64s.
     """
 
     radius: float
-    seed_spacing: float
+    seed_spacing: float = math.pi / 4.0
     grad_tol: float = 1e-10
     dedupe_radius: Optional[float] = None
     max_newton_steps: int = 40
@@ -97,48 +100,35 @@ class SearchConfig:
             object.__setattr__(self, "dedupe_radius", self.seed_spacing / 4.0)
         if not (self.seed_spacing > 0):
             raise ValueError("seed_spacing must be positive")
+        if not (self.seed_spacing <= math.pi / 2.0):
+            raise ValueError("seed_spacing must not exceed pi/2")
         if not (self.radius > 0):
             raise ValueError("radius must be positive for a disk search")
         if not (self.dedupe_radius < self.seed_spacing):
             raise ValueError("dedupe_radius must be smaller than seed_spacing")
         if not (self.dedupe_radius > 0):
             raise ValueError("dedupe_radius must be positive")
-        if not math.isfinite(self.seed_spacing):  # pi/(4k) overflows for a subnormal k
-            raise ValueError("seed_spacing must be finite")
-        if not (self.grad_tol > 0 and self.eig_degenerate_tol > 0):
-            raise ValueError("tolerances must be positive")
         if self.max_newton_steps < 1:
             raise ValueError("max_newton_steps must be at least 1")
+        cells = 2.0 * self.radius / self.dedupe_radius
+        if not math.isfinite(cells):
+            raise ValueError("dedupe_radius must cut the domain into finitely many cells")
+        if cells >= 2.0 ** 52:
+            raise ValueError(
+                "dedupe_radius must cut the domain into fewer than 2**52 cells across")
 
 
-def default_search_config(k, radius, **overrides):
-    """Standard search controls for wavenumber k over a disk.
-
-    Seed spacing pi/(4k) puts eight seeds per field wavelength; the
-    degeneracy threshold scales with the Hessian magnitude k^2. The controls
-    that do not depend on k keep SearchConfig's defaults.
-    """
-    base = dict(
-        radius=float(radius),
-        seed_spacing=math.pi / (4.0 * k),
-        dedupe_radius=math.pi / (16.0 * k),
-        eig_degenerate_tol=1e-8 * k * k,
-    )
-    base.update(overrides)
-    return SearchConfig(**base)
-
-
-def _evaluate(fn, k, rows):
-    """fn(k, rows), where a one-row batch is evaluated as two identical rows: numpy
+def _evaluate(fn, rows):
+    """fn(1.0, rows), where a one-row batch is evaluated as two identical rows: numpy
     rounds a lone row differently from a batch, and any two or more rows round as the
     same rows of one larger batch do, so each row's bits depend on that row alone.
     """
     if len(rows) == 1:
-        return fn(k, np.repeat(rows, 2, axis=0))[:1]
-    return fn(k, rows)
+        return fn(1.0, np.repeat(rows, 2, axis=0))[:1]
+    return fn(1.0, rows)
 
 
-def _newton_step(field, k, cur, g, paired, cfg):
+def _newton_step(field, cur, g, paired, cfg):
     """Next point of each row: a Newton step, or where the Hessian determinant
     falls below eig_degenerate_tol^2 a damped gradient step of length
     0.1*seed_spacing in whichever of the +-gradient directions reduces the
@@ -157,7 +147,7 @@ def _newton_step(field, k, cur, g, paired, cfg):
         det_tol = cfg.eig_degenerate_tol ** 2
     except OverflowError:  # above every finite determinant
         det_tol = math.inf
-    hess = _evaluate(field.hess, k, cur)
+    hess = _evaluate(field.hess, cur)
     det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx = (hess[:, 1, 1] * g[:, 0] - hess[:, 0, 1] * g[:, 1]) / det
@@ -172,8 +162,8 @@ def _newton_step(field, k, cur, g, paired, cfg):
     direction = g / np.hypot(g[:, 0], g[:, 1])[:, None]
     lo = cur - fallback_step * direction
     hi = cur + fallback_step * direction
-    glo = _evaluate(field.grad, k, lo)
-    ghi = _evaluate(field.grad, k, hi)
+    glo = _evaluate(field.grad, lo)
+    ghi = _evaluate(field.grad, hi)
     nlo, nhi = np.hypot(glo[:, 0], glo[:, 1]), np.hypot(ghi[:, 0], ghi[:, 1])
     take_lo = nlo <= nhi
     new[flat] = np.where(take_lo[:, None], lo, hi)
@@ -181,10 +171,10 @@ def _newton_step(field, k, cur, g, paired, cfg):
     return new, flat[split], 0.0 - np.where(take_lo[split, None], hi[split], lo[split])
 
 
-def _refine_batch(field, k, seeds, cfg):
-    """Newton-iterate every seed and the mate 0.0 - p of each seed but the origin; returns
-    (points, gradient_norm) of the rows that converge inside the disk of radius
-    cfg.radius, in no set order.
+def _refine_batch(field, seeds, cfg):
+    """Newton-iterate every seed and the mate 0.0 - p of each seed but the origin, on the
+    field at k = 1; returns (points, gradient_norm) of the rows that converge inside the
+    disk of radius cfg.radius, in no set order.
 
     Convergence is checked before stepping, so a seed already at a critical point is
     accepted unchanged. The working set (cur, g, paired) drops a row as it converges or
@@ -205,7 +195,7 @@ def _refine_batch(field, k, seeds, cfg):
     for step in range(cfg.max_newton_steps + 1):
         if len(cur) == 0:
             break
-        g = _evaluate(field.grad, k, cur)
+        g = _evaluate(field.grad, cur)
         # hypot is never below either component, so only these rows can converge
         done = np.logical_and(*(np.abs(g) <= cfg.grad_tol).T)
         gd = g.compress(done, axis=0)
@@ -223,7 +213,7 @@ def _refine_batch(field, k, seeds, cfg):
             cur, g, paired = (a.compress(live, axis=0) for a in (cur, g, paired))
         if step == cfg.max_newton_steps or len(cur) == 0:
             break
-        cur, pair, mate = _newton_step(field, k, cur, g, paired, cfg)
+        cur, pair, mate = _newton_step(field, cur, g, paired, cfg)
         if pair.size:
             paired[pair] = False
             cur = np.concatenate([cur, mate])
@@ -347,8 +337,8 @@ def _greedy_keep(pts, cell, h):
     return keep
 
 
-def classify(k, location, cfg, field=S5_FIELD):
-    """Hessian eigenvalue classification at converged critical points.
+def classify(location, cfg, field=S5_FIELD):
+    """Hessian eigenvalue classification at converged critical points of the field at k = 1.
 
     Both eigenvalues below -eig_degenerate_tol is a maximum, both above +tol
     a minimum, straddling signs beyond tol a saddle, anything else degenerate.
@@ -356,7 +346,7 @@ def classify(k, location, cfg, field=S5_FIELD):
     into KINDS and an (n, 2) array. The batch is evaluated as n stacked single
     points, so every row rounds exactly as a single (2,) point does.
     """
-    hess = field.hess(k, np.asarray(location, dtype=float)[:, None, :]).reshape(-1, 2, 2)
+    hess = field.hess(1.0, np.asarray(location, dtype=float)[:, None, :]).reshape(-1, 2, 2)
     a, b, c = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
     half_trace = 0.5 * (a + b)
     # math.hypot, not np.hypot: the two round differently
@@ -367,27 +357,15 @@ def classify(k, location, cfg, field=S5_FIELD):
     return codes.astype(np.int8), np.column_stack([lo, hi])
 
 
-def check_search_grid(k, cfg):
-    """Refuse a k whose Hessian determinant overflows, a seed grid coarser than pi/(2k)
-    (it could skip critical points) and a dedupe radius cutting the domain into 2**52 or
-    more cells across.
-    """
-    # s5's Hessian has norm at most 2.5 k^2 (s2's k^2), which bounds each product of det
-    if not math.isfinite((2.5 * k * k) * (2.5 * k * k)):
-        raise ValueError("k is too large: the Hessian determinant (2.5*k*k)**2 overflows")
-    if cfg.seed_spacing > math.pi / (2.0 * k) * (1.0 + 1e-12):
-        raise ValueError("seed_spacing must not exceed pi/(2k)")
-    # the dedupe divides coordinates by dedupe_radius / 2
-    cells = 2.0 * cfg.radius / cfg.dedupe_radius
-    if not math.isfinite(cells):
-        raise ValueError("dedupe_radius must cut the domain into finitely many cells")
-    # below it a cell index and its neighbours are exact doubles and int64s
-    if cells >= 2.0 ** 52:
-        raise ValueError("dedupe_radius must cut the domain into fewer than 2**52 cells across")
-
-
 def find_critical_points(k, cfg, field=S5_FIELD):
-    """Locate, deduplicate, and classify all critical points in the disk.
+    """Locate, deduplicate, and classify all critical points of the field at wavenumber k
+    in the disk of radius cfg.radius / k.
+
+    The one place that sees k: the field at k and p is the field at 1 and u = k p, so
+    the search runs at k = 1 in u, over cfg in those units, and maps its points back
+    once, location u / k and eigenvalues k^2 times those at u; the values are those
+    at u. At k = 1 both are exact. A k whose eigenvalues (up to 2.5 k^2 for s5, k^2 for
+    s2) overflow is refused.
 
     Seeds the disk lattice from the origin on, band by band, _NEWTON_BLOCK rows at a
     time, each row standing for its mirror 0.0 - p too, so no lattice is ever built
@@ -399,8 +377,9 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     by row number, but rows equal under == differ only at +-0.0, which the search never
     makes (its mates are 0.0 - p), so the order of the loop's rows does not matter.
     """
-    check_search_grid(k, cfg)
-    bands = [_refine_batch(field, k, seeds, cfg) for seeds in
+    if not math.isfinite(2.5 * k * k):
+        raise ValueError("k is too large: the eigenvalues, up to 2.5*k*k, overflow")
+    bands = [_refine_batch(field, seeds, cfg) for seeds in
              _disk_lattice_blocks(cfg.radius, cfg.seed_spacing, _NEWTON_BLOCK)]
     pts, gnorm = zip(*bands)
     del bands
@@ -409,9 +388,11 @@ def find_critical_points(k, cfg, field=S5_FIELD):
     if len(pts):
         pts = pts[_dedupe(pts, gnorm, cfg.dedupe_radius)]
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    kinds, eigenvalues = classify(k, pts, cfg, field=field)
+    kinds, eigenvalues = classify(pts, cfg, field=field)
     # stacked single points, to round as a one-point evaluation does
-    values = field.value(k, pts[:, None, :])[:, 0]
+    values = field.value(1.0, pts[:, None, :])[:, 0]
+    pts /= k
+    eigenvalues *= k * k
     return CriticalSet(location=pts, value=values, kind=kinds, eigenvalues=eigenvalues)
 
 

@@ -122,8 +122,7 @@ def test_criterion_4_checkerboard_oracle(verdict):
     start = time.perf_counter()
     # the disk of radius 3 holds the four oracle points at (+-pi/2, +-pi/2)
     radius = 3.0
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, radius),
-                                    field=ex.S2_FIELD)
+    found = pw.find_critical_points(1.0, pw.SearchConfig(radius), field=ex.S2_FIELD)
     # the oracle's square about the disk, clipped to the disk
     oracle = ex.s2_oracle(1.0, (-radius, radius, -radius, radius))
     inside = np.hypot(*oracle.location.T) <= radius
@@ -270,7 +269,7 @@ def test_criterion_9_symmetry_suite(verdict):
         and float(np.abs(pw.p5(ks, rot) - pw.p5(ks, pts)).max()) <= 1e-12
     )
 
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 10.0))
+    found = pw.find_critical_points(1.0, pw.SearchConfig(10.0))
     locs = found.location
     kinds = [ex.KINDS[code] for code in found.kind.tolist()]
     set_ok = len(found) > 0

@@ -483,7 +483,7 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
 
 @pytest.mark.parametrize("args, message", [
     (("field", "--k", "5e-324"), "lead wavenumber k/(2*tau) underflows to zero"),
-    (("extrema", "--k", "5e-324"), "dedupe_radius must be smaller than seed_spacing"),
+    (("extrema", "--k", "1e155", "--radius", "1e-160"), "up to 2.5*k*k, overflow"),
     (("tiling", "--k", "5e-324"), "c must be finite and positive"),
     (("match", "--k", "5e-324"), "c must be finite and positive"),
     (("tiling", "--radius", "1e6"), "6.15073e+11 tiling line crossings exceed 100000000"),
@@ -494,9 +494,9 @@ def test_overflowing_series_inputs_are_config_errors(tmp_path, args, message):
     (("match", "--radius", "1e9"), "extrema seeds exceed"),
     (("match", "--k", "1e300", "--radius", "1e300"), "inf extrema seeds exceed"),
     (("identity", "--radius", "1e300"), "residual allowance"),
-    # the Newton step's Hessian determinant would overflow
-    (("extrema", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
-    (("match", "--k", "1e77", "--radius", "1e-76"), "(2.5*k*k)**2 overflows"),
+    # the search runs at k = 1 in u = k p, but the eigenvalues it maps back would overflow
+    (("extrema", "--k", "1e160", "--radius", "1e-160"), "up to 2.5*k*k, overflow"),
+    (("match", "--k", "1e155", "--radius", "4e-155"), "up to 2.5*k*k, overflow"),
     # beside the --k 5e-324 cases above: c = k/(2*tau) is positive, but pi/c overflows
     (("tiling", "--k", "1e-310", "--radius", "1e150"), "the line spacing pi/c overflows"),
     (("match", "--k", "1e-310"), "the line spacing pi/c overflows"),
@@ -732,18 +732,19 @@ def test_seed_spacing_above_quarter_wavelength_is_config_error(tmp_path, command
     cfg.write_text(json.dumps({"tolerances": {"seed_spacing": 5.0}}))
     proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
-    assert proc.stderr == "pentawave: config error: seed_spacing must not exceed pi/(2k)\n"
+    assert proc.stderr == "pentawave: config error: seed_spacing must not exceed pi/2\n"
 
 
 def test_seed_spacing_that_overflows_is_config_error(tmp_path):
-    # pi/(4k) is inf for a subnormal k; with a finite dedupe radius the seed grid
-    # read inf * 0 = nan, with a RuntimeWarning, and the search exited 0 on no seeds
+    # the seed spacing is in u = k p, so no k makes the default pi/4 overflow; one
+    # written past the float range reads as inf, and a seed grid of inf * 0 = nan
+    # spacing would find nothing and exit 0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"dedupe_radius": 0.25}}))
+    cfg.write_text('{"tolerances": {"seed_spacing": 1e999, "dedupe_radius": 0.25}}')
     proc = run_cli("extrema", "--k", "5e-324", "--radius", "2", "--config", str(cfg),
                    "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
-    assert proc.stderr == "pentawave: config error: seed_spacing must be finite\n"
+    assert proc.stderr == "pentawave: config error: tolerance seed_spacing must be finite\n"
 
 
 def _cell_reference(value):

@@ -37,9 +37,9 @@ def _mostly(usual, odd):
 
 
 # Values the CLI must refuse before allocating anything: not finite or positive,
-# so small that the derived tolerances or the pentagrid wavenumber underflow to
-# zero, or so large that with any radius below the seed and crossing counts
-# pass the cap.
+# so small that the pentagrid wavenumber underflows to zero (extrema searches the
+# disk of radius kR in u = k p, the origin alone), or so large that with any
+# radius below the seed and crossing counts pass the cap.
 _K = _mostly(st.one_of(st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.2, 4.0)),
              st.sampled_from([1e-3, 0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e20,
                               1e300]))
@@ -55,8 +55,8 @@ _ANY_NUMBER = st.one_of(
 _TOLERANCES = {
     "grad_tol": _mostly(st.floats(1e-14, 1e-2), _ANY_NUMBER),
     "eig_degenerate_tol": _mostly(st.floats(1e-12, 1.0), _ANY_NUMBER),
-    # from 0.1 up: at most about 6 * 10^4 seeds at radius 12
-    "seed_spacing": _mostly(st.floats(0.1, 1.5), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
+    # in u = k p, from 0.4 up: at most about 6 * 10^4 seeds at kR = 48
+    "seed_spacing": _mostly(st.floats(0.4, 1.5), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
     "dedupe_radius": _mostly(st.floats(1e-6, 0.3), _ANY_NUMBER),
     # the Newton loop runs as many steps as asked for, so the count stays small
     "max_newton_steps": _mostly(st.integers(1, 60), st.sampled_from([0, -2, 2.5, -0.5, "3"])),

@@ -1,5 +1,6 @@
 """Tests for critical point search, refinement, and classification."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import pentawave as pw
+from pentawave import cli
 from pentawave import extrema as ex
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
@@ -154,8 +156,7 @@ def test_pipeline_matches_s2_oracle():
     # oracle points lie as close as 0.039 to the rim of these disks
     for k, radius, count in ((1.0, 3.0, 4), (1.0, 7.3, 16), (0.93, 14.0, 52), (2.5, 6.0, 76),
                              (1.0, 40.0, 500)):
-        found = pw.find_critical_points(k, pw.default_search_config(k, radius),
-                                        field=ex.S2_FIELD)
+        found = pw.find_critical_points(k, pw.SearchConfig(k * radius), field=ex.S2_FIELD)
         oracle = _s2_oracle_in_disk(k, radius)
         assert len(found) == len(oracle) == count, (k, radius)
         assert _kinds(found) == _kinds(oracle)
@@ -164,22 +165,97 @@ def test_pipeline_matches_s2_oracle():
         assert np.allclose(found.eigenvalues, oracle.eigenvalues, atol=1e-8 * k * k)
 
 
-def _refine_one(k, seed, cfg, field=ex.S5_FIELD):
+def _extrema_columns(tmp_path, k, radius, *flags):
+    """The columns of extrema.csv of an in-process `extrema` run, by header name: the kind
+    names as a list, every other column as a float array."""
+    out = tmp_path / f"extrema-{k!r}-{radius!r}"
+    argv = ["extrema", f"--k={k!r}", f"--radius={radius!r}", *flags, "--format", "csv"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in (out / "extrema.csv").read_text().splitlines()]
+    columns = dict(zip(header, map(list, zip(*rows))))
+    kinds = columns.pop("kind")
+    return {name: np.array(column, dtype=float) for name, column in columns.items()}, kinds
+
+
+def test_k_free_extrema_are_the_points_of_k_1_mapped_back(tmp_path):
+    # the search runs at k = 1 in u = k p, so at kR = 20 every k finds the 101 points of
+    # k = 1, at u / k, with eigenvalues k^2 times those of k = 1 (0 where k^2 underflows)
+    want, want_kinds = _extrema_columns(tmp_path, 1.0, 20.0)
+    assert len(want_kinds) == 101
+    for k in (1e-300, 1e-100, 1e-8, 0.93, 1e5, 1e100):
+        got, kinds = _extrema_columns(tmp_path, k, 20.0 / k)
+        assert kinds == want_kinds, k
+        for name in ("x", "y"):
+            assert np.allclose(got[name] * k, want[name], rtol=1e-12, atol=20.0 * 1e-12), k
+        assert np.allclose(got["value"], want["value"], rtol=1e-12, atol=1e-12), k
+        for name in ("eig_low", "eig_high"):
+            assert np.allclose(got[name], want[name] * (k * k), rtol=1e-12, atol=0.0), k
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e5, 1e77])
+def test_k_free_match_registers_as_criterion_8(tmp_path, k):
+    # at kR = 40 the counts of criterion 8 (k = 1, R = 40); k = 1e77 was refused, since
+    # the p-space search's Hessian determinant (2.5 k^2)^2 overflowed
+    from test_acceptance import PINNED_MATCH
+
+    out = tmp_path / "match"
+    assert cli.main(["match", f"--k={k!r}", f"--radius={40.0 / k!r}", "--format", "json",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "match.json").read_text())["report"]
+    for key in ("num_extrema", "num_regions_hit", "regions_with_exactly_one"):
+        assert report[key] == PINNED_MATCH[key], key
+
+
+def test_k_free_search_takes_a_subnormal_k(tmp_path):
+    # a subnormal k, alone and with a dedupe radius set: the p-space defaults pi/(4k)
+    # overflowed and 1e-8 k^2 underflowed; the disk of radius kR in u holds the origin
+    # alone, as at k = 1
+    (tmp_path / "tol.json").write_text(json.dumps({"tolerances": {"dedupe_radius": 0.25}}))
+    for radius, flags in ((10.0, ()), (2.0, ("--config", str(tmp_path / "tol.json")))):
+        got, kinds = _extrema_columns(tmp_path, 5e-324, radius, *flags)
+        assert kinds == [ex.KIND_DEGENERATE] and got["x"].tolist() == got["y"].tolist() == [0.0]
+
+
+def test_k_free_extrema_at_a_k_whose_hessian_determinant_overflowed(tmp_path):
+    # `extrema --k 1e77 --radius 1e-76` was refused, since the p-space search's Hessian
+    # determinant (2.5 k^2)^2 overflowed; at kR = 10 it finds the 21 points of k = 1
+    want, want_kinds = _extrema_columns(tmp_path, 1.0, 10.0)
+    got, kinds = _extrema_columns(tmp_path, 1e77, 1e-76)
+    assert len(kinds) == 21 and kinds == want_kinds
+    for name in ("x", "y"):
+        assert np.allclose(got[name] * 1e77, want[name], rtol=1e-12, atol=10.0 * 1e-12)
+    for name in ("eig_low", "eig_high"):
+        assert np.allclose(got[name], want[name] * (1e77 * 1e77), rtol=1e-12, atol=0.0)
+
+
+def test_k_free_find_critical_points_at_a_k_whose_hessian_determinant_overflowed():
+    # the eigenvalues, at most 2.5 k^2, are finite at k = 1e77; only a k past that is refused
+    cfg = ex.SearchConfig(10.0)
+    want, got = ex.find_critical_points(1.0, cfg), ex.find_critical_points(1e77, cfg)
+    assert len(got) == 21 and np.array_equal(got.kind, want.kind)
+    assert got.location.tobytes() == (want.location / 1e77).tobytes()
+    assert got.eigenvalues.tobytes() == (want.eigenvalues * (1e77 * 1e77)).tobytes()
+    assert got.value.tobytes() == want.value.tobytes()
+    with pytest.raises(ValueError, match=r"up to 2\.5\*k\*k, overflow"):
+        ex.find_critical_points(1e155, cfg)
+
+
+def _refine_one(seed, cfg, field=ex.S5_FIELD):
     """Refine a one-row seed array; returns the converged location or None."""
-    pts, _ = ex._refine_batch(field, k, np.array([seed], dtype=float), cfg)
+    pts, _ = ex._refine_batch(field, np.array([seed], dtype=float), cfg)
     return tuple(pts[0].tolist()) if len(pts) else None
 
 
 def test_refine_one_row_fixed_at_exact_critical_point():
-    cfg = pw.default_search_config(1.0, TWO_PI)
+    cfg = pw.SearchConfig(TWO_PI)
     seed = (math.pi / 2.0, math.pi / 2.0)
-    got = _refine_one(1.0, seed, cfg, field=ex.S2_FIELD)
+    got = _refine_one(seed, cfg, field=ex.S2_FIELD)
     assert got == seed
 
 
 def test_refine_one_row_converges_from_offset_seed():
-    cfg = pw.default_search_config(1.0, TWO_PI)
-    got = _refine_one(1.0, (math.pi / 2 + 0.3, math.pi / 2 - 0.2), cfg, field=ex.S2_FIELD)
+    cfg = pw.SearchConfig(TWO_PI)
+    got = _refine_one((math.pi / 2 + 0.3, math.pi / 2 - 0.2), cfg, field=ex.S2_FIELD)
     assert got is not None
     assert math.hypot(got[0] - math.pi / 2, got[1] - math.pi / 2) <= 1e-10
 
@@ -187,15 +263,15 @@ def test_refine_one_row_converges_from_offset_seed():
 def test_refine_one_row_origin_seed_degenerate():
     # the fivefold field has a degenerate critical point at the origin where
     # the Hessian vanishes; the damped fallback must not produce NaN
-    cfg = pw.default_search_config(1.0, 1.0)
-    got = _refine_one(1.0, (0.0, 0.0), cfg)
+    cfg = pw.SearchConfig(1.0)
+    got = _refine_one((0.0, 0.0), cfg)
     assert got == (0.0, 0.0)
-    codes, _ = ex.classify(1.0, np.array([got]), cfg)
+    codes, _ = ex.classify(np.array([got]), cfg)
     assert codes.tolist() == [ex.KINDS.index(ex.KIND_DEGENERATE)]
 
 
 def test_tiny_disk_returns_only_origin():
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))
+    found = pw.find_critical_points(1.0, pw.SearchConfig(0.1))
     assert len(found) == 1
     assert found.location.tolist() == [[0.0, 0.0]]
     assert _kinds(found) == [ex.KIND_DEGENERATE]
@@ -203,7 +279,7 @@ def test_tiny_disk_returns_only_origin():
 
 
 def test_gradient_postcondition_and_sorted_output():
-    cfg = pw.default_search_config(1.0, 6.0)
+    cfg = pw.SearchConfig(6.0)
     found = pw.find_critical_points(1.0, cfg)
     assert len(found) > 0
     locs = found.location.tolist()
@@ -216,23 +292,21 @@ def test_gradient_postcondition_and_sorted_output():
 
 def test_results_stable_under_seed_refinement():
     # halving the seed spacing must find the same critical set
-    coarse = pw.find_critical_points(1.0, pw.default_search_config(1.0, 6.0))
-    fine = pw.find_critical_points(
-        1.0, pw.default_search_config(1.0, 6.0, seed_spacing=math.pi / 8.0)
-    )
+    coarse = pw.find_critical_points(1.0, pw.SearchConfig(6.0))
+    fine = pw.find_critical_points(1.0, pw.SearchConfig(6.0, seed_spacing=math.pi / 8.0))
     assert len(coarse) == len(fine)
     assert np.all(np.hypot(*(coarse.location - fine.location).T) <= 1e-8)
     assert _kinds(coarse) == _kinds(fine)
 
 
 def test_deterministic_across_calls():
-    a = pw.find_critical_points(1.3, pw.default_search_config(1.3, 5.0))
-    b = pw.find_critical_points(1.3, pw.default_search_config(1.3, 5.0))
+    a = pw.find_critical_points(1.3, pw.SearchConfig(1.3 * 5.0))
+    b = pw.find_critical_points(1.3, pw.SearchConfig(1.3 * 5.0))
     assert a == b
 
 
 def test_classification_against_eigenvalues():
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 10.0))
+    found = pw.find_critical_points(1.0, pw.SearchConfig(10.0))
     kinds = _kinds(found)
     assert ex.KIND_MAXIMUM in kinds
     assert ex.KIND_MINIMUM in kinds
@@ -252,22 +326,21 @@ def test_classification_against_eigenvalues():
 
 
 def test_classify_helper_cases():
-    cfg = pw.default_search_config(1.0, TWO_PI)
-    codes, eigs = ex.classify(1.0, np.array([(math.pi / 2, math.pi / 2)]), cfg,
-                              field=ex.S2_FIELD)
+    cfg = pw.SearchConfig(TWO_PI)
+    codes, eigs = ex.classify(np.array([(math.pi / 2, math.pi / 2)]), cfg, field=ex.S2_FIELD)
     assert ex.KINDS[codes[0]] == ex.KIND_MAXIMUM
     assert np.allclose(eigs, [(-1.0, -1.0)], atol=1e-12)
-    codes, eigs = ex.classify(1.0, np.array([(3 * math.pi / 2, math.pi / 2)]), cfg,
+    codes, eigs = ex.classify(np.array([(3 * math.pi / 2, math.pi / 2)]), cfg,
                               field=ex.S2_FIELD)
     assert ex.KINDS[codes[0]] == ex.KIND_SADDLE
     assert eigs[0, 0] < 0 < eigs[0, 1]
-    codes, eigs = ex.classify(1.0, np.zeros((1, 2)), cfg)
+    codes, eigs = ex.classify(np.zeros((1, 2)), cfg)
     assert ex.KINDS[codes[0]] == ex.KIND_DEGENERATE
     assert codes.dtype == np.int8 and eigs.shape == (1, 2)
 
 
 def test_field_symmetry_of_critical_set():
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 8.0))
+    found = pw.find_critical_points(1.0, pw.SearchConfig(8.0))
     locs = found.location
     kinds = _kinds(found)
     c5, s5 = math.cos(TWO_PI / 5.0), math.sin(TWO_PI / 5.0)
@@ -292,12 +365,9 @@ def test_field_symmetry_of_critical_set():
 
 def test_dense_seed_grid_cross_check():
     # brute-force style scan at quadruple seed density agrees with defaults
-    base = pw.find_critical_points(1.0, pw.default_search_config(1.0, 12.0))
+    base = pw.find_critical_points(1.0, pw.SearchConfig(12.0))
     dense = pw.find_critical_points(
-        1.0,
-        pw.default_search_config(
-            1.0, 12.0, seed_spacing=math.pi / 16.0, dedupe_radius=math.pi / 64.0
-        ),
+        1.0, pw.SearchConfig(12.0, seed_spacing=math.pi / 16.0, dedupe_radius=math.pi / 64.0)
     )
     assert len(base) == len(dense)
     assert np.all(np.hypot(*(base.location - dense.location).T) <= 1e-8)
@@ -315,30 +385,35 @@ def test_search_config_validation():
         ex.SearchConfig(radius=5.0, seed_spacing=0.5, max_newton_steps=0)
     with pytest.raises(ValueError):
         ex.SearchConfig(radius=0.0, seed_spacing=0.5)
+    # the dedupe's cells of side dedupe_radius / 2: infinitely many, and 2**52 across
+    with pytest.raises(ValueError, match="finitely many cells"):
+        ex.SearchConfig(12.0, dedupe_radius=1e-310)
+    with pytest.raises(ValueError, match="finitely many cells"):
+        ex.SearchConfig(math.inf)
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*52 cells"):
+        ex.SearchConfig(2.0 ** 50, dedupe_radius=0.5)
+    assert ex.SearchConfig(2.0 ** 50, seed_spacing=1.5, dedupe_radius=1.0).radius == 2.0 ** 50
 
 
 def test_seed_spacing_guard_against_aliasing():
-    # spacing above half the shortest wavelength risks skipping extrema
-    cfg = ex.SearchConfig(radius=4.0, seed_spacing=2.0)
-    with pytest.raises(ValueError):
-        pw.find_critical_points(2.0, cfg)
+    # spacing above half the shortest wavelength, pi in u = k p, risks skipping extrema
+    with pytest.raises(ValueError, match="seed_spacing must not exceed pi/2"):
+        ex.SearchConfig(radius=4.0, seed_spacing=2.0)
+    with pytest.raises(ValueError, match="seed_spacing must not exceed pi/2"):
+        ex.SearchConfig(radius=4.0, seed_spacing=math.nextafter(math.pi / 2.0, 2.0))
+    assert ex.SearchConfig(radius=4.0, seed_spacing=math.pi / 2.0).seed_spacing == math.pi / 2.0
 
 
-def test_search_grid_refuses_a_k_whose_hessian_determinant_overflows():
-    # (2.5 k^2)^2 is finite up to k of about 7.3e76
-    ex.check_search_grid(5e76, ex.default_search_config(5e76, 1e-76))
-    with pytest.raises(ValueError, match=r"\(2\.5\*k\*k\)\*\*2 overflows"):
-        ex.check_search_grid(1e77, ex.default_search_config(1e77, 1e-76))
-
-
-def test_default_search_config_values():
-    cfg = pw.default_search_config(2.0, 7.5)
+def test_search_config_defaults():
+    cfg = pw.SearchConfig(7.5)
     assert cfg.radius == 7.5
-    assert abs(cfg.seed_spacing - math.pi / 8.0) <= 1e-15
-    assert abs(cfg.dedupe_radius - math.pi / 32.0) <= 1e-15
+    # eight seeds per wavelength 2 pi of the field at k = 1, bit for bit as before
+    assert cfg.seed_spacing == math.pi / 4.0
+    assert cfg.dedupe_radius == math.pi / 16.0
     assert cfg.grad_tol == 1e-10
+    assert cfg.eig_degenerate_tol == 1e-8
     assert cfg.max_newton_steps == 40
-    over = pw.default_search_config(2.0, 7.5, grad_tol=1e-8)
+    over = pw.SearchConfig(7.5, grad_tol=1e-8)
     assert over.grad_tol == 1e-8
 
 
@@ -436,8 +511,8 @@ def test_dedupe_matches_greedy_reference(seed, h):
 
 
 def test_dedupe_matches_greedy_reference_on_converged_seeds():
-    cfg = ex.default_search_config(1.0, 30.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(30.0)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, _half_grid(cfg), cfg)
     assert len(pts) > 1000
     want = _greedy_dedupe_reference(pts, gnorm, cfg.dedupe_radius)
     assert _same_rows(ex._dedupe(pts, gnorm, cfg.dedupe_radius), want)
@@ -468,14 +543,14 @@ def _dedupe_checked(monkeypatch, pts, gnorm, h, traced=False):
 
 @pytest.mark.parametrize("k", [0.93, 2.5])
 def test_dedupe_matches_greedy_reference_on_a_search_of_radius_100(monkeypatch, k):
-    cfg = ex.default_search_config(k, 100.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(k * 100.0)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, _half_grid(cfg), cfg)
     assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
 
 
 def test_dedupe_matches_greedy_reference_with_a_radius_near_the_seed_spacing(monkeypatch):
-    cfg = ex.default_search_config(1.0, 100.0, dedupe_radius=0.9 * math.pi / 4.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(100.0, dedupe_radius=0.9 * math.pi / 4.0)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, _half_grid(cfg), cfg)
     assert 0 < _dedupe_checked(monkeypatch, pts, gnorm, cfg.dedupe_radius) < len(pts)
 
 
@@ -550,8 +625,8 @@ def test_dedupe_memory_stays_linear_on_coincident_rows(monkeypatch):
 
 def test_dedupe_memory_stays_linear_on_a_dense_seed_grid(monkeypatch):
     # nearly every converged seed lands in a fine cell with occupied neighbours
-    cfg = ex.default_search_config(1.0, 1.0, seed_spacing=0.01, dedupe_radius=0.002)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(1.0, seed_spacing=0.01, dedupe_radius=0.002)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, _half_grid(cfg), cfg)
     h = cfg.dedupe_radius
     greedy_rows, per_row = _dedupe_checked(monkeypatch, pts, gnorm, h, traced=True)
     assert greedy_rows > 0.9 * len(pts)
@@ -577,23 +652,34 @@ def _classify_reference(k, location, cfg, field):
     return kind, (float(lo), float(hi))
 
 
+def _mapped_back(points, k):
+    """Points of the field at k = 1, in u = k p, mapped back to wavenumber k as
+    find_critical_points maps them: location u / k, eigenvalues times k * k."""
+    return [cp._replace(location=tuple(x / k for x in cp.location),
+                        eigenvalues=tuple(e * (k * k) for e in cp.eigenvalues)) for cp in points]
+
+
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_batched_classify_and_value_equal_single_points(field, k):
-    cfg = ex.default_search_config(k, 12.0 / k)
+    cfg = ex.SearchConfig(12.0)
     found = ex.find_critical_points(k, cfg, field=field)
     assert len(found) > 20
-    for loc, value, kind, eig in zip(found.location.tolist(), found.value.tolist(),
-                                     _kinds(found), found.eigenvalues.tolist()):
-        assert _classify_reference(k, loc, cfg, field) == (kind, tuple(eig))
-        assert value == float(field.value(k, np.asarray(loc)))
+    # the search's points in u: at k = 1 it maps nothing
+    u = ex.find_critical_points(1.0, cfg, field=field).location
+    for loc, value, kind, eig in zip(u.tolist(), found.value.tolist(), _kinds(found),
+                                     found.eigenvalues.tolist()):
+        [want] = _mapped_back([_Point(loc, value, *_classify_reference(1.0, loc, cfg, field))], k)
+        assert (want.kind, want.eigenvalues) == (kind, tuple(eig))
+        assert value == float(field.value(1.0, np.asarray(loc)))
+    assert found.location.tobytes() == (u / k).tobytes()
     rng = np.random.default_rng(7)
-    pts = np.concatenate([found.location, rng.uniform(-60.0, 60.0, (4000, 2))])
-    codes, eigenvalues = ex.classify(k, pts, cfg, field=field)
+    pts = np.concatenate([u, rng.uniform(-60.0, 60.0, (4000, 2))])
+    codes, eigenvalues = ex.classify(pts, cfg, field=field)
     for p, code, eig in zip(pts.tolist(), codes.tolist(), eigenvalues.tolist()):
         kind = ex.KINDS[code]
-        assert _classify_reference(k, p, cfg, field) == (kind, tuple(eig))
-        one_code, one_eig = ex.classify(k, np.array([p]), cfg, field=field)
+        assert _classify_reference(1.0, p, cfg, field) == (kind, tuple(eig))
+        one_code, one_eig = ex.classify(np.array([p]), cfg, field=field)
         assert (one_code.tolist(), one_eig.tolist()) == ([code], [eig])
 
 
@@ -649,17 +735,18 @@ def _assert_critical_set_equals(got, want):
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_critical_set_equals_the_object_building_reference(field, k):
+    # the configs in u = k p; the reference runs at k = 1 and is mapped back
     configs = [
-        ex.default_search_config(k, 14.0 / k),
+        ex.SearchConfig(14.0),
         # the origin alone of s5, no critical point of s2
-        ex.default_search_config(k, 0.1),
-        ex.SearchConfig(radius=9.5 / k, seed_spacing=math.pi / (5.0 * k)),
-        ex.default_search_config(k, 6.0 / k, max_newton_steps=2),
+        ex.SearchConfig(0.1),
+        ex.SearchConfig(9.5, seed_spacing=math.pi / 5),
+        ex.SearchConfig(6.0, max_newton_steps=2),
     ]
     sizes = []
     for cfg in configs:
         got = ex.find_critical_points(k, cfg, field=field)
-        want = _find_critical_points_reference(k, cfg, field)
+        want = _mapped_back(_find_critical_points_reference(1.0, cfg, field), k)
         _assert_critical_set_equals(got, want)
         assert got == ex.find_critical_points(k, cfg, field=field)
         sizes.append(len(got))
@@ -673,12 +760,12 @@ def test_find_critical_points_classifies_in_one_call(monkeypatch):
     calls = []
     single = ex.classify
 
-    def counted(k, location, cfg, field=ex.S5_FIELD):
+    def counted(location, cfg, field=ex.S5_FIELD):
         calls.append(np.shape(location))
-        return single(k, location, cfg, field=field)
+        return single(location, cfg, field=field)
 
     monkeypatch.setattr(ex, "classify", counted)
-    found = ex.find_critical_points(1.0, ex.default_search_config(1.0, 15.0))
+    found = ex.find_critical_points(1.0, ex.SearchConfig(15.0))
     assert calls == [(len(found), 2)]
 
 
@@ -687,7 +774,7 @@ def test_traced_field_triple_takes_the_paired_search(k):
     # perfbench/trace_child.py times the search through a FieldTriple of three wrapped
     # S5_FIELD callables; it searches as S5_FIELD does, seeding the half lattice. The
     # disk holds two bands of it, so the first band is not the whole half lattice.
-    cfg = ex.default_search_config(k, 100.0 / k)
+    cfg = ex.SearchConfig(100.0)
     first_grad = []
 
     def grad(kk, p):
@@ -772,7 +859,7 @@ def _two_row_batches(field):
     return ex.FieldTriple(field.value, two_rows(field.grad), two_rows(field.hess))
 
 
-def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None, band=None):
+def _assert_refine_matches_reference(field, seeds, cfg, traced=None, band=None):
     """ex._refine_batch's rows, checked byte for byte against the converged rows inside
     the disk of the reference on the seeds and their mates (_with_mates), in any order;
     returns them and the reference's result on the seeds' own rows. traced, a copy of
@@ -780,10 +867,10 @@ def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None, band=Non
     ex._refine_batch runs on consecutive bands of that many seeds, and their rows are
     joined."""
     band = band or max(len(seeds), 1)
-    bands = [ex._refine_batch(traced or field, k, seeds[i:i + band], cfg)
+    bands = [ex._refine_batch(traced or field, seeds[i:i + band], cfg)
              for i in range(0, max(len(seeds), 1), band)]
     got = tuple(map(np.concatenate, zip(*bands)))
-    want = _refine_batch_reference(_two_row_batches(field), k, _with_mates(seeds), cfg)
+    want = _refine_batch_reference(_two_row_batches(field), 1.0, _with_mates(seeds), cfg)
     assert _sorted_rows(*got) == _sorted_rows(*_in_disk(want, cfg))
     return got, tuple(column[:len(seeds)] for column in want)
 
@@ -791,14 +878,15 @@ def _assert_refine_matches_reference(field, k, seeds, cfg, traced=None, band=Non
 @pytest.mark.parametrize("field", [ex.S5_FIELD, ex.S2_FIELD], ids=["s5", "s2"])
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 def test_refine_batch_matches_reference(field, k):
-    # the seeds of the search, which with their mates are the whole lattice
-    cfg = ex.default_search_config(k, 20.0 / k)
+    # the seeds of the search, which with their mates are the whole lattice; the loop
+    # runs at k = 1, and k sets the lattice spacing pi/(4k) in u
+    cfg = ex.SearchConfig(20.0, seed_spacing=math.pi / (4.0 * k))
     seeds = _half_grid(cfg)
-    (pts, _), _ = _assert_refine_matches_reference(field, k, seeds, cfg)
+    (pts, _), _ = _assert_refine_matches_reference(field, seeds, cfg)
     assert len(pts) > 0.5 * len(_seed_grid(cfg))
     # few steps leave rows unconverged when the loop ends
-    short = ex.default_search_config(k, 20.0 / k, max_newton_steps=3)
-    (pts, _), _ = _assert_refine_matches_reference(field, k, seeds, short)
+    short = ex.SearchConfig(20.0, seed_spacing=cfg.seed_spacing, max_newton_steps=3)
+    (pts, _), _ = _assert_refine_matches_reference(field, seeds, short)
     assert 0 < len(pts) < len(_seed_grid(cfg))
 
 
@@ -806,17 +894,17 @@ def test_refine_batch_matches_reference(field, k):
 def test_refine_batch_matches_reference_on_fallback_steps(field):
     # a degeneracy threshold this large sends many rows through the damped
     # gradient branch, next to regular rows in the same step
-    cfg = ex.default_search_config(1.0, 15.0, eig_degenerate_tol=0.5)
-    _assert_refine_matches_reference(field, 1.0, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(15.0, eig_degenerate_tol=0.5)
+    _assert_refine_matches_reference(field, _half_grid(cfg), cfg)
 
 
 def test_refine_batch_matches_reference_on_window_and_critical_seeds():
     window = (-3.0, 11.5, 0.25, 9.0)
-    cfg = pw.default_search_config(1.0, 10.0)
+    cfg = pw.SearchConfig(10.0)
     rectangle = _rectangle_seeds(window, cfg.seed_spacing)
     exact = ex.s2_oracle(1.0, window).location
     seeds = np.concatenate([exact, rectangle, exact[:1]])
-    (pts, _), (_, converged, _) = _assert_refine_matches_reference(ex.S2_FIELD, 1.0, seeds, cfg)
+    (pts, _), (_, converged, _) = _assert_refine_matches_reference(ex.S2_FIELD, seeds, cfg)
     assert converged[: len(exact)].all()
     # the critical seeds inside the disk come back unchanged, those outside do not
     inside = exact[:, 0] ** 2 + exact[:, 1] ** 2 <= cfg.radius ** 2
@@ -824,20 +912,20 @@ def test_refine_batch_matches_reference_on_window_and_critical_seeds():
     found = set(map(tuple, pts.tolist()))
     assert [tuple(p) in found for p in exact.tolist()] == inside.tolist()
     for field in (ex.S5_FIELD, ex.S2_FIELD):
-        _assert_refine_matches_reference(field, 1.0, rectangle, cfg)
+        _assert_refine_matches_reference(field, rectangle, cfg)
 
 
 def test_refine_batch_matches_reference_on_small_batches():
-    cfg = ex.default_search_config(1.0, 10.0)
+    cfg = ex.SearchConfig(10.0)
     grid = _half_grid(cfg)
     rng = np.random.default_rng(11)
     for field in (ex.S5_FIELD, ex.S2_FIELD):
         for seeds in (grid[:0], grid[:1], grid[7:9], grid[[0, -1]], np.zeros((1, 2))):
-            _assert_refine_matches_reference(field, 1.0, seeds, cfg)
+            _assert_refine_matches_reference(field, seeds, cfg)
     for _ in range(300):
         seeds = rng.uniform(-10.0, 10.0, (int(rng.integers(1, 6)), 2))
         field = (ex.S5_FIELD, ex.S2_FIELD)[int(rng.integers(2))]
-        _assert_refine_matches_reference(field, float(rng.uniform(0.9, 1.1)), seeds, cfg)
+        _assert_refine_matches_reference(field, seeds, cfg)
 
 
 def _non_finite_field(field=ex.S5_FIELD):
@@ -858,7 +946,7 @@ def test_refine_batch_matches_reference_when_rows_turn_non_finite():
     cfg = ex.SearchConfig(radius=4.0, seed_spacing=0.2, eig_degenerate_tol=1e-200)
     seeds = _rectangle_seeds((0.0, 4.0, -2.0, 2.0), cfg.seed_spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
-        (pts, _), (last, converged, _) = _assert_refine_matches_reference(field, 1.0, seeds, cfg)
+        (pts, _), (last, converged, _) = _assert_refine_matches_reference(field, seeds, cfg)
     # the reference keeps the last finite point of the rows that turned non-finite
     assert (~converged & (last != seeds).any(axis=1)).sum() > 10 and len(pts) > 0
 
@@ -890,11 +978,11 @@ def test_refine_batch_matches_reference_across_blocks(field, block):
     det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
     assert (np.abs(det) < 0.5 ** 2).any()
     for cfg in (
-        ex.default_search_config(1.0, 8.0),
-        ex.default_search_config(1.0, 8.0, eig_degenerate_tol=0.5),
-        ex.default_search_config(1.0, 8.0, max_newton_steps=3),
+        ex.SearchConfig(8.0),
+        ex.SearchConfig(8.0, eig_degenerate_tol=0.5),
+        ex.SearchConfig(8.0, max_newton_steps=3),
     ):
-        _assert_refine_matches_reference(field, 1.0, seeds, cfg, traced, block)
+        _assert_refine_matches_reference(field, seeds, cfg, traced, block)
     # full bands, and one-row batches, which reach the field as two rows
     full = max(block, 2)
     assert grads.count(full) > 2 and hessians.count(full) > 2
@@ -903,7 +991,7 @@ def test_refine_batch_matches_reference_across_blocks(field, block):
     seeds = _rectangle_seeds((0.0, 4.0, -2.0, 2.0), cfg.seed_spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         _, (last, converged, _) = _assert_refine_matches_reference(
-            _non_finite_field(field), 1.0, seeds, cfg, band=block)
+            _non_finite_field(field), seeds, cfg, band=block)
     assert (~converged & (last != seeds).any(axis=1)).sum() > 10
 
 
@@ -936,9 +1024,9 @@ def test_refine_batch_matches_reference_with_rows_between_component_and_norm(fie
         band = []
         traced = ex.FieldTriple(base.value, _band_counting(base.grad, tol, band), base.hess)
         for degenerate in (1e-8, 0.5, 1e-200):
-            cfg = ex.default_search_config(1.0, 8.0, grad_tol=tol, eig_degenerate_tol=degenerate)
+            cfg = ex.SearchConfig(8.0, grad_tol=tol, eig_degenerate_tol=degenerate)
             with np.errstate(divide="ignore", invalid="ignore"):
-                _, want = _assert_refine_matches_reference(base, 1.0, seeds, cfg, traced, block)
+                _, want = _assert_refine_matches_reference(base, seeds, cfg, traced, block)
         assert sum(band) > 5
     # the last run: the reference stopped rows at their last finite point, unconverged
     last, converged, _ = want
@@ -950,7 +1038,7 @@ def test_blocked_newton_step_emits_no_runtime_warning(monkeypatch):
     # rows through the origin, so the Newton step divides by zero in several
     # bands
     monkeypatch.setattr(ex, "_NEWTON_BLOCK", 8)
-    cfg = ex.default_search_config(1.0, 10.0, eig_degenerate_tol=0.5)
+    cfg = ex.SearchConfig(10.0, eig_degenerate_tol=0.5)
     seeds = _half_grid(cfg)
     hess = ex.S2_FIELD.hess(1.0, seeds)
     assert (hess[:, 0, 0] * hess[:, 1, 1] == 0).sum() > 8
@@ -974,10 +1062,10 @@ def _seed_grid_reference(cfg):
 @pytest.mark.parametrize("k", [1.0, 0.93, 2.5])
 @pytest.mark.parametrize("radius", [0.2, 1.0, 7.3, 40.0, 200.0])
 def test_disk_seed_grid_matches_the_meshgrid_reference(k, radius):
-    configs = [ex.default_search_config(k, radius / k)]
-    s = configs[0].seed_spacing
+    s = math.pi / (4.0 * k)
+    configs = [ex.SearchConfig(radius / k, seed_spacing=s)]
     # a radius on the lattice puts points exactly on the rim
-    configs.append(ex.default_search_config(k, 12 * s))
+    configs.append(ex.SearchConfig(12 * s, seed_spacing=s))
     configs += [ex.SearchConfig(radius=radius, seed_spacing=h) for h in (0.25, 0.37, 1.0)]
     for cfg in configs:
         got, want = _seed_grid(cfg), _seed_grid_reference(cfg)
@@ -986,7 +1074,7 @@ def test_disk_seed_grid_matches_the_meshgrid_reference(k, radius):
 
 
 def test_find_critical_points_memory_per_seed():
-    cfg = ex.default_search_config(1.0, 100.0)
+    cfg = ex.SearchConfig(100.0)
     seeds = len(_seed_grid(cfg))
     tracemalloc.start()
     try:
@@ -1002,8 +1090,8 @@ def test_find_critical_points_memory_per_seed():
 
 
 def test_dedupe_memory_per_candidate():
-    cfg = ex.default_search_config(1.0, 100.0)
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, 1.0, _half_grid(cfg), cfg)
+    cfg = ex.SearchConfig(100.0)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, _half_grid(cfg), cfg)
     tracemalloc.start()
     try:
         ex._dedupe(pts, gnorm, cfg.dedupe_radius)
@@ -1033,9 +1121,9 @@ def _first_band(cfg):
 
 def test_mirrored_refine_batch_memory_per_seed():
     # one band of the half lattice, each row but the origin standing for its mate too
-    cfg = ex.default_search_config(1.0, 200.0)
+    cfg = ex.SearchConfig(200.0)
     seeds = _first_band(cfg)
-    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, 1.0, seeds, cfg)
+    peak = _traced_peak(ex._refine_batch, ex.S5_FIELD, seeds, cfg)
     # on the half lattice at R = 100, per seed of the whole lattice: 89.4 B with the
     # whole result table held from the start; 70.9 B with the mates' rows made as the
     # loop ends, 56.7 B with only the rows that converge inside the disk kept. On one
@@ -1049,7 +1137,7 @@ def _search_phase_peaks(monkeypatch, radius):
     lattice: the seeding before the first band, the bands (their Newton loops and the
     seeding between them), and everything after the last band (join, dedupe,
     classify)."""
-    cfg = ex.default_search_config(1.0, radius)
+    cfg = ex.SearchConfig(radius)
     refine, peaks = ex._refine_batch, []
 
     def phased(*args, **kwargs):

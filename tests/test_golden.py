@@ -16,7 +16,8 @@ def test_golden_record_then_check(tmp_path, capsys):
     assert golden.main(["record", str(digest_file)], scale=0.1) == 0
     recorded = json.loads(digest_file.read_text())
     runs = {name for name, _ in golden.invocations(0.1)}
-    assert len(runs) == 6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1 + 6 * 3 + 3
+    assert len(runs) == (6 * len(golden.SCALES) * len(golden.WAVENUMBERS) + 1 + 6 * 3 + 3
+                         + 2 * len(golden.EXTREME_WAVENUMBERS))
     assert "identity-blocks/identity.json" in recorded
     messages = {name for name, _ in golden.message_runs()}
     assert len(messages) == 1 + 6 + len(golden.BAD_CONFIGS)
@@ -44,6 +45,9 @@ def test_golden_record_then_check(tmp_path, capsys):
     assert all(f"match-r20/match.{fmt}" in recorded for fmt in ("csv", "json", "svg"))
     # a search of several bands, unscaled
     assert recorded["extrema-r150/exit"] == 0
+    # extrema and match at extreme k, over fixed disks of kR = 20 and 40, unscaled
+    assert all(recorded[f"{command}-k{k}/exit"] == 0 for k in golden.EXTREME_WAVENUMBERS
+               for command in ("extrema", "match"))
     for run in messages:
         # the help exits 0 and prints to stdout; a bad config file exits 2 and
         # prints its one-line message to stderr

@@ -143,7 +143,7 @@ def test_pinned_registration_lies_within_16_ulp_of_its_50_digit_value():
     # below it, is held to 16 ulp of the largest residual (4.4 of them measured).
     from test_acceptance import PINNED_MATCH
 
-    cfg = pw.default_search_config(1.0, 40.0)
+    cfg = pw.SearchConfig(40.0)
     found = pw.find_critical_points(1.0, cfg)
     spec = pw.PentagridSpec(1.0 / (2.0 * pw.wavefield.GOLDEN_RATIO))  # as cli builds it
     report = pw.match_report(spec, found, disk_radius=40.0)

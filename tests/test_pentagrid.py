@@ -625,7 +625,7 @@ def _assert_report_equals(extrema, got, want):
 
 def _registration_extrema(k, radius, spec, rng):
     """Field extrema plus planted points on, just beside and just off grid lines and the rim."""
-    found = _points(pw.find_critical_points(k, pw.default_search_config(k, radius)))
+    found = _points(pw.find_critical_points(k, pw.SearchConfig(k * radius)))
     planted = []
     for n in range(40):
         i = n % 5
@@ -695,8 +695,8 @@ def test_rim_trim_rounds_as_math_hypot():
 def test_correspondences_of_the_search_output_match_reference():
     # the CriticalSet find_critical_points returns, read directly; and no extremum at all
     spec = pg.PentagridSpec(1.0 / (2.0 * TAU))
-    found = pw.find_critical_points(1.0, pw.default_search_config(1.0, 60.0))
-    for columns in (found, pw.find_critical_points(1.0, pw.default_search_config(1.0, 0.1))):
+    found = pw.find_critical_points(1.0, pw.SearchConfig(60.0))
+    for columns in (found, pw.find_critical_points(1.0, pw.SearchConfig(0.1))):
         want = _matching_reference(spec, _points(columns), disk_radius=60.0)
         _assert_matching_equals(columns, pg.matching_correspondences(spec, columns, 60.0), want)
     _assert_report_equals(found, pg.match_report(spec, found, 60.0),

@@ -10,6 +10,7 @@ set order, so its results are compared as sorted rows.
 """
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -35,10 +36,10 @@ from test_extrema import (
 )
 
 
-def _reference(field, k, seeds, cfg):
-    """The reference Newton loop's converged rows inside the disk: the rows that
+def _reference(field, seeds, cfg):
+    """The reference Newton loop's converged rows inside the disk, at k = 1: the rows that
     ex._refine_batch returns, without pairs."""
-    return _in_disk(_refine_batch_reference(_two_row_batches(field), k, seeds, cfg), cfg)
+    return _in_disk(_refine_batch_reference(_two_row_batches(field), 1.0, seeds, cfg), cfg)
 
 
 def _samples():
@@ -67,7 +68,7 @@ def test_projection_of_the_mirror_point_is_the_mirrored_projection():
 
 
 def test_the_whole_lattice_mirrors_its_half():
-    for cfg in (ex.default_search_config(1.0, 7.3), ex.default_search_config(0.93, 0.3)):
+    for cfg in (ex.SearchConfig(7.3), ex.SearchConfig(0.3, seed_spacing=math.pi / (4.0 * 0.93))):
         half, whole = _half_grid(cfg), _seed_grid(cfg)
         assert half[0].tolist() == [0.0, 0.0] and len(whole) == 2 * len(half) - 1
         assert whole.tobytes() == (0.0 - whole[::-1]).tobytes()
@@ -86,20 +87,21 @@ def test_paired_loop_is_the_whole_loop_byte_for_byte(monkeypatch, field):
         events["split"] += split.size
         return new, split, mate
 
-    def counted_evaluate(fn, k, rows):
+    def counted_evaluate(fn, rows):
         events["lone row"] += len(rows) == 1
-        return evaluate(fn, k, rows)
+        return evaluate(fn, rows)
 
     monkeypatch.setattr(ex, "_newton_step", counted_step)
     monkeypatch.setattr(ex, "_evaluate", counted_evaluate)
-    for k in (1.0, 0.93, 1.05, 2.5):
-        for radius in (0.3, 1.0, 3.0, 20.0, 40.0, 100.0):
-            for overrides in ({}, {"eig_degenerate_tol": 0.5}, {"max_newton_steps": 3},
-                              {"grad_tol": 1e-14}):
-                cfg = ex.default_search_config(k, radius, **overrides)
-                got = ex._refine_batch(field, k, _half_grid(cfg), cfg)
-                want = _reference(field, k, _seed_grid(cfg), cfg)
-                assert _sorted_rows(*got) == _sorted_rows(*want), (k, radius, overrides)
+    # the loop runs at k = 1 in u = k p, so k only scales the lattice; one lattice of
+    # another spacing than pi/4 stands for the rest
+    for radius in (0.3, 1.0, 3.0, 20.0, 40.0, 100.0):
+        for overrides in ({}, {"eig_degenerate_tol": 0.5}, {"max_newton_steps": 3},
+                          {"grad_tol": 1e-14}, {"seed_spacing": math.pi / (4.0 * 0.93)}):
+            cfg = ex.SearchConfig(radius, **overrides)
+            got = ex._refine_batch(field, _half_grid(cfg), cfg)
+            want = _reference(field, _seed_grid(cfg), cfg)
+            assert _sorted_rows(*got) == _sorted_rows(*want), (radius, overrides)
     # fallback ties split pairs, and s5's last active rows step alone
     assert events["split"] > 0
     assert events["lone row"] > 0 or field is ex.S2_FIELD
@@ -116,14 +118,14 @@ def _arc_grad(k, p):
 # through the fallback, and x stays exactly 0.0. The coarse grad_tol lets rows
 # converge on the fallback's fixed steps, split mates among them.
 _ARC_FIELD = ex.FieldTriple(None, _arc_grad, lambda k, p: np.zeros(p.shape + (2,)))
-_ARC_SEARCH = ex.default_search_config(1.0, 10.0, grad_tol=0.05)
+_ARC_SEARCH = ex.SearchConfig(10.0, grad_tol=0.05)
 _ARC_SEEDS = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.95], [0.0, -0.95], [0.0, 0.97],
                        [0.0, 1.5]])
 
 
 def _refine_arc(refine, seeds):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return refine(_ARC_FIELD, 1.0, seeds, _ARC_SEARCH)
+        return refine(_ARC_FIELD, seeds, _ARC_SEARCH)
 
 
 def test_split_mates_keep_positive_zeros(monkeypatch):
@@ -167,7 +169,7 @@ def test_search_does_not_depend_on_the_order_of_the_refined_rows(monkeypatch):
     for k in (1.0, 0.93):
         for field in (ex.S5_FIELD, ex.S2_FIELD):
             for overrides in ({}, {"eig_degenerate_tol": 0.5}):
-                cfg = ex.default_search_config(k, 40.0 / k, **overrides)
+                cfg = ex.SearchConfig(40.0, seed_spacing=math.pi / (4.0 * k), **overrides)
                 want = ex.find_critical_points(k, cfg, field=field)
                 for reverse in (True, False):
                     with monkeypatch.context() as patched:
@@ -183,15 +185,15 @@ def test_search_does_not_depend_on_the_order_of_the_refined_rows(monkeypatch):
 @pytest.mark.parametrize("k", [0.93, 1.05, 3e5])
 def test_one_seed_search_rounds_its_seed_as_a_row_of_a_batch(k):
     # the origin alone is evaluated as two identical rows: with OpenBLAS's Haswell
-    # kernels a lone row's projection rounds differently at these k (gnorm 4.13e-16,
-    # not 2.57e-16, at k = 1.05), and at k = 3e5 its gnorm 1.167e-10 is above
-    # grad_tol, so the lone row would not converge
-    cfg = ex.default_search_config(k, 0.3 / k)
+    # kernels a lone row's projection rounds differently (gnorm 4.13e-16, not 2.57e-16,
+    # for the field at k = 1.05). The search evaluates the field at k = 1 whatever k,
+    # and maps the origin back to itself
+    cfg = ex.SearchConfig(0.3)
     origin = np.zeros((1, 2))
-    batch = pw.grad_s5(k, np.zeros((2, 2)))[:1]
+    batch = pw.grad_s5(1.0, np.zeros((2, 2)))[:1]
     half = _half_grid(cfg)
     assert half.tobytes() == origin.tobytes()
-    pts, gnorm = ex._refine_batch(ex.S5_FIELD, k, half, cfg)
+    pts, gnorm = ex._refine_batch(ex.S5_FIELD, half, cfg)
     assert pts.tobytes() == origin.tobytes()
     assert gnorm.tobytes() == np.hypot(batch[:, 0], batch[:, 1]).tobytes()
     found = ex.find_critical_points(k, cfg)
@@ -203,11 +205,11 @@ def test_one_seed_search_rounds_its_seed_as_a_row_of_a_batch(k):
 def test_search_does_not_depend_on_the_band_size(monkeypatch, field, k):
     # a one-row batch is evaluated as two rows, so each seed's trajectory depends on
     # that seed alone; bands of one row up to the default give the same bytes. Each
-    # band costs a Python loop of its own, so bands of 1 to 3 rows stop at 12/k: at
-    # 40/k they would take about 3 minutes
+    # band costs a Python loop of its own, so bands of 1 to 3 rows stop at kR = 12: at
+    # kR = 40 they would take about 3 minutes. k sets the lattice spacing pi/(4k) in u.
     for radius in (0.3, 3.0, 12.0, 40.0):
-        for overrides in ({}, {"eig_degenerate_tol": 0.5 * k * k}, {"max_newton_steps": 3}):
-            cfg = ex.default_search_config(k, radius / k, **overrides)
+        for overrides in ({}, {"eig_degenerate_tol": 0.5}, {"max_newton_steps": 3}):
+            cfg = ex.SearchConfig(radius, seed_spacing=math.pi / (4.0 * k), **overrides)
             want = ex.find_critical_points(k, cfg, field=field)
             for band in (64,) if radius == 40.0 else (1, 2, 3, 64):
                 with monkeypatch.context() as patched:
